@@ -41,7 +41,6 @@ from okkit.degeneration import (
     FamilyPresentation,
     RelationSet,
     WeightFunctional,
-    buchberger_small,
     build_family,
     build_projection,
     initial_form,

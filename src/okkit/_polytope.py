@@ -86,86 +86,58 @@ def _primitive(vec):
     return tuple(v // g for v in ints)
 
 
-def _rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    rank = 0
-    for col in range(len(rows[0])):
+def _rref(rows):
+    """Gauss-Jordan elimination over the rationals, pivots chosen left to
+    right.
+
+    Returns the reduced rows (pivot entries are not scaled to one) and the
+    pivot column of each leading row; the remaining rows are zero.
+    """
+    rows = [list(map(Fraction, r)) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
         piv = None
-        for r in range(rank, len(rows)):
+        for r in range(row, len(rows)):
             if rows[r][col] != 0:
                 piv = r
                 break
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        rows[row], rows[piv] = rows[piv], rows[row]
+        prow = rows[row]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
+            if r != row and rows[r][col] != 0:
                 f = rows[r][col] / prow[col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def _rank(rows):
+    return len(_rref(rows)[1])
 
 
 def _solve_exact(matrix, rhs):
     """One exact solution of matrix @ x = rhs (any rank), or None if the
     system is inconsistent.  Free variables are set to zero, with pivots
     chosen left to right, so the answer is deterministic."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [list(map(Fraction, matrix[i])) + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        prow = aug[row]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col] / prow[col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
+    n = len(matrix[0]) if matrix else 0
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    reduced, pivots = _rref(aug)
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in the right-hand side column
     x = [Fraction(0)] * n
     for r, col in enumerate(pivots):
-        x[col] = aug[r][n] / aug[r][col]
+        x[col] = reduced[r][n] / reduced[r][col]
     return tuple(x)
 
 
 def _null_space_rows(matrix):
     """Primitive integer basis of {w : w @ matrix = 0}."""
-    at = [list(map(Fraction, col)) for col in zip(*matrix)]
-    nrows = len(at)
-    ncols = len(at[0]) if at else len(matrix)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if at[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        at[row], at[piv] = at[piv], at[row]
-        prow = at[row]
-        for r in range(nrows):
-            if r != row and at[r][col] != 0:
-                f = at[r][col] / prow[col]
-                at[r] = [a - f * b for a, b in zip(at[r], prow)]
-        pivots.append(col)
-        row += 1
+    ncols = len(matrix)
+    reduced, pivots = _rref(zip(*matrix))
     pivot_set = set(pivots)
     out = []
     for free in range(ncols):
@@ -174,7 +146,7 @@ def _null_space_rows(matrix):
         w = [Fraction(0)] * ncols
         w[free] = Fraction(1)
         for r, pc in enumerate(pivots):
-            w[pc] = -at[r][free] / at[r][pc]
+            w[pc] = -reduced[r][free] / reduced[r][pc]
         out.append(_primitive(w))
     return out
 

@@ -3,7 +3,8 @@ order on N x Z^n, and two valuation backends with one-dimensional leaves.
 
 Everything here is immutable after construction and safe to share across
 threads.  Exact computation stays in rationals; complex doubles appear only
-through :func:`evaluate_complex`.
+through :class:`CompiledPolynomial`, the one numeric evaluator, which
+:func:`evaluate_complex` wraps with input checks.
 
 Conventions fixed once for the whole package:
 
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "Rational",
     "ExponentVector",
@@ -37,10 +40,12 @@ __all__ = [
     "InconclusiveValuationError",
     "EvaluationError",
     "ParseError",
+    "CompiledPolynomial",
     "compare_composite",
     "monomial_valuation",
     "series_valuation",
     "evaluate_complex",
+    "relative_residual",
     "parse_polynomial",
     "format_polynomial",
 ]
@@ -267,16 +272,6 @@ class Polynomial:
 
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), Fraction(0))
-
-    def map_exponents(self, fn):
-        """Apply fn to every exponent tuple (must stay injective)."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = tuple(fn(e))
-            if e2 in out:
-                raise ValueError("exponent map is not injective")
-            out[e2] = c
-        return Polynomial(self.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +607,58 @@ def series_valuation(f, ctx: SeriesContext) -> int:
 # numeric evaluation
 
 
+class CompiledPolynomial:
+    """A polynomial flattened to exponent and coefficient arrays, evaluated
+    at complex points.
+
+    Terms are kept in sorted exponent order, so evaluation is
+    deterministic.  No input checks: :func:`evaluate_complex` is the
+    checked entry point.
+    """
+
+    __slots__ = ("exps", "coeffs")
+
+    def __init__(self, poly: Polynomial):
+        items = sorted(poly.terms.items())
+        self.exps = np.array(
+            [e for e, _ in items], dtype=np.int64
+        ).reshape(len(items), poly.ring.nvars)
+        self.coeffs = np.array([complex(c) for _, c in items], dtype=complex)
+
+    def monomials(self, zvec: np.ndarray) -> np.ndarray:
+        """Value of each term's monomial at z, in term order."""
+        return (zvec[None, :] ** self.exps).prod(axis=1)
+
+    def value(self, zvec: np.ndarray) -> complex:
+        if not len(self.coeffs):
+            return 0.0 + 0.0j
+        return complex(self.monomials(zvec) @ self.coeffs)
+
+    def scale(self, zabs: np.ndarray) -> float:
+        """Sum of term magnitudes, the denominator of a relative residual."""
+        if not len(self.coeffs):
+            return 0.0
+        return float(
+            (zabs[None, :] ** self.exps).prod(axis=1) @ np.abs(self.coeffs)
+        )
+
+
+def relative_residual(relations, zvec: np.ndarray) -> float:
+    """Largest |g(z)| / sum |terms of g at z| over compiled relations.
+
+    Relations whose terms all vanish at z (scale below 1e-300) are skipped,
+    so no relations, or none that can be measured, give 0.
+    """
+    zabs = np.abs(zvec)
+    worst = 0.0
+    for g in relations:
+        denom = g.scale(zabs)
+        if denom < 1e-300:
+            continue
+        worst = max(worst, abs(g.value(zvec)) / denom)
+    return worst
+
+
 def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
     """Evaluate at a complex point, deterministically (sorted term order).
 
@@ -622,19 +669,11 @@ def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
             "point length %d does not match ring with %d variables"
             % (len(point), f.ring.nvars)
         )
-    point = [complex(z) for z in point]
-    total = 0j
-    for e in sorted(f.terms):
-        c = f.terms[e]
-        term = complex(c)
-        for z, k in zip(point, e):
-            if k == 0:
-                continue
-            if k < 0 and z == 0:
-                raise EvaluationError("zero coordinate with negative exponent")
-            term *= z ** k
-        total += term
-    return total
+    zvec = np.array([complex(z) for z in point], dtype=complex)
+    compiled = CompiledPolynomial(f)
+    if np.any((compiled.exps < 0) & (zvec == 0)):
+        raise EvaluationError("zero coordinate with negative exponent")
+    return compiled.value(zvec)
 
 
 # ---------------------------------------------------------------------------

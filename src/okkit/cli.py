@@ -298,8 +298,6 @@ def _positive_samples(ctx, param, value):
 def main(ctx, config_path):
     """Semigroups, bodies, degenerations and flows for graded presentations."""
     ctx.obj = _parse_config(config_path) if config_path else {}
-    if "threads" in ctx.obj:
-        os.environ["OKKIT_THREADS"] = str(ctx.obj["threads"])
 
 
 @main.command()
@@ -373,6 +371,9 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
     spread = _setting(ctx, "spread", spread)
     if samples < 1:
         raise click.UsageError("at least one sample is required")
+    threads = (ctx.obj or {}).get("threads", 1)
+    if threads < 1:
+        raise click.UsageError("threads must be at least 1")
     try:
         cfg = FlowConfig(epsilon=epsilon, delta=delta, seed=seed)
     except ValueError as exc:
@@ -384,7 +385,7 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
         )
     fam, basis = _entry_pipeline(loaded)
     points = _sample_points(loaded, samples, seed, spread)
-    results = run_batch(points, cfg, loaded.datum, fam, basis)
+    results = run_batch(points, cfg, loaded.datum, fam, basis, workers=threads)
     if csv_path:
         Path(csv_path).write_text(trajectory_csv(results), encoding="utf-8")
     doc = diagnostics_dict(results, cfg)
@@ -410,9 +411,6 @@ def _check_rows(entry: CatalogEntry):
     def row(label, passed, detail=""):
         rows.append((label, bool(passed), detail))
 
-    row("semigroup generators", True, "re-derived at load")
-    row("body vertices", True, "re-derived at load")
-    row("degree", True, "re-derived at load")
     row("lattice completeness", entry.semigroup.group_complete)
 
     fam = build_family(entry.relations, build_projection(entry.relations))

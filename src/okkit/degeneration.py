@@ -32,17 +32,14 @@ __all__ = [
     "NoProjectionError",
     "InconsistentProjectionError",
     "FamilyConstructionError",
-    "TooLargeError",
     "RelationSet",
     "WeightFunctional",
     "FamilyPresentation",
-    "ComplexPolynomial",
     "monomial_bidegree",
     "build_projection",
     "initial_form",
     "build_family",
     "specialize_fiber",
-    "buchberger_small",
 ]
 
 TAU = "tau"
@@ -66,10 +63,6 @@ class InconsistentProjectionError(DegenerationError):
 
 class FamilyConstructionError(DegenerationError):
     pass
-
-
-class TooLargeError(DegenerationError):
-    """Input exceeds the desk-scale guard of the small Groebner checker."""
 
 
 def monomial_bidegree(exponents, tags) -> BiDegree:
@@ -366,170 +359,16 @@ def build_family(rels: RelationSet, p: WeightFunctional) -> FamilyPresentation:
 # fibers
 
 
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Polynomial with complex coefficients, for numeric fibers.
-
-    terms is a tuple of (exponents, coefficient) pairs sorted by descending
-    exponent, which makes equality and serialization deterministic.
-    """
-
-    ring: Ring
-    terms: tuple
-
-    @classmethod
-    def from_dict(cls, ring, mapping):
-        cleaned = [
-            (tuple(e), complex(c)) for e, c in mapping.items() if complex(c) != 0
-        ]
-        return cls(ring, tuple(sorted(cleaned, key=lambda t: t[0], reverse=True)))
-
-    def evaluate(self, point) -> complex:
-        total = 0j
-        for e, c in self.terms:
-            term = c
-            for base, k in zip(point, e):
-                if k:
-                    term = term * base**k
-            total += term
-        return total
-
-    def to_json_terms(self) -> list:
-        return [
-            {
-                "coeff": [c.real, c.imag],
-                "monomial": _monomial_text(self.ring, e),
-            }
-            for e, c in self.terms
-        ]
-
-
-def _monomial_text(ring: Ring, exponents) -> str:
-    parts = []
-    for name, k in zip(ring.variables, exponents):
-        if k == 1:
-            parts.append(name)
-        elif k != 0:
-            parts.append("%s^%d" % (name, k))
-    return "*".join(parts) if parts else "1"
-
-
 def specialize_fiber(fam: FamilyPresentation, t):
-    """Substitute tau = t in every family polynomial.
+    """Substitute tau = t in every family polynomial, exactly.
 
-    Exact inputs (int, Fraction) give exact Polynomials, so t = 1 returns
-    the original relations and t = 0 the initial forms, on the nose.
-    float or complex t gives ComplexPolynomials.
+    t must be an int or a Fraction, so t = 1 returns the original
+    relations and t = 0 the initial forms, on the nose.
     """
-    symbol_ring = fam.relation_set.datum.symbol_ring
-    if isinstance(t, (int, Fraction)) and not isinstance(t, bool):
-        return [_drop_tau(g, symbol_ring, t) for g in fam.family]
-    t = complex(t)
-    out = []
-    for g in fam.family:
-        acc = {}
-        for e, c in g.terms.items():
-            base, q = e[:-1], e[-1]
-            val = complex(c) * t**q
-            acc[base] = acc.get(base, 0j) + val
-        out.append(ComplexPolynomial.from_dict(symbol_ring, acc))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# small Groebner verification
-
-
-def _order_key(p: WeightFunctional):
-    def key(exponents):
-        return (p.weight_of(exponents), exponents)
-
-    return key
-
-
-def _leading(g: Polynomial, key):
-    e = max(g.terms, key=key)
-    return e, g.terms[e]
-
-
-def _reduce_by(f: Polynomial, basis, key):
-    """Normal form of f against the basis under the given monomial order."""
-    ring = f.ring
-    remainder = {}
-    work = f
-    leads = [_leading(g, key) for g in basis]
-    while not work.is_zero():
-        e = max(work.terms, key=key)
-        c = work.terms[e]
-        for g, (le, lc) in zip(basis, leads):
-            if all(a >= b for a, b in zip(e, le)):
-                shift = tuple(a - b for a, b in zip(e, le))
-                work = work - Polynomial.monomial(ring, shift, c / lc) * g
-                break
-        else:
-            remainder[e] = c
-            work = work - Polynomial.monomial(ring, e, c)
-    return Polynomial(ring, remainder)
-
-
-def buchberger_small(relations, p: WeightFunctional, tie_break: str = "lex"):
-    """Complete (or just verify) a small level-homogeneous basis.
-
-    Monomials are ordered by p-weight with lexicographic tie-breaking.
-    Level homogeneity is required because it bounds the monomials of each
-    level, which is what makes division terminate under a weight order
-    with possibly negative weights.  Pairs with coprime leading monomials
-    are skipped (Buchberger's first criterion), so an input that is
-    already a Groebner basis comes back unchanged.
-
-    This is a desk-scale checker: at most 8 variables and 6 input
-    relations, with a hard cap on completion growth.
-    """
-    if tie_break != "lex":
-        raise ValueError("only lexicographic tie-breaking is implemented")
-    relations = list(relations)
-    if not relations:
-        return ()
-    ring = relations[0].ring
-    if ring.nvars > 8 or len(relations) > 6:
-        raise TooLargeError(
-            "buchberger_small handles at most 8 variables and 6 relations,"
-            " got %d and %d" % (ring.nvars, len(relations))
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(
+            "specialize_fiber needs an exact t (int or Fraction), got %s"
+            % type(t).__name__
         )
-    for idx, g in enumerate(relations, start=1):
-        if g.ring != ring:
-            raise ValueError("relations live in different rings")
-        if g.is_zero():
-            raise ValueError("relation %d is zero" % idx)
-        levels = {monomial_bidegree(e, p.tags).level for e in g.terms}
-        if len(levels) != 1:
-            raise RelationError(
-                "relation %d is not level-homogeneous; termination of the"
-                " weight-order division would be unprovable" % idx
-            )
-
-    key = _order_key(p)
-    basis = list(relations)
-    pairs = list(combinations(range(len(basis)), 2))
-    while pairs:
-        i, j = pairs.pop(0)
-        ei, ci = _leading(basis[i], key)
-        ej, cj = _leading(basis[j], key)
-        if all(min(a, b) == 0 for a, b in zip(ei, ej)):
-            continue  # coprime leading monomials reduce to zero
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        si = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, ei)), 1 / ci)
-        sj = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lcm, ej)), 1 / cj)
-        s_poly = si * basis[i] - sj * basis[j]
-        if s_poly.is_zero():
-            continue
-        remainder = _reduce_by(s_poly, basis, key)
-        if remainder.is_zero():
-            continue
-        le, lc = _leading(remainder, key)
-        remainder = remainder * (1 / lc)
-        basis.append(remainder)
-        if len(basis) > 60:
-            raise TooLargeError("Groebner completion exceeded the growth cap")
-        pairs.extend((m, len(basis) - 1) for m in range(len(basis) - 1))
-    return tuple(basis)
+    symbol_ring = fam.relation_set.datum.symbol_ring
+    return [_drop_tau(g, symbol_ring, t) for g in fam.family]

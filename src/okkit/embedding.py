@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import evaluate_complex
+from .algebra import CompiledPolynomial, evaluate_complex, relative_residual
 from .degeneration import FamilyPresentation
 from .okounkov import SagbiDatum
 
@@ -253,19 +253,8 @@ def family_residual(fam: FamilyPresentation, symbol_values, t: complex) -> float
     last slot of each family exponent is the tau power, evaluated at t.
     Relations whose every term vanishes contribute zero.
     """
-    worst = 0.0
-    for curve in fam.family:
-        total = 0j
-        scale = 0.0
-        for e, c in curve.terms.items():
-            term = complex(c) * _power(t, e[-1])
-            for val, k in zip(symbol_values, e[:-1]):
-                term *= _power(val, k)
-            total += term
-            scale += abs(term)
-        if scale > 1e-300:
-            worst = max(worst, abs(total) / scale)
-    return worst
+    zvec = np.array([complex(v) for v in symbol_values] + [complex(t)])
+    return relative_residual([CompiledPolynomial(g) for g in fam.family], zvec)
 
 
 def embed_point(
@@ -391,13 +380,12 @@ def reduced_moment(point, basis: VdBasis, grading) -> tuple:
 def _univariate_in_last(modulus, point_prefix):
     """Coefficients (descending) of the modulus as a polynomial in the
     last ring variable, with the other variables fixed."""
-    degree = max(e[-1] for e in modulus.terms)
-    coeffs = [0j] * (degree + 1)
-    for e, c in modulus.terms.items():
-        term = complex(c)
-        for val, k in zip(point_prefix, e[:-1]):
-            term *= _power(val, k)
-        coeffs[degree - e[-1]] += term
+    compiled = CompiledPolynomial(modulus)
+    zvec = np.array([complex(v) for v in point_prefix] + [1.0 + 0.0j])
+    powers = compiled.exps[:, -1]
+    degree = int(powers.max())
+    coeffs = np.zeros(degree + 1, dtype=complex)
+    np.add.at(coeffs, degree - powers, compiled.monomials(zvec) * compiled.coeffs)
     return coeffs
 
 

@@ -27,14 +27,13 @@ samples collected up to that point are kept.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from okkit.algebra import Polynomial
+from okkit.algebra import CompiledPolynomial, Polynomial, relative_residual
 from okkit.degeneration import FamilyPresentation
 from okkit.embedding import (
     BaseLocusError,
@@ -297,32 +296,6 @@ def _differentiate(poly: Polynomial, v: int) -> Polynomial:
     return Polynomial(poly.ring, terms)
 
 
-class _Compiled:
-    """A polynomial flattened to exponent and coefficient arrays."""
-
-    __slots__ = ("exps", "coeffs")
-
-    def __init__(self, poly: Polynomial, nvars: int):
-        items = sorted(poly.terms.items())
-        self.exps = np.array(
-            [e for e, _ in items], dtype=np.int64
-        ).reshape(len(items), nvars)
-        self.coeffs = np.array([complex(c) for _, c in items], dtype=complex)
-
-    def value(self, zvec: np.ndarray) -> complex:
-        if not len(self.coeffs):
-            return 0.0 + 0.0j
-        return complex((zvec[None, :] ** self.exps).prod(axis=1) @ self.coeffs)
-
-    def scale(self, zabs: np.ndarray) -> float:
-        """Sum of term magnitudes, the denominator of a relative residual."""
-        if not len(self.coeffs):
-            return 0.0
-        return float(
-            (zabs[None, :] ** self.exps).prod(axis=1) @ np.abs(self.coeffs)
-        )
-
-
 class _Model:
     """Compiled relations and derivatives of one embedded family."""
 
@@ -339,9 +312,9 @@ class _Model:
         self.nsym = basis.size
         self.n_w = self.nsym - 1
         nv = self.nsym + 1  # symbols plus tau
-        self.relations = [_Compiled(g, nv) for g in fam.family]
+        self.relations = [CompiledPolynomial(g) for g in fam.family]
         self.partials = [
-            [_Compiled(_differentiate(g, v), nv) for v in range(nv)]
+            [CompiledPolynomial(_differentiate(g, v)) for v in range(nv)]
             for g in fam.family
         ]
         dim_x = datum.ring.nvars - (1 if datum.modulus is not None else 0)
@@ -357,15 +330,7 @@ class _Model:
         return z
 
     def residual(self, cp: ChartPoint) -> float:
-        zv = self.point_vector(cp)
-        za = np.abs(zv)
-        worst = 0.0
-        for g in self.relations:
-            denom = g.scale(za)
-            if denom < 1e-300:
-                continue
-            worst = max(worst, abs(g.value(zv)) / denom)
-        return worst
+        return relative_residual(self.relations, self.point_vector(cp))
 
     def constraint_values(self, cp: ChartPoint) -> np.ndarray:
         zv = self.point_vector(cp)
@@ -817,14 +782,15 @@ def run_batch(
     datum: SagbiDatum,
     fam: FamilyPresentation,
     basis: VdBasis,
+    *,
+    workers: int = 1,
 ) -> list:
     """Evaluate the integrable system on a batch of intrinsic points.
 
-    Honors OKKIT_THREADS for the worker count; results are merged in
-    input order regardless of scheduling, and each carries its index.
+    ``workers`` threads share the batch; results are merged in input
+    order regardless of scheduling, and each carries its index.
     """
     points = list(xs)
-    workers = int(os.environ.get("OKKIT_THREADS", "1") or "1")
     if workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(

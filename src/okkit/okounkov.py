@@ -560,13 +560,24 @@ def okounkov_body(S: ValueSemigroup) -> OkounkovBody:
     return OkounkovBody.from_hull(convex_hull(points))
 
 
+def _hilbert_leading_coefficient(S: ValueSemigroup, n: int, K: int) -> Fraction:
+    """n-th finite difference of H_S over k = K-n .. K, divided by n!.
+
+    This is the leading coefficient of a degree-n Hilbert function as soon
+    as H_S agrees with its Hilbert polynomial on that window.
+    """
+    diffs = [Fraction(semigroup_hilbert(S, k)) for k in range(K - n, K + 1)]
+    for _ in range(n):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return diffs[0] / math.factorial(n)
+
+
 def degree_check(S: ValueSemigroup, K: int) -> dict:
     """Compare Hilbert growth against the body's volume.
 
-    The leading coefficient of the Hilbert function is estimated by the
-    n-th finite difference of H_S over k = K-n .. K divided by n!, which
-    is exact as soon as H_S agrees with its Hilbert polynomial on that
-    window.  Returns {"volume", "fitted_leading_coefficient",
+    The leading coefficient of the Hilbert function is fitted by
+    finite differences of H_S over k = K-n .. K (n the body's dimension).
+    Returns {"volume", "fitted_leading_coefficient",
     "relative_error"}, all exact rationals (relative_error falls back to
     the absolute error when the volume is zero).
     """
@@ -577,11 +588,7 @@ def degree_check(S: ValueSemigroup, K: int) -> dict:
             "need K >= %d samples to difference a degree-%d Hilbert"
             " function, got K = %d" % (n + 1, n, K)
         )
-    values = [semigroup_hilbert(S, k) for k in range(K - n, K + 1)]
-    diffs = [Fraction(v) for v in values]
-    for _ in range(n):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    fitted = diffs[0] / math.factorial(n)
+    fitted = _hilbert_leading_coefficient(S, n, K)
     vol = body.volume
     if vol != 0:
         err = abs(fitted - vol) / vol
@@ -747,11 +754,7 @@ def slice(
         # growth cross-check against the sliced body itself: the Hilbert
         # leading coefficient of an incomplete generator list undershoots
         K = max(n + 1, 4)
-        values = [semigroup_hilbert(sliced_semigroup, k) for k in range(K - n, K + 1)]
-        diffs = [Fraction(v) for v in values]
-        for _ in range(n):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        fitted = diffs[0] / math.factorial(n)
+        fitted = _hilbert_leading_coefficient(sliced_semigroup, n, K)
         complete = abs(fitted - sliced.volume) <= Fraction(1, 4) * sliced.volume
     if not complete:
         warnings.warn(

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, canonical output, config files."""
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -338,5 +339,20 @@ class TestConfig:
     def test_zero_config_samples_rejected(self, runner, tmp_path):
         cfg = tmp_path / "okkit.cfg"
         cfg.write_text("samples = 0\n")
+        result = runner.invoke(main, ["--config", str(cfg), "flow", "p1"])
+        assert result.exit_code == 2
+
+    def test_threads_do_not_change_output(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("OKKIT_THREADS", raising=False)
+        cfg = tmp_path / "okkit.cfg"
+        cfg.write_text("threads = 2\n")
+        args = ["flow", "p1xp1", "--samples", "3", "--seed", "11"]
+        threaded = invoke(runner, "--config", str(cfg), *args)
+        assert "OKKIT_THREADS" not in os.environ
+        assert threaded.output == invoke(runner, *args).output
+
+    def test_zero_config_threads_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "okkit.cfg"
+        cfg.write_text("threads = 0\n")
         result = runner.invoke(main, ["--config", str(cfg), "flow", "p1"])
         assert result.exit_code == 2

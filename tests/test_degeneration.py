@@ -4,17 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from okkit.algebra import BiDegree, Polynomial, Ring, parse_polynomial
+from okkit.algebra import BiDegree, Polynomial, Ring, evaluate_complex, parse_polynomial
 from okkit.degeneration import (
-    ComplexPolynomial,
     FamilyPresentation,
     InconsistentProjectionError,
     NoProjectionError,
     RelationError,
     RelationSet,
-    TooLargeError,
     WeightFunctional,
-    buchberger_small,
     build_family,
     build_projection,
     initial_form,
@@ -307,123 +304,16 @@ class TestSpecializeFiber:
         assert fiber.coefficient((0, 3, 0)) == Fraction(-1, 16)
         assert fiber.coefficient((2, 0, 1)) == 1
 
-    def test_float_interior_point(self):
+    def test_inexact_t_rejected(self):
         rels = twisted_cubic_relations()
         fam = build_family(rels, WeightFunctional((2, -4), rels.tags))
-        fiber = specialize_fiber(fam, 0.5)[0]
-        assert isinstance(fiber, ComplexPolynomial)
-        terms = dict(fiber.terms)
-        assert terms[(0, 3, 0)] == -0.0625
-        assert terms[(2, 0, 1)] == 1
-
-    def test_complex_interior_point(self):
-        rels = twisted_cubic_relations()
-        fam = build_family(rels, WeightFunctional((2, -4), rels.tags))
-        fiber = specialize_fiber(fam, 0.5j)[0]
-        terms = dict(fiber.terms)
-        assert terms[(0, 3, 0)] == pytest.approx(-0.0625)
-
-    def test_complex_terms_sorted_and_serialized(self):
-        rels = relation_set_for("elliptic")
-        fam = build_family(rels, build_projection(rels))
-        fiber = specialize_fiber(fam, 0.5 + 0.5j)[0]
-        exponents = [e for e, _ in fiber.terms]
-        assert exponents == sorted(exponents, reverse=True)
-        blob = fiber.to_json_terms()
-        assert blob[0]["monomial"] == "x1_1^2*x1_3"
-        assert blob[0]["coeff"] == [1.0, 0.0]
-        tail = blob[-1]
-        assert tail["monomial"] == "x1_3^3"
-        z = -((0.5 + 0.5j) ** 12)
-        assert tail["coeff"] == pytest.approx([z.real, z.imag])
+        for t in (0.5, 0.5j, 0.5 + 0.5j):
+            with pytest.raises(TypeError, match="exact"):
+                specialize_fiber(fam, t)
 
     def test_evaluate(self):
         rels = relation_set_for("p1xp1")
         fam = build_family(rels, build_projection(rels))
-        fiber = specialize_fiber(fam, 0.5 + 0j)[0]
+        fiber = specialize_fiber(fam, Fraction(1, 2))[0]
         # Segre relation vanishes on rank-one points
-        assert fiber.evaluate((1 + 0j, 2j, 3 + 0j, 6j)) == pytest.approx(0)
-
-
-def flat_tags(k, dim=1):
-    return tuple(BiDegree(1, (0,) * dim) for _ in range(k))
-
-
-class TestBuchbergerSmall:
-    def test_principal_ideal_unchanged(self):
-        rels = relation_set_for("elliptic")
-        p = build_projection(rels)
-        assert buchberger_small(rels.relations, p) == rels.relations
-
-    def test_coprime_leading_monomials_unchanged(self):
-        ring = Ring(("z1", "z2", "z3", "z4"))
-        tags = flat_tags(4, dim=4)
-        p = WeightFunctional((2, -2, -2, -2, -2), tags)
-        g1 = parse_polynomial("z1^2 - z2*z3", ring)
-        g2 = parse_polynomial("z3*z4 - z4^2", ring)
-        assert buchberger_small([g1, g2], p) == (g1, g2)
-
-    def test_completion_adds_missing_element(self):
-        ring = Ring(("x", "y"))
-        p = WeightFunctional((2, -2), flat_tags(2))
-        g1 = parse_polynomial("x^2 - y^2", ring)
-        g2 = parse_polynomial("x*y", ring)
-        basis = buchberger_small([g1, g2], p)
-        assert basis == (g1, g2, parse_polynomial("y^3", ring))
-
-    def test_completed_basis_is_stable(self):
-        ring = Ring(("x", "y"))
-        p = WeightFunctional((2, -2), flat_tags(2))
-        g1 = parse_polynomial("x^2 - y^2", ring)
-        g2 = parse_polynomial("x*y", ring)
-        basis = buchberger_small([g1, g2], p)
-        assert buchberger_small(basis, p) == basis
-
-    def test_segre_relation_is_groebner(self):
-        rels = relation_set_for("p1xp1")
-        p = build_projection(rels)
-        assert buchberger_small(rels.relations, p) == rels.relations
-
-    def test_too_many_relations(self):
-        rels = relation_set_for("gl3-flag")
-        p = build_projection(rels)
-        with pytest.raises(TooLargeError):
-            buchberger_small(rels.relations, p)
-
-    def test_too_many_variables(self):
-        ring = Ring(tuple("a%d" % i for i in range(1, 10)))
-        p = WeightFunctional((2, -2), flat_tags(9))
-        g = parse_polynomial("a1^2 - a2*a3", ring)
-        with pytest.raises(TooLargeError):
-            buchberger_small([g], p)
-
-    def test_inhomogeneous_rejected(self):
-        ring = Ring(("x", "y"))
-        p = WeightFunctional((2, -2), flat_tags(2))
-        g = parse_polynomial("x^2 - y", ring)
-        with pytest.raises(RelationError, match="level-homogeneous"):
-            buchberger_small([g], p)
-
-    def test_zero_relation_rejected(self):
-        ring = Ring(("x", "y"))
-        p = WeightFunctional((2, -2), flat_tags(2))
-        with pytest.raises(ValueError, match="zero"):
-            buchberger_small([Polynomial.zero(ring)], p)
-
-    def test_unknown_tie_break_rejected(self):
-        rels = relation_set_for("p1xp1")
-        p = build_projection(rels)
-        with pytest.raises(ValueError, match="lex"):
-            buchberger_small(rels.relations, p, tie_break="degrevlex")
-
-    def test_empty_input(self):
-        rels = relation_set_for("p1")
-        p = build_projection(rels)
-        assert buchberger_small((), p) == ()
-
-    def test_deterministic(self):
-        ring = Ring(("x", "y"))
-        p = WeightFunctional((2, -2), flat_tags(2))
-        g1 = parse_polynomial("x^2 - y^2", ring)
-        g2 = parse_polynomial("x*y", ring)
-        assert buchberger_small([g1, g2], p) == buchberger_small([g1, g2], p)
+        assert evaluate_complex(fiber, (1 + 0j, 2j, 3 + 0j, 6j)) == pytest.approx(0)

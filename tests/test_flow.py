@@ -377,13 +377,12 @@ class TestRunBatch:
         results = run_batch(xs, cfg, datum, fam, basis)
         assert [r.index for r in results] == [0, 1, 2, 3]
 
-    def test_thread_count_does_not_change_values(self, elliptic, monkeypatch):
+    def test_thread_count_does_not_change_values(self, elliptic):
         datum, fam, basis = elliptic
         cfg = FlowConfig()
         xs = sample_intrinsic(datum, 4, np.random.default_rng(47))
         sequential = run_batch(xs, cfg, datum, fam, basis)
-        monkeypatch.setenv("OKKIT_THREADS", "3")
-        threaded = run_batch(xs, cfg, datum, fam, basis)
+        threaded = run_batch(xs, cfg, datum, fam, basis, workers=3)
         assert [r.F for r in sequential] == [r.F for r in threaded]
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,14 @@ from okkit._lattice import (
     lattice_contains,
     lattices_equal,
 )
-from okkit._polytope import HullError, convex_hull, lattice_points
+from okkit._polytope import (
+    HullError,
+    _null_space_rows,
+    _rank,
+    _solve_exact,
+    convex_hull,
+    lattice_points,
+)
 
 from oracles import qhull_volume
 
@@ -113,6 +121,25 @@ class TestKernel:
         for row in integer_kernel(a):
             prod = [sum(r * a[i][j] for i, r in enumerate(row)) for j in range(len(a[0]))]
             assert all(v == 0 for v in prod)
+
+
+class TestElimination:
+    @given(int_matrices, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_solve_and_left_kernel_agree(self, a, data):
+        rank = _rank(a)
+        assert rank == np.linalg.matrix_rank(np.array(a, dtype=float))
+        left = _null_space_rows(a)
+        assert len(left) == len(a) - rank
+        for w in left:
+            assert mat_mul([list(w)], a) == [[0] * len(a[0])]
+        x0 = data.draw(st.lists(st.integers(-5, 5), min_size=len(a[0]), max_size=len(a[0])))
+        rhs = [row[0] for row in mat_mul(a, [[x] for x in x0])]
+        x = _solve_exact(a, rhs)
+        assert [row[0] for row in mat_mul(a, [[v] for v in x])] == rhs
+        for w in left:
+            # w . rhs' = |w|^2 != 0 while w . (a x) = 0 for every x
+            assert _solve_exact(a, [b + wi for b, wi in zip(rhs, w)]) is None
 
 
 class TestMembership:
