@@ -304,10 +304,16 @@ class TestSpecializeFiber:
         assert fiber.coefficient((0, 3, 0)) == Fraction(-1, 16)
         assert fiber.coefficient((2, 0, 1)) == 1
 
-    def test_inexact_t_rejected(self):
+    def test_float_t_rejected(self):
         rels = twisted_cubic_relations()
         fam = build_family(rels, WeightFunctional((2, -4), rels.tags))
-        for t in (0.5, 0.5j, 0.5 + 0.5j):
+        with pytest.raises(TypeError, match="exact"):
+            specialize_fiber(fam, 0.5)
+
+    def test_complex_t_rejected(self):
+        rels = twisted_cubic_relations()
+        fam = build_family(rels, WeightFunctional((2, -4), rels.tags))
+        for t in (0.5j, 0.5 + 0.5j):
             with pytest.raises(TypeError, match="exact"):
                 specialize_fiber(fam, t)
 
