@@ -1,8 +1,8 @@
 """Exact arithmetic foundation: rationals, Laurent polynomials, the composite
 order on N x Z^n, and two valuation backends with one-dimensional leaves.
 
-Everything here is immutable after construction and safe to share across
-threads.  Exact computation stays in rationals; complex doubles appear only
+Everything here is immutable after construction, so it can be shared
+freely.  Exact computation stays in rationals; complex doubles appear only
 through :class:`CompiledPolynomial`, the one numeric evaluator, which
 :func:`evaluate_complex` wraps with input checks.
 
@@ -612,8 +612,13 @@ class CompiledPolynomial:
     at complex points.
 
     Terms are kept in sorted exponent order, so evaluation is
-    deterministic.  No input checks: :func:`evaluate_complex` is the
-    checked entry point.
+    deterministic.  ``CompiledPolynomial(f)`` holds one polynomial and
+    ``coeffs`` has shape (T,); :meth:`stack` folds several polynomials over
+    the union of their terms into one exponent array and a (T, k)
+    coefficient matrix, zero where a polynomial lacks a term, so one
+    product evaluates all k of them.  Points may carry leading batch axes:
+    z has shape (..., nvars).  No input checks: :func:`evaluate_complex`
+    is the checked entry point.
     """
 
     __slots__ = ("exps", "coeffs")
@@ -625,38 +630,55 @@ class CompiledPolynomial:
         ).reshape(len(items), poly.ring.nvars)
         self.coeffs = np.array([complex(c) for _, c in items], dtype=complex)
 
-    def monomials(self, zvec: np.ndarray) -> np.ndarray:
+    @classmethod
+    def stack(cls, polys: Sequence[Polynomial], nvars: int) -> "CompiledPolynomial":
+        """The polynomials of a system over one ring, folded together."""
+        exps = sorted({e for f in polys for e in f.terms})
+        row = {e: i for i, e in enumerate(exps)}
+        out = cls.__new__(cls)
+        out.exps = np.array(exps, dtype=np.int64).reshape(len(exps), nvars)
+        out.coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
+        for k, f in enumerate(polys):
+            for e, c in f.terms.items():
+                out.coeffs[row[e], k] = complex(c)
+        return out
+
+    def monomials(self, z: np.ndarray) -> np.ndarray:
         """Value of each term's monomial at z, in term order."""
-        return (zvec[None, :] ** self.exps).prod(axis=1)
+        return (z[..., None, :] ** self.exps).prod(axis=-1)
 
     def value(self, zvec: np.ndarray) -> complex:
         if not len(self.coeffs):
             return 0.0 + 0.0j
         return complex(self.monomials(zvec) @ self.coeffs)
 
-    def scale(self, zabs: np.ndarray) -> float:
-        """Sum of term magnitudes, the denominator of a relative residual."""
-        if not len(self.coeffs):
-            return 0.0
-        return float(
-            (zabs[None, :] ** self.exps).prod(axis=1) @ np.abs(self.coeffs)
-        )
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Every polynomial of a stack at z, shape (..., k).
+
+        One vector-matrix product per point, so a point's values do not
+        depend on the batch around it.
+        """
+        return (self.monomials(z)[..., None, :] @ self.coeffs)[..., 0, :]
+
+    def scales(self, zabs: np.ndarray) -> np.ndarray:
+        """Sum of term magnitudes of each polynomial of a stack at |z|, the
+        denominators of relative residuals."""
+        terms = (zabs[..., None, :] ** self.exps).prod(axis=-1)
+        return (terms[..., None, :] @ np.abs(self.coeffs))[..., 0, :]
 
 
-def relative_residual(relations, zvec: np.ndarray) -> float:
-    """Largest |g(z)| / sum |terms of g at z| over compiled relations.
+def relative_residual(system: CompiledPolynomial, z: np.ndarray):
+    """Largest |g(z)| / sum |terms of g at z| over a stacked system.
 
     Relations whose terms all vanish at z (scale below 1e-300) are skipped,
-    so no relations, or none that can be measured, give 0.
+    so no relations, or none that can be measured, give 0.  A batch of
+    points (shape (..., nvars)) gives an array of residuals.
     """
-    zabs = np.abs(zvec)
-    worst = 0.0
-    for g in relations:
-        denom = g.scale(zabs)
-        if denom < 1e-300:
-            continue
-        worst = max(worst, abs(g.value(zvec)) / denom)
-    return worst
+    denom = system.scales(np.abs(z))
+    measured = denom >= 1e-300
+    ratio = np.abs(system.values(z)) / np.where(measured, denom, 1.0)
+    worst = np.where(measured, ratio, 0.0).max(axis=-1, initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:

@@ -309,10 +309,12 @@ def _load_document(doc: dict, where: str) -> CatalogEntry:
         )
 
     flow_doc = _need(doc, "flow", dict, where)
-    flow = FlowConfig(
-        epsilon=_need(flow_doc, "epsilon", float, where),
-        delta=_need(flow_doc, "delta", float, where),
-    )
+    epsilon = _need(flow_doc, "epsilon", float, where)
+    delta = _need(flow_doc, "delta", float, where)
+    try:
+        flow = FlowConfig(epsilon=epsilon, delta=delta)
+    except ValueError as exc:
+        raise CatalogError("%s: flow settings rejected: %s" % (where, exc)) from exc
     extended = bool(flow_doc.get("extended", False))
 
     return CatalogEntry(

@@ -40,7 +40,13 @@ from okkit.embedding import (
     sample_intrinsic,
     toric_moment,
 )
-from okkit.flow import FlowConfig, diagnostics_dict, run_batch, trajectory_csv
+from okkit.flow import (
+    FlowConfig,
+    FlowError,
+    diagnostics_dict,
+    run_batch,
+    trajectory_csv,
+)
 from okkit.okounkov import GradingHomomorphism, NotInSemigroupError, subduct
 from okkit.okounkov import slice as semigroup_slice
 
@@ -53,7 +59,6 @@ _CONFIG_KEYS = {
     "samples": int,
     "seed": int,
     "spread": float,
-    "threads": int,
 }
 
 
@@ -292,7 +297,7 @@ def _positive_samples(ctx, param, value):
     "config_path",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
-    help="File of 'key = value' defaults (epsilon, delta, samples, seed, spread, threads).",
+    help="File of 'key = value' defaults (epsilon, delta, samples, seed, spread).",
 )
 @click.pass_context
 def main(ctx, config_path):
@@ -371,9 +376,6 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
     spread = _setting(ctx, "spread", spread)
     if samples < 1:
         raise click.UsageError("at least one sample is required")
-    threads = (ctx.obj or {}).get("threads", 1)
-    if threads < 1:
-        raise click.UsageError("threads must be at least 1")
     try:
         cfg = FlowConfig(epsilon=epsilon, delta=delta, seed=seed)
     except ValueError as exc:
@@ -385,7 +387,12 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
         )
     fam, basis = _entry_pipeline(loaded)
     points = _sample_points(loaded, samples, seed, spread)
-    results = run_batch(points, cfg, loaded.datum, fam, basis, workers=threads)
+    try:
+        results = run_batch(points, cfg, loaded.datum, fam, basis)
+    except FlowError as exc:
+        # only an entry the flow cannot model raises; trajectories fail as results
+        click.echo("cannot flow %s: %s" % (loaded.name, exc), err=True)
+        ctx.exit(2)
     if csv_path:
         Path(csv_path).write_text(trajectory_csv(results), encoding="utf-8")
     doc = diagnostics_dict(results, cfg)
@@ -455,13 +462,13 @@ def _check_rows(entry: CatalogEntry):
     if entry.extended:
         rows.append(("flow probe", None, "skipped: extended entry"))
     else:
-        from okkit.flow import integrable_system_eval
-
-        probe_ok = True
-        for x in _sample_points(entry, 2, 7, 1.0):
-            outcome = integrable_system_eval(x, entry.flow, datum, fam, basis)
-            probe_ok = probe_ok and outcome.ok
-        row("flow probe", probe_ok, "2 trajectories")
+        try:
+            points = _sample_points(entry, 2, 7, 1.0)
+            results = run_batch(points, entry.flow, datum, fam, basis)
+        except FlowError as exc:
+            rows.append(("flow probe", None, "skipped: %s" % exc))
+        else:
+            row("flow probe", all(r.ok for r in results), "2 trajectories")
     return rows
 
 

@@ -254,7 +254,8 @@ def family_residual(fam: FamilyPresentation, symbol_values, t: complex) -> float
     Relations whose every term vanishes contribute zero.
     """
     zvec = np.array([complex(v) for v in symbol_values] + [complex(t)])
-    return relative_residual([CompiledPolynomial(g) for g in fam.family], zvec)
+    system = CompiledPolynomial.stack(fam.family, len(zvec))
+    return relative_residual(system, zvec)
 
 
 def embed_point(

@@ -19,6 +19,20 @@ chart index, the affine coordinates of the remaining symbols, and t.
 Only degree-one bases are supported; the family relations are polynomials
 in the symbols themselves, so the fiber equations need no re-expression.
 
+There is one integration path, and it is batched.  The field is closed
+form: the relations' partial derivatives are one stacked polynomial
+system, so the Jacobians of a batch of states are one product; an SVD
+per state gives the kernel B (realified), and with the metric G,
+V = -B c / (g^T c) for g = B^T G e_{Re t} and c = (B^T G B)^-1 g.  The
+integrator is a lockstep Dormand-Prince 5(4) over the batch: each state
+keeps its own chart, step size, counters and failure, the stages are
+batched numpy calls, and the field at the last stage is reused as the
+next step's first when the state did not move after it.  ``flow_to`` is
+a batch of one, ``run_batch`` integrates all its trajectories together,
+and the Poisson bracket and the symplectic transport submit their
+perturbed flows as one batch each.  Every batched call works state by
+state, so a state's result does not depend on the batch around it.
+
 Failures are never silent.  flow_to returns a FlowResult whose ``ok``
 flag is False and whose ``failure`` string says what happened; the
 samples collected up to that point are kept.
@@ -28,7 +42,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +59,7 @@ from okkit.embedding import (
 from okkit.okounkov import SagbiDatum
 
 __all__ = [
+    "DELTA_MIN",
     "IM_PI_TOLERANCE",
     "LINEARITY_TOLERANCE",
     "ChartPoint",
@@ -88,6 +102,15 @@ CHART_SHARE = 0.3
 
 # Central-difference step for derivatives of F along the fiber frame.
 FD_STEP = 1e-5
+
+# Smallest cutoff delta a FlowConfig accepts.  At the default alpha = 0.5
+# the continuation leg from delta to delta/2 starts with a damped step of
+# delta^1.5 / 8, which must stay above the 1e-14 step-size floor.
+DELTA_MIN = 1e-8
+
+# A leg takes its last step when less than this share of its length would
+# be left after a regular one; that step lands exactly on the target.
+LEG_TOLERANCE = 1e-12
 
 
 class FlowError(Exception):
@@ -186,7 +209,8 @@ class ChartPoint:
 class FlowConfig:
     """Numerical parameters of one flow computation.
 
-    epsilon, delta  start and terminal values of Re t; 0 < delta < eps < 1
+    epsilon, delta  start and terminal values of Re t;
+                    DELTA_MIN = 1e-8 <= delta < epsilon < 1
     rtol, atol      embedded RK error control
     retraction_tol  relative family residual accepted after retraction
     max_steps       accepted-step budget per trajectory
@@ -209,6 +233,11 @@ class FlowConfig:
             raise ValueError(
                 "need 0 < delta < epsilon < 1, got delta=%g epsilon=%g"
                 % (self.delta, self.epsilon)
+            )
+        if self.delta < DELTA_MIN:
+            raise ValueError(
+                "delta=%g is below the smallest supported cutoff %g"
+                % (self.delta, DELTA_MIN)
             )
         for name in ("rtol", "atol", "retraction_tol"):
             if getattr(self, name) <= 0:
@@ -246,6 +275,14 @@ class FlowSample:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """One leg of the flow.
+
+    ``steps`` counts accepted steps, ``rejected`` rejected ones, and
+    ``field_evals`` evaluations of the field V: at most 7 per attempted
+    step, fewer where first-same-as-last reuse applies.  The counters
+    stay out of the CSV and diagnostics exports.
+    """
+
     ok: bool
     failure: str | None
     samples: tuple
@@ -254,6 +291,8 @@ class FlowResult:
     steps: int
     max_im_pi: float
     max_re_lin_err: float
+    rejected: int = 0
+    field_evals: int = 0
 
     def require_ok(self) -> "FlowResult":
         if not self.ok:
@@ -297,7 +336,13 @@ def _differentiate(poly: Polynomial, v: int) -> Polynomial:
 
 
 class _Model:
-    """Compiled relations and derivatives of one embedded family."""
+    """Compiled relations and Jacobian of one embedded family.
+
+    The relations form one stacked system, and so do all their partial
+    derivatives (relation by relation, each by the symbols and then tau),
+    so the complex Jacobian at a batch of points is a single product and
+    the fiber Jacobian is a column slice of it.
+    """
 
     def __init__(self, fam: FamilyPresentation, basis: VdBasis):
         if basis.degree != 1:
@@ -312,72 +357,91 @@ class _Model:
         self.nsym = basis.size
         self.n_w = self.nsym - 1
         nv = self.nsym + 1  # symbols plus tau
-        self.relations = [CompiledPolynomial(g) for g in fam.family]
-        self.partials = [
-            [CompiledPolynomial(_differentiate(g, v)) for v in range(nv)]
-            for g in fam.family
-        ]
+        self.n_rel = len(fam.family)
+        self.relations = CompiledPolynomial.stack(fam.family, nv)
+        self.partials = CompiledPolynomial.stack(
+            [_differentiate(g, v) for g in fam.family for v in range(nv)], nv
+        )
+        # Full-coordinate column of each chart coordinate, per chart: the
+        # symbols other than the pivot in basis order, then tau.
+        self.columns = np.array(
+            [[v for v in range(nv) if v != c] for c in range(self.nsym)],
+            dtype=np.intp,
+        ).reshape(self.nsym, self.nsym)
+        # Per chart, the entries of the flattened partials that make up the
+        # chart Jacobian, with and without the t column.
+        offsets = nv * np.arange(self.n_rel)[:, None]
+        self.jacobian_entries = {
+            fiber_only: np.array(
+                [
+                    (offsets + cols[: self.n_w if fiber_only else None]).ravel()
+                    for cols in self.columns
+                ],
+                dtype=np.intp,
+            )
+            for fiber_only in (False, True)
+        }
         dim_x = datum.ring.nvars - (1 if datum.modulus is not None else 0)
         # complex dimension of the tangent space of the total family
         self.m = dim_x + 1
         if self.m > self.nsym:
             raise FlowError("family dimension exceeds ambient chart")
 
-    def point_vector(self, cp: ChartPoint) -> np.ndarray:
-        z = np.empty(self.nsym + 1, dtype=complex)
-        z[: self.nsym] = cp.full_coords()
-        z[self.nsym] = cp.t
-        return z
+    def points(self, charts: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Full complex coordinates (symbols, then t) of real chart states."""
+        rows = np.arange(len(charts))
+        Z = np.empty((len(charts), self.nsym + 1), dtype=complex)
+        Z[rows[:, None], self.columns[charts]] = np.ascontiguousarray(Y).view(complex)
+        Z[rows, charts] = 1.0
+        return Z
 
-    def residual(self, cp: ChartPoint) -> float:
-        return relative_residual(self.relations, self.point_vector(cp))
+    def residual(self, Z: np.ndarray) -> np.ndarray:
+        return relative_residual(self.relations, Z)
 
-    def constraint_values(self, cp: ChartPoint) -> np.ndarray:
-        zv = self.point_vector(cp)
-        return np.array([g.value(zv) for g in self.relations], dtype=complex)
-
-    def jacobian(self, cp: ChartPoint, fiber_only: bool) -> np.ndarray:
-        """Complex Jacobian in chart coordinates.
+    def jacobian(
+        self, Z: np.ndarray, charts: np.ndarray, fiber_only: bool
+    ) -> np.ndarray:
+        """Complex Jacobians in chart coordinates, shape (batch, relations, columns).
 
         Columns follow the chart layout: the non-pivot symbols in basis
         order, then t unless fiber_only is set.
         """
-        zv = self.point_vector(cp)
-        cols = [v for v in range(self.nsym) if v != cp.chart]
-        if not fiber_only:
-            cols.append(self.nsym)
-        J = np.empty((len(self.relations), len(cols)), dtype=complex)
-        for k, row in enumerate(self.partials):
-            for a, v in enumerate(cols):
-                J[k, a] = row[v].value(zv)
-        return J
+        entries = self.jacobian_entries[fiber_only][charts]
+        full = self.partials.values(Z)
+        J = full[np.arange(len(Z))[:, None], entries]
+        return J.reshape(len(Z), self.n_rel, entries.shape[1] // max(self.n_rel, 1))
 
     def moment(self, cp: ChartPoint) -> tuple:
         return toric_moment(cp.full_coords(), self.basis)
 
 
 # ---------------------------------------------------------------------------
-# metric, symplectic form, tangent frame
+# metric, symplectic form, tangent space
 
 
 def _fs_metric(w: np.ndarray) -> np.ndarray:
-    """Real Fubini-Study metric in an affine chart, plus a flat t block."""
-    n = len(w)
-    s = float(np.vdot(w, w).real)
-    denom = (1.0 + s) ** 2
-    G = np.zeros((2 * n + 2, 2 * n + 2))
-    for i in range(n):
-        for j in range(n):
-            h = (-np.conj(w[i]) * w[j]) / denom
-            if i == j:
-                h += (1.0 + s) / denom
-            a, b = h.real, h.imag
-            G[2 * i, 2 * j] = a
-            G[2 * i, 2 * j + 1] = b
-            G[2 * i + 1, 2 * j] = -b
-            G[2 * i + 1, 2 * j + 1] = a
-    G[2 * n, 2 * n] = 1.0
-    G[2 * n + 1, 2 * n + 1] = 1.0
+    """Real Fubini-Study metric in an affine chart, plus a flat t block.
+
+    w holds the chart coordinates, with any leading batch axes.  The
+    complex Hermitian matrix h fills the real metric in 2x2 blocks
+    [[Re h, Im h], [-Im h, Re h]].
+    """
+    n = w.shape[-1]
+    batch = w.shape[:-1]
+    re, im = w.real, w.imag
+    one = 1.0 + np.add.reduce(re * re + im * im, axis=-1)
+    denom = (one * one)[..., None, None]
+    h = (-np.conj(w)[..., :, None] * w[..., None, :]) / denom
+    # the diagonal of h, as a strided view
+    h.reshape(batch + (n * n,))[..., :: n + 1] += (one / denom[..., 0, 0])[..., None]
+    G = np.zeros(batch + (2 * n + 2, 2 * n + 2))
+    blocks = G[..., : 2 * n, : 2 * n].reshape(batch + (n, 2, n, 2))
+    blocks[..., 0, :, 0] = h.real
+    blocks[..., 0, :, 1] = h.imag
+    blocks[..., 1, :, 0] = -h.imag
+    blocks[..., 1, :, 1] = h.real
+    G[..., 2 * n, 2 * n] = 1.0
+    G[..., 2 * n + 1, 2 * n + 1] = 1.0
     return G
 
 
@@ -400,87 +464,129 @@ def ambient_symplectic(cp: ChartPoint) -> np.ndarray:
     return _j_matrix(G.shape[0]).T @ G
 
 
-def _realify(kernel: np.ndarray, cols, chart: int, nsym: int) -> list:
-    """Spread complex kernel vectors into real chart vectors.
+def _flag(errors: list, mask: np.ndarray, error: Exception) -> None:
+    """Give error to every masked state that has none yet."""
+    if np.count_nonzero(mask):
+        for b in np.flatnonzero(mask):
+            errors[b] = errors[b] or error
 
-    Each complex vector yields itself and its multiple by i, giving a
-    J-invariant real span.
-    """
-    n_w = nsym - 1
-    # map active column -> real slot pair
-    slots = []
-    for v in cols:
-        if v < nsym:
-            j = v if v < chart else v - 1
-            slots.append(2 * j)
+
+def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
+    """Flag the states whose Jacobian rank is not r_exp, and warn about
+    ill-conditioned ones, from singular values in decreasing order."""
+    smax = sigma[:, 0]
+    if r_exp > 0:
+        if sigma.shape[1] >= r_exp:
+            weakest = sigma[:, r_exp - 1]
         else:
-            slots.append(2 * n_w)
-    out = []
-    for kvec in kernel:
-        for mult in (1.0, 1.0j):
-            vec = np.zeros(2 * n_w + 2)
-            for a, base in enumerate(slots):
-                c = mult * kvec[a]
-                vec[base] = c.real
-                vec[base + 1] = c.imag
-            out.append(vec)
-    return out
+            weakest = np.zeros(len(sigma))
+        low = weakest <= 1e-10 * np.maximum(1.0, smax)
+        _flag(errors, low, SingularPointError(
+            "family Jacobian has rank below %d at this point" % r_exp
+        ))
+        ill = ~low & (smax > CONDITION_LIMIT * weakest)
+        if np.count_nonzero(ill):
+            for b in np.flatnonzero(ill):
+                warnings.warn(
+                    "tangent extraction is ill conditioned (ratio %.3g)"
+                    % (smax[b] / weakest[b]),
+                    IllConditionedWarning,
+                    stacklevel=2,
+                )
+    if sigma.shape[1] > r_exp:
+        high = sigma[:, r_exp] > 1e-6 * np.maximum(smax, 1e-300)
+        _flag(errors, high, SingularPointError(
+            "family Jacobian rank exceeds the expected %d" % r_exp
+        ))
 
 
-def _orthonormalize(vectors: list, G: np.ndarray) -> np.ndarray:
-    frame = []
-    for v in vectors:
-        u = v.astype(float).copy()
-        for e in frame:
-            u -= (e @ G @ u) * e
-        # second pass stabilizes near-dependent inputs
-        for e in frame:
-            u -= (e @ G @ u) * e
-        norm = math.sqrt(max(u @ G @ u, 0.0))
-        if norm < 1e-12:
-            raise SingularPointError(
-                "tangent vectors degenerate during orthonormalization"
+def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool):
+    """Tangent spaces of the family at a batch of real chart states.
+
+    Returns the realified kernel B (batch, 2n_w + 2, 2k), whose columns
+    span each tangent space as a J-invariant real span; B^T G B for the
+    product metric G; its Cholesky factor L; and per state an exception
+    or None.  A state whose Jacobian rank is off, or whose B^T G B has a
+    Cholesky pivot below 1e-12, gets a SingularPointError and harmless
+    placeholder values.
+    """
+    n = len(charts)
+    errors = [None] * n
+    if not np.isfinite(Y).all():
+        finite = np.isfinite(Y).all(axis=1)
+        _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
+        Y = np.where(finite[:, None], Y, 0.0)
+    n_cols = model.n_w + (0 if fiber_only else 1)
+    r_exp = n_cols - model.m + (1 if fiber_only else 0)
+    if model.n_rel:
+        J = model.jacobian(model.points(charts, Y), charts, fiber_only)
+        _, sigma, Vh = np.linalg.svd(J)
+        _rank_checks(sigma, r_exp, errors)
+        # kernel vectors are the conjugated trailing rows of Vh
+        re = Vh.real[:, r_exp:, :].transpose(0, 2, 1)
+        im = Vh.imag[:, r_exp:, :].transpose(0, 2, 1)
+    else:
+        re = np.broadcast_to(np.eye(n_cols), (n, n_cols, n_cols))
+        im = np.zeros((n, n_cols, n_cols))
+    # Each complex kernel vector v gives the real columns v and i v.
+    B = np.zeros((n, 2 * model.n_w + 2, 2 * re.shape[2]))
+    B[:, 0 : 2 * n_cols : 2, 0::2] = re
+    B[:, 1 : 2 * n_cols : 2, 0::2] = -im
+    B[:, 0 : 2 * n_cols : 2, 1::2] = im
+    B[:, 1 : 2 * n_cols : 2, 1::2] = re
+    G = _fs_metric(np.ascontiguousarray(Y).view(complex)[:, : model.n_w])
+    gram = B.transpose(0, 2, 1) @ G @ B
+    if any(errors):
+        gram[[e is not None for e in errors]] = np.eye(gram.shape[-1])
+    degenerate = SingularPointError(
+        "tangent vectors degenerate during orthonormalization"
+    )
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        L = np.empty_like(gram)
+        for b in range(n):
+            try:
+                L[b] = np.linalg.cholesky(gram[b])
+            except np.linalg.LinAlgError:
+                L[b] = gram[b] = np.eye(gram.shape[-1])
+                errors[b] = errors[b] or degenerate
+    _flag(errors, np.diagonal(L, axis1=1, axis2=2).min(axis=1) < 1e-12, degenerate)
+    return B, gram, L, errors
+
+
+def _field(model: _Model, charts: np.ndarray, Y: np.ndarray):
+    """The flow field at a batch of states, and per state an exception or None.
+
+    With g = B^T G e_{Re t} and c = (B^T G B)^-1 g, the G-orthogonal
+    projection of e_{Re t} onto the tangent space is B c and its squared
+    norm is g^T c, so V = -B c / (g^T c).
+    """
+    B, gram, _, errors = _tangent(model, charts, Y, fiber_only=False)
+    # G e_{Re t} = e_{Re t}: the t block of the metric is flat.
+    g = B[:, 2 * model.n_w, None, :]
+    c = np.linalg.solve(gram, g.transpose(0, 2, 1))
+    nsq = (g @ c)[:, 0, 0]
+    critical = nsq < CRITICAL_NORM**2
+    if np.count_nonzero(critical):
+        for b in np.flatnonzero(critical):
+            errors[b] = errors[b] or CriticalPointError(
+                "projected time gradient has norm %.3g" % math.sqrt(max(nsq[b], 0.0))
             )
-        frame.append(u / norm)
-    return np.column_stack(frame)
+        nsq = np.where(critical, 1.0, nsq)
+    return (B @ c)[:, :, 0] / -nsq[:, None], errors
+
+
+def _single(cp: ChartPoint):
+    return np.array([cp.chart], dtype=np.intp), cp.as_real()[None, :]
 
 
 def _frame(model: _Model, cp: ChartPoint, fiber_only: bool) -> np.ndarray:
-    nsym = model.nsym
-    cols = [v for v in range(nsym) if v != cp.chart]
-    if not fiber_only:
-        cols.append(nsym)
-    expected = model.m - (1 if fiber_only else 0)
-    n_cols = len(cols)
-    if expected > n_cols:
-        raise SingularPointError("expected tangent dimension exceeds chart")
-    if model.relations:
-        J = model.jacobian(cp, fiber_only)
-        _, sigma, Vh = np.linalg.svd(J)
-        r_exp = n_cols - expected
-        smax = sigma[0] if len(sigma) else 0.0
-        if r_exp > 0:
-            if len(sigma) < r_exp or sigma[r_exp - 1] <= 1e-10 * max(1.0, smax):
-                raise SingularPointError(
-                    "family Jacobian has rank below %d at this point" % r_exp
-                )
-            if sigma[0] / sigma[r_exp - 1] > CONDITION_LIMIT:
-                warnings.warn(
-                    "tangent extraction is ill conditioned (ratio %.3g)"
-                    % (sigma[0] / sigma[r_exp - 1]),
-                    IllConditionedWarning,
-                    stacklevel=3,
-                )
-        if len(sigma) > r_exp and sigma[r_exp] > 1e-6 * max(smax, 1e-300):
-            raise SingularPointError(
-                "family Jacobian rank exceeds the expected %d" % r_exp
-            )
-        kernel = Vh[r_exp:].conj()
-    else:
-        kernel = np.eye(n_cols, dtype=complex)
-    real_vecs = _realify(kernel, cols, cp.chart, nsym)
-    G = ambient_metric(cp)
-    return _orthonormalize(real_vecs, G)
+    B, _, L, errors = _tangent(model, *_single(cp), fiber_only)
+    if errors[0] is not None:
+        raise errors[0]
+    # (L^-1 B^T)^T = B L^-T
+    return np.linalg.solve(L[0], B[0].T).T
 
 
 def tangent_frame(
@@ -491,30 +597,20 @@ def tangent_frame(
 ) -> np.ndarray:
     """Orthonormal real frame of the tangent space at cp.
 
-    Columns are real chart vectors, orthonormal for the product metric.
-    By default the frame spans the tangent space of the total family,
-    dimension 2 (dim X + 1); with fiber_only the t direction is dropped
-    from the constraints and the frame spans the fiber tangent space.
+    Columns are real chart vectors, orthonormal for the product metric:
+    the frame is B L^-T, where the columns of B are the realified kernel
+    of the family Jacobian (each complex kernel vector v and i v) and L
+    is the Cholesky factor of B^T G B, so it equals the Gram-Schmidt
+    frame of those columns in their order.  By default the frame spans
+    the tangent space of the total family, dimension 2 (dim X + 1); with
+    fiber_only the t direction is dropped from the constraints and the
+    frame spans the fiber tangent space.
 
     Raises SingularPointError when the Jacobian rank is off, and emits
     IllConditionedWarning when the structural singular values spread by
     more than a factor of 1e8.
     """
     return _frame(_Model(fam, basis), cp, fiber_only)
-
-
-def _gradient(model: _Model, cp: ChartPoint):
-    E = _frame(model, cp, fiber_only=False)
-    slot = 2 * model.n_w  # Re t
-    G = ambient_metric(cp)
-    coeffs = E.T @ (G[:, slot])  # g(e_Ret, E_k) since G row is e^T G
-    nsq = float(coeffs @ coeffs)
-    if nsq < CRITICAL_NORM**2:
-        raise CriticalPointError(
-            "projected time gradient has norm %.3g" % math.sqrt(nsq)
-        )
-    V = -(E @ coeffs) / nsq
-    return V, E
 
 
 def gradient_hamiltonian(
@@ -525,7 +621,11 @@ def gradient_hamiltonian(
     Normalized so the derivative of Re t along V is exactly -1; the
     computed value is checked to within 1e-8 before returning.
     """
-    V, _ = _gradient(_Model(fam, basis), cp)
+    model = _Model(fam, basis)
+    V, errors = _field(model, *_single(cp))
+    if errors[0] is not None:
+        raise errors[0]
+    V = V[0]
     drift = V[len(V) - 2] + 1.0
     if abs(drift) > 1e-8:
         raise FlowError(
@@ -538,32 +638,47 @@ def gradient_hamiltonian(
 # retraction
 
 
-def _retract(model: _Model, cp: ChartPoint, tol: float, max_iter: int = 20):
-    """Gauss-Newton projection back onto the family, t held fixed."""
-    if not model.relations:
-        return cp
-    current = cp
+def _retract(
+    model: _Model, charts: np.ndarray, Y: np.ndarray, tol: float, max_iter: int = 20
+):
+    """Gauss-Newton projection of a batch back onto the family, t held fixed.
+
+    Returns the projected states with their full coordinates and relative
+    residuals, a mask of the states that moved, and per state a
+    RetractionError or None.
+    """
+    Y = np.array(Y, dtype=float)
+    Z = model.points(charts, Y)
+    res = model.residual(Z)
+    moved = np.zeros(len(Y), dtype=bool)
+    todo = np.flatnonzero(res > tol)
+    n_w = model.n_w
     for _ in range(max_iter):
-        if model.residual(current) <= tol:
-            return current
-        g = model.constraint_values(current)
-        J = model.jacobian(current, fiber_only=True)
-        step, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        w = np.asarray(current.w, dtype=complex) + step
-        current = ChartPoint(current.chart, tuple(w), current.t)
-    if model.residual(current) <= tol:
-        return current
-    raise RetractionError(
-        "retraction stalled at relative residual %.3g (tolerance %.3g)"
-        % (model.residual(current), tol)
-    )
+        if not todo.size:
+            break
+        g = model.relations.values(Z[todo])
+        J = model.jacobian(Z[todo], charts[todo], fiber_only=True)
+        for i, b in enumerate(todo):
+            step, *_ = np.linalg.lstsq(J[i], -g[i], rcond=None)
+            Y[b, 0 : 2 * n_w : 2] += step.real
+            Y[b, 1 : 2 * n_w : 2] += step.imag
+        moved[todo] = True
+        Z[todo] = model.points(charts[todo], Y[todo])
+        res[todo] = model.residual(Z[todo])
+        todo = todo[res[todo] > tol]
+    errors = [None] * len(Y)
+    for b in todo:
+        errors[b] = RetractionError(
+            "retraction stalled at relative residual %.3g (tolerance %.3g)"
+            % (res[b], tol)
+        )
+    return Y, Z, res, moved, errors
 
 
 # ---------------------------------------------------------------------------
 # the integrator
 
 # Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -583,6 +698,238 @@ _DP_B4 = (
     187 / 2100,
     1 / 40,
 )
+# Weights of stage j in the increment sums of stages 1..6, of the fifth-
+# and of the fourth-order solution: rows 0..5, 6 and 7.
+_DP_WEIGHTS = np.array(
+    [row + (0.0,) * (7 - len(row)) for row in _DP_A[1:]] + [_DP_B5, _DP_B4]
+).T[:, :, None, None]
+
+
+def _start_problem(cp: ChartPoint, target: float):
+    """Why cp cannot start a leg down to target, or None."""
+    if not (0.0 < target < cp.t.real):
+        return "target %g must lie strictly between 0 and Re t = %g" % (
+            target,
+            cp.t.real,
+        )
+    if abs(cp.t.imag) > IM_PI_TOLERANCE:
+        return "starting point has |Im t| = %g" % abs(cp.t.imag)
+    return None
+
+
+def _integrate(model: _Model, starts, targets, cfg: FlowConfig) -> list:
+    """Flow a batch of valid starts, each to its own target, in lockstep.
+
+    Every state keeps its own chart, step size, arc length s, counters
+    and failure; each round takes one Dormand-Prince step on every state
+    still running, with the seven stages evaluated as batched numpy
+    calls.  The increment sums are accumulated stage by stage in tableau
+    order, and the last stage point and the fifth-order solution have
+    the same weights, so they come out bit for bit alike.  A state is
+    only ever combined with itself, and every batched call works state
+    by state, so a state's result does not depend on the batch around it.
+    """
+    n = len(starts)
+    if not n:
+        return []
+    dim = 2 * model.n_w + 2
+    slot = dim - 2  # Re t
+    charts = np.array([cp.chart for cp in starts], dtype=np.intp)
+    Y = np.array([cp.as_real() for cp in starts], dtype=float)
+    start_re = Y[:, slot].copy()
+    targets = np.array(targets, dtype=float)
+    s_end = start_re - targets
+    s = np.zeros(n)
+    h = np.minimum(0.05, s_end / 4)
+    steps = np.zeros(n, dtype=int)
+    rejected = np.zeros(n, dtype=int)
+    evals = np.zeros(n, dtype=int)
+    max_im = [0.0] * n
+    max_lin = [0.0] * n
+    samples = [[] for _ in range(n)]
+    failure = [None] * n
+    running = np.ones(n, dtype=bool)
+    # first-same-as-last: a stage-0 field value known exactly, per state
+    carried = np.zeros((n, dim))
+    carry = np.zeros(n, dtype=bool)
+
+    def fail(b, reason):
+        failure[b] = reason
+        running[b] = False
+
+    def record(b, residual):
+        point = ChartPoint.from_real(int(charts[b]), Y[b])
+        s_now = float(s[b])
+        im = abs(point.t.imag)
+        lin = abs(point.t.real - (float(start_re[b]) - s_now))
+        max_im[b] = max(max_im[b], im)
+        max_lin[b] = max(max_lin[b], lin)
+        samples[b].append(
+            FlowSample(
+                s=s_now,
+                t=point.t,
+                chart=point.chart,
+                residual=float(residual),
+                im_pi=im,
+                re_lin_err=lin,
+                moment=model.moment(point),
+            )
+        )
+        return im, lin
+
+    residual = model.residual(model.points(charts, Y))
+    for b in range(n):
+        try:
+            record(b, residual[b])
+        except (FlowError, EmbeddingError) as exc:
+            fail(b, "initial point rejected: %s" % exc)
+            continue
+        if not residual[b] <= max(cfg.retraction_tol * 10, 1e-8):
+            fail(b, "initial point misses the family by %.3g" % residual[b])
+
+    while np.count_nonzero(running):
+        act = running.nonzero()[0]
+        over = steps[act] >= cfg.max_steps
+        if np.count_nonzero(over):
+            for b in act[over]:
+                fail(b, "step budget %d exhausted at s = %.6g" % (cfg.max_steps, s[b]))
+            act = act[~over]
+        y = Y[act]
+        damp = np.minimum(1.0, np.maximum(y[:, slot], 1e-300) ** cfg.alpha)
+        remaining = s_end[act] - s[act]
+        want = h[act] * damp
+        # the step that would leave less than a relative sliver lands exactly
+        final = want >= remaining - LEG_TOLERANCE * s_end[act]
+        h_eff = np.where(final, remaining, want)
+        small = h_eff < 1e-14
+        if np.count_nonzero(small):
+            for b in act[small]:
+                fail(b, "step size underflow at s = %.6g" % s[b])
+            act, y, final, h_eff = act[~small], y[~small], final[~small], h_eff[~small]
+            if not act.size:
+                continue
+
+        # Stages.  A state whose field fails is dropped after the round;
+        # until then it runs along on placeholder values.
+        ch = charts[act]
+        hh = h_eff[:, None]
+        sums = np.zeros((8,) + y.shape)
+        reuse = carry[act]
+        dead = np.zeros(len(act), dtype=bool)
+        died = np.full(len(act), 7)
+        for i in range(7):
+            if i == 0 and np.count_nonzero(reuse):
+                V = carried[act]
+                rows = np.flatnonzero(~reuse)
+                if rows.size:
+                    V[rows], errors = _field(model, ch[rows], y[rows])
+                else:
+                    errors = []
+            else:
+                rows = None
+                V, errors = _field(model, ch, y if i == 0 else y + hh * sums[i - 1])
+            if any(errors):
+                for j, exc in enumerate(errors):
+                    r = j if rows is None else rows[j]
+                    if exc is not None and not dead[r]:
+                        dead[r] = True
+                        died[r] = i
+                        fail(act[r], str(exc))
+            sums += _DP_WEIGHTS[i] * V
+            if i == 0:
+                first = V
+        evals[act] += np.minimum(died + 1, 7) - reuse
+        last = V
+        y5 = y + hh * sums[6]
+        y4 = y + hh * sums[7]
+        if np.count_nonzero(dead):
+            live = ~dead
+            act, y, final, h_eff = act[live], y[live], final[live], h_eff[live]
+            y5, y4, first, last = y5[live], y4[live], first[live], last[live]
+            if not act.size:
+                continue
+
+        sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
+        q = np.sqrt(np.add.reduce(((y5 - y4) / sc) ** 2, axis=1) / dim)
+        accepted = q <= 1.0
+        n_acc = np.count_nonzero(accepted)
+        if n_acc < len(act):
+            # a rejected step retries from the same state: stage 0 is known
+            rej = ~accepted
+            rejected[act[rej]] += 1
+            carried[act[rej]] = first[rej]
+            carry[act[rej]] = True
+            acc, final, h_eff = act[accepted], final[accepted], h_eff[accepted]
+            y5, last = y5[accepted], last[accepted]
+        else:
+            acc = act
+        if n_acc:
+            steps[acc] += 1
+            s[acc] = np.where(final, s_end[acc], s[acc] + h_eff)
+            # the last step of a leg lands on the target fiber
+            if np.count_nonzero(final):
+                y5[final, slot] = targets[acc[final]]
+            new, Z, res, moved, errors = _retract(
+                model, charts[acc], y5, cfg.retraction_tol
+            )
+            pivot_share = (1.0 / np.abs(Z[:, : model.nsym]).max(axis=1)).tolist()
+            finished = (s[acc] >= s_end[acc]).tolist()
+            carry[acc] = False
+            for j, b in enumerate(acc.tolist()):
+                if errors[j] is not None:
+                    fail(b, str(errors[j]))
+                    continue
+                Y[b] = new[j]
+                im, lin = record(b, res[j])
+                if im > IM_PI_TOLERANCE:
+                    fail(b, "Im t drifted to %.3g" % im)
+                elif lin > LINEARITY_TOLERANCE:
+                    fail(b, "Re t deviates from linear decay by %.3g" % lin)
+                elif finished[j]:
+                    running[b] = False
+                elif pivot_share[j] < CHART_SHARE:
+                    # rechart when the pivot is no longer dominant
+                    point = ChartPoint.from_real(int(charts[b]), Y[b])
+                    point = point.to_chart(int(np.argmax(np.abs(Z[j, : model.nsym]))))
+                    charts[b] = point.chart
+                    Y[b] = point.as_real()
+                elif not moved[j]:
+                    # the state is the last stage point, whose field is known
+                    carried[b] = last[j]
+                    carry[b] = True
+        # standard PI-free step controller
+        factor = 0.9 * (1.0 / np.maximum(q, 1e-10)) ** 0.2
+        h[act] = np.minimum(h[act] * np.minimum(5.0, np.maximum(0.2, factor)), 0.25)
+
+    results = []
+    for b in range(n):
+        terminal = ChartPoint.from_real(int(charts[b]), Y[b]) if samples[b] else None
+        results.append(
+            FlowResult(
+                ok=failure[b] is None,
+                failure=failure[b],
+                samples=tuple(samples[b]),
+                terminal=terminal,
+                moment=model.moment(terminal) if failure[b] is None else None,
+                steps=int(steps[b]),
+                max_im_pi=max_im[b],
+                max_re_lin_err=max_lin[b],
+                rejected=int(rejected[b]),
+                field_evals=int(evals[b]),
+            )
+        )
+    return results
+
+
+def _legs(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
+    """One lockstep leg per start down to target; a start that cannot
+    begin the leg gives the reason, as a string, in place of a result."""
+    out = [_start_problem(cp, target) for cp in starts]
+    valid = [i for i, problem in enumerate(out) if problem is None]
+    flown = _integrate(model, [starts[i] for i in valid], [target] * len(valid), cfg)
+    for i, result in zip(valid, flown):
+        out[i] = result
+    return out
 
 
 def flow_to(
@@ -594,144 +941,71 @@ def flow_to(
 ) -> FlowResult:
     """Integrate V from cp until Re t reaches target.
 
-    Embedded RK5(4) with adaptive steps, Lojasiewicz damping by
-    min(1, Re t ** alpha), Gauss-Newton retraction after every accepted
-    step, and chart switching when the pivot loses dominance.  Records a
-    sample per accepted step.  After each step |Im t| and the deviation
-    of Re t from linear decay are checked; any violation, as well as
-    singular or critical points, retraction failure, step underflow and
-    budget exhaustion, produces an ok=False result carrying the samples
-    collected so far.
+    A batch of one on the lockstep integrator that ``run_batch`` uses, so
+    a point flowed alone and inside a batch give identical results.
+    Embedded Dormand-Prince 5(4) with adaptive steps, first-same-as-last
+    reuse of the field, Lojasiewicz damping by min(1, Re t ** alpha),
+    Gauss-Newton retraction after every accepted step, and chart
+    switching when the pivot loses dominance.  The last step lands
+    exactly on Re t = target.  Records a sample per accepted step.
+    After each step |Im t| and the deviation of Re t from linear decay
+    are checked; any violation, as well as singular or critical points,
+    retraction failure, step underflow and budget exhaustion, produces
+    an ok=False result carrying the samples collected so far.  A start
+    that cannot begin the leg (target not below Re t, or Im t nonzero)
+    raises ValueError.
     """
     model = _Model(fam, basis)
-    if not (0.0 < target < cp.t.real):
-        raise ValueError(
-            "target %g must lie strictly between 0 and Re t = %g"
-            % (target, cp.t.real)
-        )
-    if abs(cp.t.imag) > IM_PI_TOLERANCE:
-        raise ValueError("starting point has |Im t| = %g" % abs(cp.t.imag))
-
-    start_re = cp.t.real
-    s_end = start_re - target
-    chart = cp.chart
-    y = cp.as_real()
-    t_slot = 2 * model.n_w
-
-    samples = []
-    max_im = 0.0
-    max_lin = 0.0
-    steps = 0
-    s = 0.0
-
-    def record(point: ChartPoint, s_now: float):
-        nonlocal max_im, max_lin
-        im = abs(point.t.imag)
-        lin = abs(point.t.real - (start_re - s_now))
-        max_im = max(max_im, im)
-        max_lin = max(max_lin, lin)
-        samples.append(
-            FlowSample(
-                s=s_now,
-                t=point.t,
-                chart=point.chart,
-                residual=model.residual(point),
-                im_pi=im,
-                re_lin_err=lin,
-                moment=model.moment(point),
-            )
-        )
-        return im, lin
-
-    def fail(reason: str) -> FlowResult:
-        # y always holds the last accepted (retracted) state
-        return FlowResult(
-            ok=False,
-            failure=reason,
-            samples=tuple(samples),
-            terminal=ChartPoint.from_real(chart, y) if samples else None,
-            moment=None,
-            steps=steps,
-            max_im_pi=max_im,
-            max_re_lin_err=max_lin,
-        )
-
-    try:
-        record(cp, 0.0)
-    except (FlowError, EmbeddingError) as exc:
-        return fail("initial point rejected: %s" % exc)
-    if samples[0].residual > max(cfg.retraction_tol * 10, 1e-8):
-        return fail(
-            "initial point misses the family by %.3g" % samples[0].residual
-        )
-
-    h = min(0.05, s_end / 4) if s_end > 0 else s_end
-
-    while s < s_end - 1e-15:
-        if steps >= cfg.max_steps:
-            return fail("step budget %d exhausted at s = %.6g" % (cfg.max_steps, s))
-        re_t = y[t_slot]
-        damp = min(1.0, max(re_t, 1e-300) ** cfg.alpha)
-        h_eff = min(h * damp, s_end - s)
-        if h_eff < 1e-14:
-            return fail("step size underflow at s = %.6g" % s)
-
-        try:
-            k = [None] * 7
-            k[0] = _gradient(model, ChartPoint.from_real(chart, y))[0]
-            for i in range(1, 7):
-                yi = y + h_eff * sum(
-                    a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0
-                )
-                k[i] = _gradient(model, ChartPoint.from_real(chart, yi))[0]
-        except (SingularPointError, CriticalPointError) as exc:
-            return fail(str(exc))
-
-        y5 = y + h_eff * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        y4 = y + h_eff * sum(b * k[j] for j, b in enumerate(_DP_B4) if b != 0.0)
-        sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-        q = math.sqrt(float(np.mean(((y5 - y4) / sc) ** 2)))
-
-        if q <= 1.0:
-            steps += 1
-            s += h_eff
-            point = ChartPoint.from_real(chart, y5)
-            try:
-                point = _retract(model, point, cfg.retraction_tol)
-            except RetractionError as exc:
-                return fail(str(exc))
-            y = point.as_real()
-            im, lin = record(point, s)
-            if im > IM_PI_TOLERANCE:
-                return fail("Im t drifted to %.3g" % im)
-            if lin > LINEARITY_TOLERANCE:
-                return fail("Re t deviates from linear decay by %.3g" % lin)
-            # rechart when the pivot is no longer dominant
-            full = np.abs(np.asarray(point.full_coords()))
-            if full[point.chart] / full.max() < CHART_SHARE:
-                point = point.to_chart(int(np.argmax(full)))
-                chart = point.chart
-                y = point.as_real()
-        # standard PI-free step controller
-        factor = 0.9 * (1.0 / max(q, 1e-10)) ** 0.2
-        h = h * min(5.0, max(0.2, factor))
-        h = min(h, 0.25)
-
-    terminal = ChartPoint.from_real(chart, y)
-    return FlowResult(
-        ok=True,
-        failure=None,
-        samples=tuple(samples),
-        terminal=terminal,
-        moment=model.moment(terminal),
-        steps=steps,
-        max_im_pi=max_im,
-        max_re_lin_err=max_lin,
-    )
+    problem = _start_problem(cp, target)
+    if problem is not None:
+        raise ValueError(problem)
+    return _integrate(model, [cp], [target], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # integrable system values
+
+
+def _evaluate(model: _Model, starts, cfg: FlowConfig) -> list:
+    """Both legs for a batch of chart points: eps -> delta for all of
+    them as one lockstep phase, then delta -> delta/2 for the survivors as
+    a second.  Never raises; every failure is an ok=False result."""
+    first = _legs(model, starts, cfg.delta, cfg)
+    out = [None] * len(starts)
+    going = []
+    for i, leg in enumerate(first):
+        if isinstance(leg, str):
+            out[i] = EvalResult(
+                False, "invalid start: %s" % leg, None, None, None, None
+            )
+        elif not leg.ok:
+            out[i] = EvalResult(False, leg.failure, None, None, leg, None)
+        else:
+            going.append(i)
+    second = _legs(model, [first[i].terminal for i in going], cfg.delta / 2, cfg)
+    for i, leg in zip(going, second):
+        if isinstance(leg, str):
+            out[i] = EvalResult(
+                False,
+                "invalid continuation start: %s" % leg,
+                None,
+                None,
+                first[i],
+                None,
+            )
+        elif not leg.ok:
+            out[i] = EvalResult(False, leg.failure, None, None, first[i], leg)
+        else:
+            a, b = first[i].moment, leg.moment
+            out[i] = EvalResult(
+                True,
+                None,
+                tuple(2.0 * y - x for x, y in zip(a, b)),
+                max(abs(y - x) for x, y in zip(a, b)),
+                first[i],
+                leg,
+            )
+    return out
 
 
 def _eval_from_chart(
@@ -740,19 +1014,26 @@ def _eval_from_chart(
     fam: FamilyPresentation,
     basis: VdBasis,
 ) -> EvalResult:
-    first = flow_to(cp, cfg.delta, cfg, fam, basis)
-    if not first.ok:
-        return EvalResult(False, first.failure, None, None, first, None)
-    second = flow_to(first.terminal, cfg.delta / 2, cfg, fam, basis)
-    if not second.ok:
-        return EvalResult(False, second.failure, None, None, first, second)
-    f_value = tuple(
-        2.0 * b - a for a, b in zip(first.moment, second.moment)
-    )
-    conv = max(
-        abs(b - a) for a, b in zip(first.moment, second.moment)
-    )
-    return EvalResult(True, None, f_value, conv, first, second)
+    return _evaluate(_Model(fam, basis), [cp], cfg)[0]
+
+
+def _evaluate_points(model: _Model, xs, cfg: FlowConfig, datum: SagbiDatum) -> list:
+    """Embed every point at t = epsilon, then evaluate them as one batch."""
+    results = [None] * len(xs)
+    starts, where = [], []
+    for i, x in enumerate(xs):
+        try:
+            pt = embed_point(x, datum, model.fam, cfg.epsilon, model.basis)
+        except (BaseLocusError, EmbeddingError) as exc:
+            results[i] = EvalResult(
+                False, "embedding failed: %s" % exc, None, None, None, None
+            )
+            continue
+        starts.append(ChartPoint.from_projective(pt))
+        where.append(i)
+    for i, outcome in zip(where, _evaluate(model, starts, cfg)):
+        results[i] = outcome
+    return results
 
 
 def integrable_system_eval(
@@ -769,11 +1050,7 @@ def integrable_system_eval(
     Embedding and flow failures come back as ok=False results, never as
     silently missing values.
     """
-    try:
-        pt = embed_point(x, datum, fam, cfg.epsilon, basis)
-    except (BaseLocusError, EmbeddingError) as exc:
-        return EvalResult(False, "embedding failed: %s" % exc, None, None, None, None)
-    return _eval_from_chart(ChartPoint.from_projective(pt), cfg, fam, basis)
+    return _evaluate_points(_Model(fam, basis), [x], cfg, datum)[0]
 
 
 def run_batch(
@@ -782,33 +1059,17 @@ def run_batch(
     datum: SagbiDatum,
     fam: FamilyPresentation,
     basis: VdBasis,
-    *,
-    workers: int = 1,
 ) -> list:
     """Evaluate the integrable system on a batch of intrinsic points.
 
-    ``workers`` threads share the batch; results are merged in input
-    order regardless of scheduling, and each carries its index.
+    Every point is embedded, then all trajectories are integrated
+    together by the lockstep integrator, one phase per leg; each keeps
+    its own step size, chart and counters, so every result equals what
+    ``integrable_system_eval`` gives for that point alone, bit for bit.
+    Results come back in input order, each carrying its index.
     """
-    points = list(xs)
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda x: integrable_system_eval(x, cfg, datum, fam, basis),
-                    points,
-                )
-            )
-    else:
-        results = [
-            integrable_system_eval(x, cfg, datum, fam, basis) for x in points
-        ]
-    return [
-        EvalResult(
-            r.ok, r.failure, r.F, r.convergence, r.flow, r.continuation, i
-        )
-        for i, r in enumerate(results)
-    ]
+    results = _evaluate_points(_Model(fam, basis), list(xs), cfg, datum)
+    return [replace(r, index=i) for i, r in enumerate(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +1081,13 @@ def _fiber_basepoint(
 ) -> ChartPoint:
     pt = embed_point(x, datum, fam, cfg.epsilon, basis)
     return ChartPoint.from_projective(pt)
+
+
+def _shifted_starts(model: _Model, cp: ChartPoint, Y: np.ndarray, tol: float):
+    """Retract perturbed copies of cp back onto the family, keeping its chart."""
+    charts = np.full(len(Y), cp.chart, dtype=np.intp)
+    Y, _, _, _, errors = _retract(model, charts, Y, tol)
+    return [ChartPoint.from_real(cp.chart, y) for y in Y], errors
 
 
 def poisson_bracket(
@@ -835,9 +1103,10 @@ def poisson_bracket(
 
     Components are 1-based, matching the F_1..F_n columns of the CSV
     export.  Differentials of F are estimated by central differences
-    along an orthonormal fiber frame at the embedded point; Hamiltonian
-    vectors solve against the restricted Kaehler form, and the value is
-    antisymmetrized so {F_i, F_i} is exactly zero.
+    along an orthonormal fiber frame at the embedded point, with all the
+    perturbed evaluations flowed as one batch; Hamiltonian vectors solve
+    against the restricted Kaehler form, and the value is antisymmetrized
+    so {F_i, F_i} is exactly zero.
     """
     n = basis.value_dim
     if not (1 <= i <= n and 1 <= j <= n):
@@ -852,20 +1121,24 @@ def poisson_bracket(
             "restricted symplectic form is numerically singular"
         )
     y0 = cp.as_real()
-    dF = np.empty((n, E.shape[1]))
-    for k in range(E.shape[1]):
-        vals = []
-        for sign in (1.0, -1.0):
-            shifted = ChartPoint.from_real(cp.chart, y0 + sign * FD_STEP * E[:, k])
-            shifted = _retract(model, shifted, cfg.retraction_tol)
-            outcome = _eval_from_chart(shifted, cfg, fam, basis)
-            if not outcome.ok:
-                raise FlowError(
-                    "perturbed flow failed along frame direction %d: %s"
-                    % (k, outcome.failure)
-                )
-            vals.append(np.asarray(outcome.F))
-        dF[:, k] = (vals[0] - vals[1]) / (2 * FD_STEP)
+    # rows (k, +), (k, -) for every frame direction k
+    shifts = [
+        y0 + sign * FD_STEP * E[:, k]
+        for k in range(E.shape[1])
+        for sign in (1.0, -1.0)
+    ]
+    starts, errors = _shifted_starts(model, cp, np.array(shifts), cfg.retraction_tol)
+    outcomes = _evaluate(model, starts, cfg)
+    for row, (error, outcome) in enumerate(zip(errors, outcomes)):
+        if error is not None:
+            raise error
+        if not outcome.ok:
+            raise FlowError(
+                "perturbed flow failed along frame direction %d: %s"
+                % (row // 2, outcome.failure)
+            )
+    values = np.array([outcome.F for outcome in outcomes])
+    dF = ((values[0::2] - values[1::2]) / (2 * FD_STEP)).T
     a_i = np.linalg.solve(W.T, dF[i - 1])
     a_j = np.linalg.solve(W.T, dF[j - 1])
     raw = float(a_j @ W @ a_i)
@@ -892,7 +1165,8 @@ def symplectic_residual(
     over steps h and h/2, at tightened integration tolerances.  The flow
     map can have curvature of order 1e6 at spread-out sample points, so
     a plain O(h^2) difference is not accurate enough at any step size the
-    integration noise allows; the extrapolation removes that term.
+    integration noise allows; the extrapolation removes that term.  The
+    base flow and the eight perturbed ones run as one batch.
     """
     model = _Model(fam, basis)
     u = np.asarray(u, dtype=float)
@@ -908,27 +1182,33 @@ def symplectic_residual(
         atol=min(cfg.atol, 1e-13),
         retraction_tol=min(cfg.retraction_tol, 1e-11),
     )
-    base = flow_to(cp, tight.delta, tight, fam, basis).require_ok()
-    ref_chart = base.terminal.chart
+    # rows (direction, h, sign) for direction u, v; h = step, step/2; sign +, -
+    plan = [
+        (d, hh, sign)
+        for d in (u, v)
+        for hh in (step, step / 2)
+        for sign in (1.0, -1.0)
+    ]
+    y0 = cp.as_real()
+    shifts = np.array([y0 + sign * hh * d for d, hh, sign in plan])
+    shifted, errors = _shifted_starts(model, cp, shifts, tight.retraction_tol)
+    flows = _legs(model, [cp] + shifted, tight.delta, tight)
+    for error, res in zip([None] + errors, flows):
+        if error is not None:
+            raise error
+        if isinstance(res, str):
+            raise ValueError(res)
+        res.require_ok()
+    base = flows[0]
+    ends = [res.terminal.to_chart(base.terminal.chart).as_real() for res in flows[1:]]
 
-    def difference(direction: np.ndarray, h: float) -> np.ndarray:
-        ends = []
-        for sign in (1.0, -1.0):
-            shifted = ChartPoint.from_real(
-                cp.chart, cp.as_real() + sign * h * direction
-            )
-            shifted = _retract(model, shifted, tight.retraction_tol)
-            res = flow_to(shifted, tight.delta, tight, fam, basis).require_ok()
-            ends.append(res.terminal.to_chart(ref_chart).as_real())
-        return (ends[0] - ends[1]) / (2 * h)
-
-    def transported(direction: np.ndarray) -> np.ndarray:
-        coarse = difference(direction, step)
-        fine = difference(direction, step / 2)
+    def transported(first: int) -> np.ndarray:
+        coarse = (ends[first] - ends[first + 1]) / (2 * step)
+        fine = (ends[first + 2] - ends[first + 3]) / (2 * (step / 2))
         return (4.0 * fine - coarse) / 3.0
 
-    u_end = transported(u)
-    v_end = transported(v)
+    u_end = transported(0)
+    v_end = transported(4)
     omega_end = float(u_end @ ambient_symplectic(base.terminal) @ v_end)
     return abs(omega_end - omega_start)
 

@@ -1,7 +1,6 @@
 """Command line behavior: exit codes, canonical output, config files."""
 
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -138,6 +137,19 @@ class TestBody:
         assert result.exit_code == 0
         assert json.loads(result.output)["entry"] == "p1"
 
+    @pytest.mark.parametrize("delta", [0.9, 1e-300])
+    def test_bad_flow_settings_exit_2(self, runner, tmp_path, delta):
+        import okkit.catalog as cat
+
+        doc = json.loads((Path(cat.__file__).parent / "data" / "p1.json").read_text())
+        doc["flow"]["delta"] = delta
+        path = tmp_path / "bad-flow.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["body", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "flow settings rejected" in result.stderr
+
 
 class TestBodySvgUnits:
     def test_one_marker_per_vertex(self):
@@ -217,6 +229,49 @@ class TestFlow:
         )
         assert result.exit_code == 2
 
+    def test_delta_below_floor_is_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["flow", "elliptic", "--samples", "2", "--delta", "1e-300"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "smallest supported cutoff" in result.stderr
+
+    def test_level_two_entry_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["flow", _level_two_entry(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            "cannot flow level-two: flow operates in the level-one chart;"
+            " got basis degree 2"
+        ]
+
+
+def _level_two_entry(tmp_path):
+    """A valid entry whose degree-two basis the flow cannot model."""
+    doc = {
+        "name": "level-two",
+        "description": "The affine line through 1, u^2 and the level-two u^3.",
+        "ring": ["u"],
+        "backend": "monomial",
+        "modulus": None,
+        "generators": [
+            {"level": 1, "index": 1, "representative": "1", "value": [0]},
+            {"level": 1, "index": 2, "representative": "u^2", "value": [2]},
+            {"level": 2, "index": 1, "representative": "u^3", "value": [3]},
+        ],
+        "relations": ["x2_1^2 - x1_1*x1_2^3"],
+        "expected": {
+            "semigroup_generators": [[1, [0]], [1, [2]], [2, [3]]],
+            "body_vertices": [[[0, 1]], [[2, 1]]],
+            "degree": 2,
+        },
+        "flow": {"epsilon": 0.5, "delta": 0.0001, "extended": False},
+    }
+    path = tmp_path / "level-two.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
 
 # ---------------------------------------------------------------------------
 # check
@@ -233,6 +288,14 @@ class TestCheck:
         result = invoke(runner, "check", "gl3-flag")
         assert result.exit_code == 0
         assert "SKIP" in result.output and "extended" in result.output
+
+    def test_level_two_entry_skips_flow_probe(self, runner, tmp_path):
+        entry = _level_two_entry(tmp_path)
+        assert invoke(runner, "body", entry).exit_code == 0
+        result = invoke(runner, "check", entry)
+        assert result.exit_code == 0
+        probe = [line for line in result.output.splitlines() if "flow probe" in line]
+        assert len(probe) == 1 and "SKIP" in probe[0] and "level-one chart" in probe[0]
 
     def test_tampered_file_fails(self, runner, tmp_path):
         import okkit.catalog as cat
@@ -342,17 +405,9 @@ class TestConfig:
         result = runner.invoke(main, ["--config", str(cfg), "flow", "p1"])
         assert result.exit_code == 2
 
-    def test_threads_do_not_change_output(self, runner, tmp_path, monkeypatch):
-        monkeypatch.delenv("OKKIT_THREADS", raising=False)
+    def test_threads_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "okkit.cfg"
         cfg.write_text("threads = 2\n")
-        args = ["flow", "p1xp1", "--samples", "3", "--seed", "11"]
-        threaded = invoke(runner, "--config", str(cfg), *args)
-        assert "OKKIT_THREADS" not in os.environ
-        assert threaded.output == invoke(runner, *args).output
-
-    def test_zero_config_threads_rejected(self, runner, tmp_path):
-        cfg = tmp_path / "okkit.cfg"
-        cfg.write_text("threads = 0\n")
         result = runner.invoke(main, ["--config", str(cfg), "flow", "p1"])
         assert result.exit_code == 2
+        assert "unknown key 'threads'" in result.stderr

@@ -13,6 +13,7 @@ from okkit.embedding import (
     toric_moment,
 )
 from okkit.flow import (
+    DELTA_MIN,
     ChartPoint,
     CriticalPointError,
     EvalResult,
@@ -20,6 +21,7 @@ from okkit.flow import (
     FlowError,
     FlowResult,
     SingularPointError,
+    _eval_from_chart,
     ambient_metric,
     ambient_symplectic,
     diagnostics_dict,
@@ -137,6 +139,11 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(**kw)
 
+    def test_delta_lower_bound(self):
+        assert FlowConfig(delta=DELTA_MIN).delta == DELTA_MIN
+        with pytest.raises(ValueError, match="smallest supported cutoff"):
+            FlowConfig(delta=DELTA_MIN / 2)
+
 
 class TestMetric:
     def test_identity_at_chart_origin(self):
@@ -244,6 +251,22 @@ class TestGradient:
             assert abs(float(G[slot] @ E[:, k]) - fd) < 1e-6
 
 
+    @pytest.mark.parametrize("name, seed", [("elliptic", 83), ("gl3-flag", 89)])
+    def test_field_is_projection_through_orthonormal_frame(self, name, seed):
+        datum, fam, basis = pipeline(name)
+        rng = np.random.default_rng(seed)
+        for x in sample_intrinsic(datum, 3, rng, log10_spread=1.0):
+            cp = embedded_chart_point((datum, fam, basis), x)
+            E = tangent_frame(cp, fam, basis)
+            G = ambient_metric(cp)
+            e = np.zeros(E.shape[0])
+            e[-2] = 1.0
+            coeffs = E.T @ G @ e
+            expected = -(E @ coeffs) / (coeffs @ coeffs)
+            V = gradient_hamiltonian(cp, fam, basis)
+            assert np.abs(V - expected).max() < 1e-12
+
+
 class TestFlowTo:
     def test_trivial_family_keeps_chart_coordinates(self, p1):
         _, fam, basis = p1
@@ -326,6 +349,30 @@ class TestFlowTo:
         assert res.terminal is not None
         assert res.moment is None
 
+    def test_leg_ends_exactly_at_target(self, elliptic):
+        datum, fam, basis = elliptic
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(79), log10_spread=3.0)[0]
+        cp = embedded_chart_point(elliptic, x, t=cfg.epsilon)
+        first = flow_to(cp, cfg.delta, cfg, fam, basis)
+        second = flow_to(first.terminal, cfg.delta / 2, cfg, fam, basis)
+        legs = ((cp, first, cfg.delta), (first.terminal, second, cfg.delta / 2))
+        for start, leg, target in legs:
+            assert leg.ok
+            assert leg.terminal.t.real == target
+            assert leg.samples[-1].s == start.t.real - target
+            assert leg.samples[-1].t == leg.terminal.t
+
+    def test_counters_show_first_same_as_last_reuse(self, elliptic):
+        datum, fam, basis = elliptic
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(17))[0]
+        cp = embedded_chart_point(elliptic, x, t=cfg.epsilon)
+        res = flow_to(cp, cfg.delta, cfg, fam, basis)
+        assert res.ok
+        assert type(res.rejected) is int and type(res.field_evals) is int
+        assert res.field_evals < 7 * (res.steps + res.rejected)
+
     def test_gl3_short_flow(self, gl3):
         datum, fam, basis = gl3
         cfg = FlowConfig()
@@ -360,6 +407,14 @@ class TestIntegrableSystemEval:
             assert -1e-2 <= out.F[0] <= 3.0 + 1e-2
             assert out.convergence < 1e-6
 
+    @pytest.mark.parametrize("t", [0.5e-4, 1e-4, 0.5 + 0.1j])
+    def test_invalid_start_reported_not_raised(self, elliptic, t):
+        _, fam, basis = elliptic
+        out = _eval_from_chart(ChartPoint(2, (0.5, 0.5), t), FlowConfig(), fam, basis)
+        assert not out.ok
+        assert out.failure.startswith("invalid start: ")
+        assert out.F is None and out.flow is None
+
     def test_off_variety_point_reported_not_raised(self, elliptic):
         datum, fam, basis = elliptic
         cfg = FlowConfig()
@@ -377,13 +432,26 @@ class TestRunBatch:
         results = run_batch(xs, cfg, datum, fam, basis)
         assert [r.index for r in results] == [0, 1, 2, 3]
 
-    def test_thread_count_does_not_change_values(self, elliptic):
+    def test_batch_matches_point_by_point(self, elliptic):
         datum, fam, basis = elliptic
-        cfg = FlowConfig()
-        xs = sample_intrinsic(datum, 4, np.random.default_rng(47))
-        sequential = run_batch(xs, cfg, datum, fam, basis)
-        threaded = run_batch(xs, cfg, datum, fam, basis, workers=3)
-        assert [r.F for r in sequential] == [r.F for r in threaded]
+        # a step budget that some samples exhaust mid-batch
+        cfg = FlowConfig(max_steps=20)
+        xs = sample_intrinsic(datum, 6, np.random.default_rng(43), log10_spread=3.0)
+        batch = run_batch(xs, cfg, datum, fam, basis)
+        assert 0 < sum(r.ok for r in batch) < len(batch)
+        for x, r in zip(xs, batch):
+            alone = integrable_system_eval(x, cfg, datum, fam, basis)
+            assert r.F == alone.F
+            assert r.failure == alone.failure
+            legs = [leg for leg in (r.flow, r.continuation) if leg]
+            alone_legs = [leg for leg in (alone.flow, alone.continuation) if leg]
+            assert len(legs) == len(alone_legs)
+            for leg, other in zip(legs, alone_legs):
+                assert leg.steps == other.steps
+                assert leg.rejected == other.rejected
+                assert leg.field_evals == other.field_evals
+                assert leg.samples == other.samples
+                assert leg.terminal == other.terminal
 
 
 class TestPoissonBracket:
