@@ -391,6 +391,7 @@ class _Model:
         """Full complex coordinates (symbols, then t) of real chart states."""
         rows = np.arange(len(charts))
         Z = np.empty((len(charts), self.nsym + 1), dtype=complex)
+        # the real layout Re w_0, Im w_0, ..., Re t, Im t viewed as complex
         Z[rows[:, None], self.columns[charts]] = np.ascontiguousarray(Y).view(complex)
         Z[rows, charts] = 1.0
         return Z
@@ -432,14 +433,13 @@ def _fs_metric(w: np.ndarray) -> np.ndarray:
     one = 1.0 + np.add.reduce(re * re + im * im, axis=-1)
     denom = (one * one)[..., None, None]
     h = (-np.conj(w)[..., :, None] * w[..., None, :]) / denom
-    # the diagonal of h, as a strided view
-    h.reshape(batch + (n * n,))[..., :: n + 1] += (one / denom[..., 0, 0])[..., None]
+    diag = np.arange(n)
+    h[..., diag, diag] += (one / denom[..., 0, 0])[..., None]
     G = np.zeros(batch + (2 * n + 2, 2 * n + 2))
-    blocks = G[..., : 2 * n, : 2 * n].reshape(batch + (n, 2, n, 2))
-    blocks[..., 0, :, 0] = h.real
-    blocks[..., 0, :, 1] = h.imag
-    blocks[..., 1, :, 0] = -h.imag
-    blocks[..., 1, :, 1] = h.real
+    G[..., 0 : 2 * n : 2, 0 : 2 * n : 2] = h.real
+    G[..., 0 : 2 * n : 2, 1 : 2 * n : 2] = h.imag
+    G[..., 1 : 2 * n : 2, 0 : 2 * n : 2] = -h.imag
+    G[..., 1 : 2 * n : 2, 1 : 2 * n : 2] = h.real
     G[..., 2 * n, 2 * n] = 1.0
     G[..., 2 * n + 1, 2 * n + 1] = 1.0
     return G
@@ -794,6 +794,8 @@ def _integrate(model: _Model, starts, targets, cfg: FlowConfig) -> list:
             for b in act[over]:
                 fail(b, "step budget %d exhausted at s = %.6g" % (cfg.max_steps, s[b]))
             act = act[~over]
+            if not act.size:
+                continue
         y = Y[act]
         damp = np.minimum(1.0, np.maximum(y[:, slot], 1e-300) ** cfg.alpha)
         remaining = s_end[act] - s[act]
@@ -890,7 +892,8 @@ def _integrate(model: _Model, starts, targets, cfg: FlowConfig) -> list:
                 elif pivot_share[j] < CHART_SHARE:
                     # rechart when the pivot is no longer dominant
                     point = ChartPoint.from_real(int(charts[b]), Y[b])
-                    point = point.to_chart(int(np.argmax(np.abs(Z[j, : model.nsym]))))
+                    pivot = int(np.argmax(np.abs(Z[j, : model.nsym])))
+                    point = point.to_chart(pivot)
                     charts[b] = point.chart
                     Y[b] = point.as_real()
                 elif not moved[j]:
