@@ -64,7 +64,6 @@ from okkit.embedding import (
     embed_point,
     enumerate_vd_basis,
     reduced_moment,
-    rescale_action,
     sample_intrinsic,
     toric_moment,
 )

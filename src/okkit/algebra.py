@@ -10,12 +10,14 @@ Conventions fixed once for the whole package:
 
 * the monomial backend returns the lex-MINIMAL exponent of a nonzero
   polynomial (think "order of vanishing along a flag"),
-* the series backend returns the order of vanishing of a rational function
-  at a point, computed on truncated power series with doubling escalation.
+* the series backend returns the order of vanishing of a polynomial at a
+  point, computed on truncated power series with doubling escalation.
 
 Both satisfy v(fg) = v(f) + v(g) and v(f+g) >= min(v(f), v(g)), and both
 have one-dimensional leaves: equal values can always be cancelled by
-subtracting a scalar multiple.
+subtracting a scalar multiple.  So a nonzero f has a single leading term,
+its value and its leading coefficient; :meth:`SeriesContext.lead` returns
+the pair from one expansion.
 """
 
 from __future__ import annotations
@@ -176,18 +178,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        z = (0,) * self.ring.nvars
-        return not self.terms or set(self.terms) == {z}
-
-    def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -358,11 +348,6 @@ def monomial_valuation(f: Polynomial) -> tuple:
     return min(f.terms)
 
 
-def leading_coefficient(f: Polynomial) -> Fraction:
-    """Coefficient at the lex-minimal exponent."""
-    return f.terms[monomial_valuation(f)]
-
-
 # ---------------------------------------------------------------------------
 # truncated power series and the series valuation backend
 
@@ -454,8 +439,8 @@ class SeriesContext:
     positive order (the substitution is then a contraction in the u-adic
     metric).
 
-    ``truncation`` is the working order; when a valuation query finds only
-    zero coefficients the context escalates by doubling up to ``cap`` and
+    ``truncation`` is the working order; when :meth:`lead` finds only zero
+    coefficients the context escalates by doubling up to ``cap`` and
     recomputes, then gives up loudly.
     """
 
@@ -541,66 +526,36 @@ class SeriesContext:
         trunc = trunc or self.truncation
         return self._substitute(poly, self._table(trunc), trunc)
 
-    def order_of(self, poly: Polynomial) -> int | None:
-        """Order of vanishing, escalating the truncation as needed.
+    def lead(self, poly: Polynomial) -> tuple:
+        """Leading term (order, coefficient) of a nonzero polynomial.
 
-        Returns None only after every order up to the cap yields all-zero
-        coefficients; callers turn that into a loud error or, knowing the
-        input is zero, into a zero test.
+        One expansion per truncation order tried: the working order, then
+        doubling up to the cap.  A coefficient below the truncation order
+        does not depend on that order, so the first nonzero one found is
+        exact.  Zero raises UndefinedValuationError; a polynomial whose
+        coefficients all vanish up to the cap raises
+        InconclusiveValuationError rather than an invented value.
         """
         if poly.is_zero():
-            return None
+            raise UndefinedValuationError("the zero function has no valuation")
         trunc = self.truncation
         while True:
-            o = self.expand(poly, trunc).order()
+            series = self.expand(poly, trunc)
+            o = series.order()
             if o is not None:
-                return o
+                return o, series.coeffs[o]
             if trunc >= self.cap:
-                return None
+                raise InconclusiveValuationError(
+                    "every coefficient vanished to order %d; raise the cap or"
+                    " check for an identically zero representative" % self.cap
+                )
             trunc = min(2 * trunc, self.cap)
 
-    def leading_series_coefficient(self, poly: Polynomial) -> Fraction:
-        o = self.order_of(poly)
-        if o is None:
-            raise InconclusiveValuationError(
-                "no nonzero coefficient up to the cap"
-            )
-        return self.expand(poly).coeffs[o] if o < self.truncation else (
-            self.expand(poly, self.cap).coeffs[o]
-        )
 
-
-def series_valuation(f, ctx: SeriesContext) -> int:
-    """Order of zero/pole of a rational function at the expansion point.
-
-    ``f`` is a pair (numerator, denominator) of Polynomials, or a single
-    Polynomial meaning denominator 1.  Returns ord(num) - ord(den).
-    Escalates the truncation by doubling; if every coefficient vanishes up
-    to the cap an InconclusiveValuationError is raised rather than a value
-    invented.
-    """
-    if isinstance(f, Polynomial):
-        num, den = f, None
-    else:
-        num, den = f
-    if num.is_zero():
-        raise UndefinedValuationError("the zero function has no valuation")
-    o_num = ctx.order_of(num)
-    if o_num is None:
-        raise InconclusiveValuationError(
-            "numerator vanished to order %d; raise the cap or check for an"
-            " identically zero representative" % ctx.cap
-        )
-    if den is None or den.is_constant():
-        if den is not None and den.constant_value() == 0:
-            raise UndefinedValuationError("zero denominator")
-        return o_num
-    o_den = ctx.order_of(den)
-    if o_den is None:
-        raise UndefinedValuationError(
-            "denominator vanishes identically under the substitution"
-        )
-    return o_num - o_den
+def series_valuation(f: Polynomial, ctx: SeriesContext) -> int:
+    """Order of vanishing of a polynomial at the expansion point: the
+    order of :meth:`SeriesContext.lead`, with its escalation and errors."""
+    return ctx.lead(f)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from okkit.catalog import CatalogEntry, CatalogError, list_examples, load_entry_file, load_example
-from okkit.degeneration import DegenerationError, build_family, build_projection, specialize_fiber
+from okkit.degeneration import DegenerationError, build_family, build_projection
 from okkit.embedding import (
     EmbeddingError,
     embed_point,
@@ -418,14 +418,7 @@ def _check_rows(entry: CatalogEntry):
     def row(label, passed, detail=""):
         rows.append((label, bool(passed), detail))
 
-    row("lattice completeness", entry.semigroup.group_complete)
-
-    fam = build_family(entry.relations, build_projection(entry.relations))
-    basis = enumerate_vd_basis(entry.datum, fam)
-    at_one = specialize_fiber(fam, 1)
-    at_zero = specialize_fiber(fam, 0)
-    row("family at t=1", tuple(at_one) == entry.relations.relations)
-    row("family at t=0", tuple(at_zero) == fam.initial_forms)
+    fam, basis = _entry_pipeline(entry)
 
     rng = np.random.default_rng(1729)
     datum = entry.datum

@@ -15,9 +15,6 @@ the value semigroup.
 
 from __future__ import annotations
 
-import cmath
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,12 +30,10 @@ __all__ = [
     "EmbeddingError",
     "BasisTooLargeError",
     "BaseLocusError",
-    "InvalidScaleError",
     "VdBasis",
     "ProjectivePoint",
     "enumerate_vd_basis",
     "embed_point",
-    "rescale_action",
     "toric_moment",
     "reduced_moment",
     "sample_intrinsic",
@@ -59,10 +54,6 @@ class BasisTooLargeError(EmbeddingError):
 
 class BaseLocusError(EmbeddingError):
     """The section vanishes at this point; re-sample the chart."""
-
-
-class InvalidScaleError(EmbeddingError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -89,22 +80,6 @@ class VdBasis:
     @property
     def value_dim(self) -> int:
         return len(self.torus_weights[0]) if self.entries else 0
-
-    @property
-    def descriptor_hash(self) -> str:
-        blob = json.dumps(
-            {
-                "degree": self.degree,
-                "variables": list(self.variables),
-                "levels": list(self.levels),
-                "entries": [list(e) for e in self.entries],
-                "torus_weights": [list(w) for w in self.torus_weights],
-                "cstar_weights": list(self.cstar_weights),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _composition_count(level_counts, d) -> int:
@@ -213,18 +188,10 @@ class ProjectivePoint:
 
     z: tuple
     t: complex
-    basis_hash: str
 
     @property
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.z))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": [self.t.real, self.t.imag],
-            "z": [[c.real, c.imag] for c in self.z],
-            "basis": self.basis_hash,
-        }
 
 
 def _normalize(z):
@@ -305,26 +272,7 @@ def embed_point(
             if a:
                 c *= _power(f, a)
         coords.append(c)
-    return ProjectivePoint(_normalize(coords), t, basis.descriptor_hash)
-
-
-def rescale_action(
-    pt: ProjectivePoint, s: complex, basis: VdBasis
-) -> ProjectivePoint:
-    """The C*-action: z_alpha by s^omega_alpha, t by s, renormalized.
-
-    The C*-weights do not travel inside the point (only their basis hash
-    does), so the basis the point was built with is a required argument.
-    """
-    s = complex(s)
-    if s == 0:
-        raise InvalidScaleError("the torus acts by nonzero scalars only")
-    if pt.basis_hash != basis.descriptor_hash:
-        raise EmbeddingError("point and basis do not match")
-    z = [
-        _power(s, w) * c for w, c in zip(basis.cstar_weights, pt.z)
-    ]
-    return ProjectivePoint(_normalize(z), s * pt.t, pt.basis_hash)
+    return ProjectivePoint(_normalize(coords), t)
 
 
 def toric_moment(point, basis: VdBasis):

@@ -717,8 +717,8 @@ def _start_problem(cp: ChartPoint, target: float):
     return None
 
 
-def _integrate(model: _Model, starts, targets, cfg: FlowConfig) -> list:
-    """Flow a batch of valid starts, each to its own target, in lockstep.
+def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
+    """Flow a batch of valid starts down to Re t = target, in lockstep.
 
     Every state keeps its own chart, step size, arc length s, counters
     and failure; each round takes one Dormand-Prince step on every state
@@ -737,8 +737,7 @@ def _integrate(model: _Model, starts, targets, cfg: FlowConfig) -> list:
     charts = np.array([cp.chart for cp in starts], dtype=np.intp)
     Y = np.array([cp.as_real() for cp in starts], dtype=float)
     start_re = Y[:, slot].copy()
-    targets = np.array(targets, dtype=float)
-    s_end = start_re - targets
+    s_end = start_re - target
     s = np.zeros(n)
     h = np.minimum(0.05, s_end / 4)
     steps = np.zeros(n, dtype=int)
@@ -870,7 +869,7 @@ def _integrate(model: _Model, starts, targets, cfg: FlowConfig) -> list:
             s[acc] = np.where(final, s_end[acc], s[acc] + h_eff)
             # the last step of a leg lands on the target fiber
             if np.count_nonzero(final):
-                y5[final, slot] = targets[acc[final]]
+                y5[final, slot] = target
             new, Z, res, moved, errors = _retract(
                 model, charts[acc], y5, cfg.retraction_tol
             )
@@ -929,7 +928,7 @@ def _legs(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     begin the leg gives the reason, as a string, in place of a result."""
     out = [_start_problem(cp, target) for cp in starts]
     valid = [i for i, problem in enumerate(out) if problem is None]
-    flown = _integrate(model, [starts[i] for i in valid], [target] * len(valid), cfg)
+    flown = _integrate(model, [starts[i] for i in valid], target, cfg)
     for i, result in zip(valid, flown):
         out[i] = result
     return out
@@ -962,7 +961,7 @@ def flow_to(
     problem = _start_problem(cp, target)
     if problem is not None:
         raise ValueError(problem)
-    return _integrate(model, [cp], [target], cfg)[0]
+    return _integrate(model, [cp], target, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

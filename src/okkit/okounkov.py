@@ -32,9 +32,7 @@ from .algebra import (
     Ring,
     SeriesContext,
     UndefinedValuationError,
-    leading_coefficient,
     monomial_valuation,
-    series_valuation,
 )
 
 __all__ = [
@@ -168,9 +166,10 @@ class SagbiDatum:
     backend selects how representatives are valued: "monomial" takes the
     lexicographically minimal exponent in the chart ring, "series" expands
     through a SeriesContext and returns the order of vanishing (a length-1
-    value vector).  modulus, when present, is a single chart relation; all
-    representatives and intermediate results are kept in normal form with
-    respect to it.
+    value vector).  Either way :meth:`lead` reads the value and the
+    leading coefficient off one reduction.  modulus, when present, is a
+    single chart relation; all representatives and intermediate results
+    are kept in normal form with respect to it.
 
     Construction verifies the declared invariants: values are pairwise
     distinct within each level, exactly one level-1 generator has value
@@ -233,13 +232,11 @@ class SagbiDatum:
                 % len(sections)
             )
 
-        for g in self.generators:
-            declared = g.value
-            actual = self.value_of(g.representative)
-            if declared != actual:
+        for g, (actual, _) in zip(self.generators, self._generator_leads):
+            if g.value != actual:
                 raise PresentationError(
                     "declared value %s of %s disagrees with the %s backend"
-                    " value %s" % (declared, g.symbol, self.backend, actual)
+                    " value %s" % (g.value, g.symbol, self.backend, actual)
                 )
 
     # -- derived data --------------------------------------------------------
@@ -268,9 +265,8 @@ class SagbiDatum:
 
     @cached_property
     def _generator_leads(self) -> tuple:
-        return tuple(
-            self.leading_coefficient_of(g.representative) for g in self.generators
-        )
+        """The leading term (value, coefficient) of each generator."""
+        return tuple(self.lead(g.representative) for g in self.generators)
 
     def semigroup(self) -> "ValueSemigroup":
         return ValueSemigroup(tuple(g.bidegree for g in self.generators))
@@ -280,21 +276,21 @@ class SagbiDatum:
     def reduce(self, f: Polynomial) -> Polynomial:
         return reduce_modulo(f, self.modulus)
 
-    def value_of(self, f: Polynomial) -> tuple:
+    def lead(self, f: Polynomial) -> tuple:
+        """Leading term (value, coefficient) of the class of f: the value
+        vector and the image in the one-dimensional leaf, from one
+        reduction."""
         g = self.reduce(f)
         if g.is_zero():
             raise UndefinedValuationError("the zero class has no value")
         if self.backend == MONOMIAL_BACKEND:
-            return monomial_valuation(g)
-        return (series_valuation(g, self.series_context),)
+            u = monomial_valuation(g)
+            return u, g.terms[u]
+        order, coefficient = self.series_context.lead(g)
+        return (order,), coefficient
 
-    def leading_coefficient_of(self, f: Polynomial) -> Fraction:
-        g = self.reduce(f)
-        if g.is_zero():
-            raise UndefinedValuationError("the zero class has no value")
-        if self.backend == MONOMIAL_BACKEND:
-            return leading_coefficient(g)
-        return self.series_context.leading_series_coefficient(g)
+    def value_of(self, f: Polynomial) -> tuple:
+        return self.lead(f)[0]
 
     def substitute(self, expression: Polynomial) -> Polynomial:
         """Replace each symbol x_ij by its representative, then reduce.
@@ -456,7 +452,7 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
     for _ in range(budget):
         if g.is_zero():
             return expression, chain
-        u = datum.value_of(g)
+        u, coefficient = datum.lead(g)
         step = BiDegree(k, u)
         if chain and not chain[-1] < step:
             raise NotInSemigroupError(
@@ -469,11 +465,11 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
             )
         product_lead = Fraction(1)
         product = Polynomial.constant(datum.ring, 1)
-        for gen, c, lead in zip(datum.generators, alpha, datum._generator_leads):
+        for gen, c, (_, lead) in zip(datum.generators, alpha, datum._generator_leads):
             if c:
                 product = product * gen.representative**c
                 product_lead *= lead**c
-        lam = datum.leading_coefficient_of(g) / product_lead
+        lam = coefficient / product_lead
         expression = expression + Polynomial.monomial(symbol_ring, alpha, lam)
         g = datum.reduce(g - lam * product)
         chain.append(step)

@@ -219,12 +219,17 @@ def test_series_valuation_multiplicative():
         assert series_valuation(f * g, ctx) == vf + vg
 
 
-def test_series_rational_function_order():
-    ctx = elliptic_context()
+def test_series_lead_escalates_past_first_truncation():
+    # at truncation 4 every coefficient of z^2 and 3*z^3 vanishes; their
+    # leading terms sit at orders 6 and 9, after one and two doublings
+    ctx = elliptic_context(truncation=4)
     ring = Ring(("x", "z"))
-    num = parse_polynomial("x", ring)
-    den = parse_polynomial("z", ring)
-    assert series_valuation((num, den), ctx) == 1 - 3
+    for text, expected in (("z^2", (6, 1)), ("3*z^3", (9, 3))):
+        f = parse_polynomial(text, ring)
+        assert ctx.expand(f).order() is None
+        assert ctx.lead(f) == expected
+        full = ctx.expand(f, ctx.cap)
+        assert (full.order(), full.coeffs[full.order()]) == expected
 
 
 def test_series_inconclusive_is_loud():

@@ -12,12 +12,9 @@ from okkit.embedding import (
     BaseLocusError,
     BasisTooLargeError,
     EmbeddingError,
-    InvalidScaleError,
-    ProjectivePoint,
     embed_point,
     enumerate_vd_basis,
     family_residual,
-    rescale_action,
     sample_intrinsic,
     toric_moment,
 )
@@ -96,13 +93,6 @@ class TestVdBasis:
         with pytest.raises(BasisTooLargeError):
             enumerate_vd_basis(datum, fam, d=21)
 
-    def test_descriptor_hash_stable_and_specific(self):
-        datum, fam, basis = pipeline("gl3-flag")
-        again = enumerate_vd_basis(datum, fam)
-        assert basis.descriptor_hash == again.descriptor_hash
-        other = enumerate_vd_basis(datum, fam, d=2)
-        assert basis.descriptor_hash != other.descriptor_hash
-
 
 class TestEmbedPoint:
     def test_p1_torus_fixed_point(self):
@@ -176,32 +166,11 @@ class TestEmbedPoint:
                 pt = embed_point(x, datum, fam, 0.5, basis)
                 assert pt.norm == pytest.approx(1)
 
-    def test_json_shape(self):
-        datum, fam, basis = pipeline("p1")
-        pt = embed_point((2 + 1j,), datum, fam, 1, basis)
-        blob = pt.to_json_dict()
-        assert blob["t"] == [1.0, 0.0]
-        assert blob["basis"] == basis.descriptor_hash
-        assert len(blob["z"]) == 2
-        assert all(len(pair) == 2 for pair in blob["z"])
-
 
 class TestRescaleAction:
-    def test_identity_scale(self):
-        datum, fam, basis = pipeline("p1xp1")
-        pt = embed_point((0.3 + 0.4j, 1.2 - 0.1j), datum, fam, 1, basis)
-        back = rescale_action(pt, 1, basis)
-        assert back.t == pt.t
-        for a, b in zip(back.z, pt.z):
-            assert a == pytest.approx(b, abs=1e-14)
-
-    def test_zero_scale_rejected(self):
-        datum, fam, basis = pipeline("p1")
-        pt = embed_point((1 + 0j,), datum, fam, 1, basis)
-        with pytest.raises(InvalidScaleError):
-            rescale_action(pt, 0, basis)
-
     def test_commutes_with_embedding(self):
+        """The C*-action, z_alpha by s^omega_alpha and t by s, then
+        renormalized, carries the embedding at t = 1 to the one at t = s."""
         rng = np.random.default_rng(11)
         for name in ("p1xp1", "elliptic"):
             datum, fam, basis = pipeline(name)
@@ -210,26 +179,14 @@ class TestRescaleAction:
                 ang = 2 * math.pi * rng.random()
                 s = mag * complex(math.cos(ang), math.sin(ang))
                 direct = embed_point(x, datum, fam, s, basis)
-                acted = rescale_action(
-                    embed_point(x, datum, fam, 1, basis), s, basis
-                )
-                assert acted.t == pytest.approx(direct.t)
-                for a, b in zip(acted.z, direct.z):
+                pt = embed_point(x, datum, fam, 1, basis)
+                z = np.array(pt.z) * np.array([s**w for w in basis.cstar_weights])
+                z /= np.linalg.norm(z)
+                pivot = int(np.argmax(np.abs(z)))
+                z *= abs(z[pivot]) / z[pivot]
+                assert s * pt.t == pytest.approx(direct.t)
+                for a, b in zip(z, direct.z):
                     assert a == pytest.approx(b, abs=1e-10)
-
-    def test_fixed_point_moves_only_t(self):
-        datum, fam, basis = pipeline("p1")
-        pt = embed_point((0j,), datum, fam, 1, basis)
-        moved = rescale_action(pt, 2, basis)
-        assert moved.z == pt.z
-        assert moved.t == 2
-
-    def test_basis_mismatch_rejected(self):
-        datum, fam, basis = pipeline("p1")
-        _, _, other = pipeline("elliptic")
-        pt = embed_point((1 + 0j,), datum, fam, 1, basis)
-        with pytest.raises(EmbeddingError, match="match"):
-            rescale_action(pt, 2, other)
 
 
 class TestToricMoment:

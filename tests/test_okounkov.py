@@ -153,6 +153,30 @@ class TestExtendedValue:
         f = parse_polynomial("a^2*c - a*b", gl3.ring)
         assert extended_value(f, 1, gl3) == BiDegree(1, (1, 1, 0))
 
+    @pytest.mark.parametrize("name", ["elliptic", "gl3"])
+    def test_lead_is_value_and_leading_coefficient(self, name, request):
+        # the leading term read independently: the lex-minimal term of the
+        # reduced class, or the first nonzero coefficient of its expansion
+        # at the escalation cap
+        datum = request.getfixturevalue(name)
+        rng = random.Random(20261018)
+        for _ in range(25):
+            sign = rng.choice([-1, 1])
+            scalar = Fraction(sign * rng.randint(1, 9), rng.randint(1, 4))
+            f = Polynomial.constant(datum.ring, scalar)
+            for _ in range(rng.randint(1, 4)):
+                f = f * rng.choice(datum.generators).representative
+            g = datum.reduce(f)
+            if datum.series_context is None:
+                u = min(g.terms)
+                expected = (u, g.terms[u])
+            else:
+                ctx = datum.series_context
+                series = ctx.expand(g, ctx.cap)
+                expected = ((series.order(),), series.coeffs[series.order()])
+            assert datum.lead(f) == expected
+            assert datum.value_of(f) == expected[0]
+
 
 # ---------------------------------------------------------------------------
 # subduction
