@@ -462,6 +462,7 @@ class SeriesContext:
         self.truncation = truncation
         self.cap = cap
         self._tables = {}  # truncation order -> {var: _Series}
+        self._powers = {}  # (truncation order, var, k) -> table[var] ** k
         self._table(truncation)
 
     # -- series construction ------------------------------------------------
@@ -505,7 +506,12 @@ class SeriesContext:
                 s = s + _Series(coeffs, trunc)
         return s
 
-    def _substitute(self, poly, table, trunc):
+    def _substitute(self, poly, table, trunc, powers=None):
+        """poly with each variable replaced by its series in table.
+
+        powers caches table[var] ** k under (trunc, var, k); pass it only
+        for a finished table, since the fixed-point sweep changes its own.
+        """
         out = _Series.zero(trunc)
         ring = poly.ring
         for e, c in poly.terms.items():
@@ -517,14 +523,20 @@ class SeriesContext:
                     raise EvaluationError(
                         "Laurent exponent under a series substitution"
                     )
-                term = term * (table[var] ** k)
+                if powers is None:
+                    power = table[var] ** k
+                else:
+                    power = powers.get((trunc, var, k))
+                    if power is None:
+                        power = powers[trunc, var, k] = table[var] ** k
+                term = term * power
             out = out + term
         return out
 
     def expand(self, poly: Polynomial, trunc: int | None = None) -> _Series:
         """Expand an ambient polynomial to a truncated series."""
         trunc = trunc or self.truncation
-        return self._substitute(poly, self._table(trunc), trunc)
+        return self._substitute(poly, self._table(trunc), trunc, self._powers)
 
     def lead(self, poly: Polynomial) -> tuple:
         """Leading term (order, coefficient) of a nonzero polynomial.

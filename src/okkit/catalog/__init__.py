@@ -172,18 +172,59 @@ def _build_datum(doc: dict, where: str) -> SagbiDatum:
     )
 
 
-def _parse_bidegrees(rows, where: str) -> tuple:
+def _integer(value, what: str, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CatalogError("%s: %s must hold integers, not %r" % (where, what, value))
+    return value
+
+
+def _row(value, length: int, what: str, where: str) -> list:
+    if not isinstance(value, list) or len(value) != length:
+        raise CatalogError(
+            "%s: %s must be a list of length %d, not %r"
+            % (where, what, length, value)
+        )
+    return value
+
+
+def _integers(values, length: int, what: str, where: str) -> tuple:
+    return tuple(_integer(v, what, where) for v in _row(values, length, what, where))
+
+
+def _parse_bidegrees(rows, width: int, field: str, where: str) -> tuple:
+    """[[level, [value...]]...] with value vectors of the given width."""
     out = []
     for row in rows:
-        level, value = row
-        out.append(BiDegree(int(level), tuple(int(v) for v in value)))
+        level, value = _row(row, 2, "each row of " + field, where)
+        level = _integer(level, "a level in " + field, where)
+        if level < 0:
+            raise CatalogError("%s: a level in %s is negative" % (where, field))
+        value = _integers(value, width, "a value in " + field, where)
+        out.append(BiDegree(level, value))
     return tuple(out)
 
 
-def _parse_vertices(rows) -> tuple:
-    return tuple(
-        tuple(Fraction(int(num), int(den)) for num, den in vertex)
-        for vertex in rows
+def _parse_vertices(rows, dim: int, field: str, where: str) -> tuple:
+    """[[[num, den]...]...] with vertices of the given dimension."""
+    out = []
+    for vertex in rows:
+        coords = []
+        for pair in _row(vertex, dim, "each vertex of " + field, where):
+            num, den = _integers(pair, 2, "a coordinate in " + field, where)
+            if den == 0:
+                raise CatalogError("%s: a denominator in %s is zero" % (where, field))
+            coords.append(Fraction(num, den))
+        out.append(tuple(coords))
+    return tuple(out)
+
+
+def _parse_matrix(rows, width: int, where: str) -> GradingHomomorphism:
+    """The homomorphism matrix: at least one row, each of the given width."""
+    if not rows:
+        raise CatalogError("%s: the homomorphism matrix has no rows" % where)
+    what = "each homomorphism matrix row"
+    return GradingHomomorphism(
+        tuple(_integers(row, width, what, where) for row in rows)
     )
 
 
@@ -206,8 +247,10 @@ def _verify_expectations(doc: dict, datum: SagbiDatum, where: str):
     degree = body.volume * math.factorial(body.ambient_dim)
 
     problems = []
+    n = body.ambient_dim
     want_gens = _parse_bidegrees(
-        _need(expected, "semigroup_generators", list, where), where
+        _need(expected, "semigroup_generators", list, where), n,
+        "semigroup_generators", where,
     )
     if sorted(want_gens) != sorted(semigroup.generators):
         problems.append(
@@ -217,7 +260,9 @@ def _verify_expectations(doc: dict, datum: SagbiDatum, where: str):
                 _format_bidegrees(semigroup.generators),
             )
         )
-    want_vertices = _parse_vertices(_need(expected, "body_vertices", list, where))
+    want_vertices = _parse_vertices(
+        _need(expected, "body_vertices", list, where), n, "body_vertices", where
+    )
     if sorted(want_vertices) != sorted(body.vertices):
         problems.append(
             "body vertices: file says %s, derivation gives %s"
@@ -242,13 +287,12 @@ def _verify_grading(doc: dict, semigroup, body, where: str):
         return None, None, None, []
     if not isinstance(block, dict):
         raise CatalogError("%s: homomorphism must be an object" % where)
-    grading = GradingHomomorphism(
-        tuple(tuple(int(x) for x in row) for row in _need(block, "matrix", list, where))
-    )
+    n = body.ambient_dim
+    grading = _parse_matrix(_need(block, "matrix", list, where), n + 1, where)
     sliced_semigroup, sliced_body = semigroup_slice(semigroup, body, grading)
     problems = []
     want_gens = _parse_bidegrees(
-        _need(block, "sliced_generators", list, where), where
+        _need(block, "sliced_generators", list, where), n, "sliced_generators", where
     )
     if sorted(want_gens) != sorted(sliced_semigroup.generators):
         problems.append(
@@ -258,7 +302,9 @@ def _verify_grading(doc: dict, semigroup, body, where: str):
                 _format_bidegrees(sliced_semigroup.generators),
             )
         )
-    want_vertices = _parse_vertices(_need(block, "sliced_vertices", list, where))
+    want_vertices = _parse_vertices(
+        _need(block, "sliced_vertices", list, where), n, "sliced_vertices", where
+    )
     if sorted(want_vertices) != sorted(sliced_body.vertices):
         problems.append(
             "sliced vertices: file says %s, derivation gives %s"

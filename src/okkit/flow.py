@@ -30,8 +30,10 @@ batched numpy calls, and the field at the last stage is reused as the
 next step's first when the state did not move after it.  ``flow_to`` is
 a batch of one, ``run_batch`` integrates all its trajectories together,
 and the Poisson bracket and the symplectic transport submit their
-perturbed flows as one batch each.  Every batched call works state by
-state, so a state's result does not depend on the batch around it.
+perturbed flows as one batch each; the bracket flows its batch once per
+point and answers every pair at that point from it.  Every batched call
+works state by state, so a state's result does not depend on the batch
+around it.
 
 Failures are never silent.  flow_to returns a FlowResult whose ``ok``
 flag is False and whose ``failure`` string says what happened; the
@@ -1092,27 +1094,41 @@ def _shifted_starts(model: _Model, cp: ChartPoint, Y: np.ndarray, tol: float):
     return [ChartPoint.from_real(cp.chart, y) for y in Y], errors
 
 
-def poisson_bracket(
-    i: int,
-    j: int,
-    x,
-    cfg: FlowConfig,
-    datum: SagbiDatum,
-    fam: FamilyPresentation,
-    basis: VdBasis,
-) -> float:
-    """Poisson bracket {F_i, F_j} at the intrinsic point x.
+# (key, datum, fam, basis, W, dF) of the last point _differentials computed.
+_last_differentials = None
 
-    Components are 1-based, matching the F_1..F_n columns of the CSV
-    export.  Differentials of F are estimated by central differences
-    along an orthonormal fiber frame at the embedded point, with all the
-    perturbed evaluations flowed as one batch; Hamiltonian vectors solve
-    against the restricted Kaehler form, and the value is antisymmetrized
-    so {F_i, F_i} is exactly zero.
+
+def _point_key(x) -> tuple:
+    """x's coordinates exactly, each with its type.
+
+    repr pins every bit of a float, the sign of a zero included, where
+    == would take -0.0 for 0.0; the type keeps 1 and 1.0 apart.
     """
-    n = basis.value_dim
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("component indices must lie in 1..%d" % n)
+    return tuple((type(c), repr(c)) for c in x)
+
+
+def _differentials(
+    x, cfg: FlowConfig, datum: SagbiDatum, fam: FamilyPresentation, basis: VdBasis
+):
+    """Restricted Kaehler form W and differential dF of F at x.
+
+    dF[k] is the central difference of F_{k+1} along the orthonormal
+    fiber frame, with all the perturbed evaluations flowed as one batch.
+    The last result is held with its key (x's exact coordinates, cfg by
+    value, and datum, fam and basis by identity) and returned, read-only,
+    while the key matches; a failure raises and holds nothing.
+    """
+    global _last_differentials
+    key = (_point_key(x), cfg)
+    held = _last_differentials
+    if (
+        held is not None
+        and held[0] == key
+        and held[1] is datum
+        and held[2] is fam
+        and held[3] is basis
+    ):
+        return held[4], held[5]
     model = _Model(fam, basis)
     cp = _fiber_basepoint(x, cfg, datum, fam, basis)
     E = _frame(model, cp, fiber_only=True)
@@ -1141,6 +1157,42 @@ def poisson_bracket(
             )
     values = np.array([outcome.F for outcome in outcomes])
     dF = ((values[0::2] - values[1::2]) / (2 * FD_STEP)).T
+    W.setflags(write=False)
+    dF.setflags(write=False)
+    _last_differentials = (key, datum, fam, basis, W, dF)
+    return W, dF
+
+
+def poisson_bracket(
+    i: int,
+    j: int,
+    x,
+    cfg: FlowConfig,
+    datum: SagbiDatum,
+    fam: FamilyPresentation,
+    basis: VdBasis,
+) -> float:
+    """Poisson bracket {F_i, F_j} at the intrinsic point x.
+
+    Components are 1-based, matching the F_1..F_n columns of the CSV
+    export.  Differentials of F are estimated by central differences
+    along an orthonormal fiber frame at the embedded point, with all the
+    perturbed evaluations flowed as one batch; Hamiltonian vectors solve
+    against the restricted Kaehler form, and the value is antisymmetrized
+    so {F_i, F_i} is exactly zero.
+
+    The form and the differentials depend on the point, not on the pair,
+    so they are computed once per point and reused by later calls for
+    other pairs at the same x, cfg, datum, fam and basis; only the last
+    point is kept.  Warnings such as IllConditionedWarning come from the
+    perturbed flows and so fire on the call that computes them only.  A
+    point whose flows fail is computed again, and fails again, on every
+    call.
+    """
+    n = basis.value_dim
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("component indices must lie in 1..%d" % n)
+    W, dF = _differentials(x, cfg, datum, fam, basis)
     a_i = np.linalg.solve(W.T, dF[i - 1])
     a_j = np.linalg.solve(W.T, dF[j - 1])
     raw = float(a_j @ W @ a_i)

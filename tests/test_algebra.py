@@ -232,6 +232,21 @@ def test_series_lead_escalates_past_first_truncation():
         assert (full.order(), full.coeffs[full.order()]) == expected
 
 
+def test_series_cached_powers_change_no_expansion():
+    # expand keeps table[var] ** k per truncation; every expansion must
+    # equal the uncached substitution, at the working order and after an
+    # escalation to a second table
+    ctx = elliptic_context(truncation=8)
+    ring = Ring(("x", "z"))
+    rng = random.Random(97)
+    for _ in range(10):
+        f = random_polynomial(rng, ring, max_deg=5)
+        for trunc in (8, 16):
+            plain = ctx._substitute(f, ctx._table(trunc), trunc)
+            assert ctx.expand(f, trunc).coeffs == plain.coeffs
+    assert {key[0] for key in ctx._powers} == {8, 16}
+
+
 def test_series_inconclusive_is_loud():
     # x^3 + z^3 - z is identically zero on the branch: every coefficient
     # vanishes, and the backend must refuse rather than guess

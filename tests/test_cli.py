@@ -151,6 +151,52 @@ class TestBody:
         assert "flow settings rejected" in result.stderr
 
 
+# (entry, path into the document, replacement): malformed expectations
+# that must be refused with exit 2, not end in an exception
+MALFORMED = [
+    ("p1xp1", ("expected", "semigroup_generators", 0), None),
+    ("p1xp1", ("expected", "semigroup_generators", 0), []),
+    ("p1xp1", ("expected", "semigroup_generators", 0, 0), -1),
+    ("p1xp1", ("expected", "semigroup_generators", 0, 1, 0), "x"),
+    ("p1xp1", ("expected", "semigroup_generators", 0, 1), [0]),
+    ("p1xp1", ("expected", "body_vertices", 0), None),
+    ("p1xp1", ("expected", "body_vertices", 0, 0), 0.5),
+    ("p1xp1", ("expected", "body_vertices", 0, 0, 1), 0),
+    ("elliptic", ("expected", "semigroup_generators", 1, 1, 0), {}),
+    ("elliptic", ("expected", "body_vertices", 1, 0, 0), "3"),
+    ("elliptic-quotient-demo", ("homomorphism", "matrix"), []),
+    ("elliptic-quotient-demo", ("homomorphism", "matrix", 0), [-1, 1, 0]),
+    ("elliptic-quotient-demo", ("homomorphism", "matrix", 0, 0), "x"),
+    ("elliptic-quotient-demo", ("homomorphism", "sliced_generators", 0, 1), [None]),
+    ("elliptic-quotient-demo", ("homomorphism", "sliced_vertices", 0, 0), [1]),
+]
+
+
+def _malformed_id(case):
+    name, path, value = case
+    return "%s:%s=%s" % (name, "/".join(map(str, path[1:])), json.dumps(value))
+
+
+@pytest.mark.parametrize(
+    "name, path, value", MALFORMED, ids=map(_malformed_id, MALFORMED)
+)
+def test_malformed_expectations_exit_2(runner, tmp_path, name, path, value):
+    import okkit.catalog as cat
+
+    source = Path(cat.__file__).parent / "data" / (name + ".json")
+    doc = json.loads(source.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["body", str(bad)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 class TestBodySvgUnits:
     def test_one_marker_per_vertex(self):
         body = load_example("p1").body

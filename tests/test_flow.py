@@ -1,10 +1,13 @@
 """Flow module: charts, frames, the field, integration, brackets."""
 
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import okkit.flow as flow
 from okkit.degeneration import build_family, build_projection
 from okkit.embedding import (
     embed_point,
@@ -21,7 +24,9 @@ from okkit.flow import (
     FlowError,
     FlowResult,
     SingularPointError,
+    _differentials,
     _eval_from_chart,
+    _point_key,
     ambient_metric,
     ambient_symplectic,
     diagnostics_dict,
@@ -454,6 +459,21 @@ class TestRunBatch:
                 assert leg.terminal == other.terminal
 
 
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """Empty the bracket's held point and count the batches it flows."""
+    monkeypatch.setattr(flow, "_last_differentials", None)
+    calls = []
+    evaluate = flow._evaluate
+
+    def counted(model, starts, cfg):
+        calls.append(len(starts))
+        return evaluate(model, starts, cfg)
+
+    monkeypatch.setattr(flow, "_evaluate", counted)
+    return calls
+
+
 class TestPoissonBracket:
     def test_segre_moments_commute(self, p1xp1):
         datum, fam, basis = p1xp1
@@ -485,6 +505,65 @@ class TestPoissonBracket:
             poisson_bracket(0, 1, x, cfg, datum, fam, basis)
         with pytest.raises(ValueError, match="1..2"):
             poisson_bracket(1, 3, x, cfg, datum, fam, basis)
+
+    def test_three_pairs_flow_one_batch(self, gl3, evaluations):
+        datum, fam, basis = gl3
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(73))[0]
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            poisson_bracket(i, j, x, cfg, datum, fam, basis)
+        # one batch of the 2k perturbed starts, k the fiber frame's width
+        assert evaluations == [2 * (2 * basis.value_dim)]
+
+    def test_reuse_equals_cold_computation(self, p1xp1, evaluations):
+        datum, fam, basis = p1xp1
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(79))[0]
+        pairs = ((1, 2), (2, 1), (1, 1))
+        reused = [poisson_bracket(i, j, x, cfg, datum, fam, basis) for i, j in pairs]
+        W, dF = _differentials(x, cfg, datum, fam, basis)
+        assert len(evaluations) == 1
+        assert not W.flags.writeable and not dF.flags.writeable
+        for (i, j), value in zip(pairs, reused):
+            flow._last_differentials = None
+            cold = poisson_bracket(i, j, x, cfg, datum, fam, basis)
+            assert cold.hex() == value.hex()
+        cold_W, cold_dF = flow._last_differentials[4:]
+        assert cold_W.tobytes() == W.tobytes() and cold_dF.tobytes() == dF.tobytes()
+        assert len(evaluations) == 1 + len(pairs)
+
+    def test_changed_key_recomputes(self, p1xp1, evaluations):
+        datum, fam, basis = p1xp1
+        cfg = FlowConfig()
+        x, y = sample_intrinsic(datum, 2, np.random.default_rng(83))
+        poisson_bracket(1, 2, x, cfg, datum, fam, basis)
+        assert len(evaluations) == 1
+        poisson_bracket(1, 2, x, replace(cfg, delta=cfg.delta / 2), datum, fam, basis)
+        assert len(evaluations) == 2
+        poisson_bracket(1, 2, y, cfg, datum, fam, basis)
+        assert len(evaluations) == 3
+        twin = copy.copy(fam)
+        assert twin == fam and twin is not fam
+        poisson_bracket(1, 2, y, cfg, datum, twin, basis)
+        assert len(evaluations) == 4
+        poisson_bracket(2, 1, y, cfg, datum, twin, basis)
+        assert len(evaluations) == 4
+
+    def test_point_key_is_exact(self):
+        assert _point_key([1]) != _point_key([1.0])
+        assert _point_key([0.0]) != _point_key([-0.0])
+        assert _point_key([complex(1, 0.0)]) != _point_key([complex(1, -0.0)])
+        assert _point_key([0.1 + 0.2j]) == _point_key([0.1 + 0.2j])
+
+    def test_failing_point_raises_every_call(self, p1xp1, evaluations):
+        datum, fam, basis = p1xp1
+        cfg = FlowConfig(max_steps=1)
+        x = sample_intrinsic(datum, 1, np.random.default_rng(89))[0]
+        for _ in range(2):
+            with pytest.raises(FlowError, match="perturbed flow failed"):
+                poisson_bracket(1, 2, x, cfg, datum, fam, basis)
+        assert len(evaluations) == 2
+        assert flow._last_differentials is None
 
 
 class TestSymplecticResidual:
