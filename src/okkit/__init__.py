@@ -53,7 +53,6 @@ from okkit.okounkov import (
     SagbiGenerator,
     ValueSemigroup,
     degree_check,
-    extended_value,
     okounkov_body,
     semigroup_hilbert,
     subduct,

@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
-__all__ = ["HullError", "RationalHull", "convex_hull", "lattice_points"]
+__all__ = ["HullError", "RationalHull", "convex_hull"]
 
 
 class HullError(Exception):
@@ -391,23 +391,3 @@ def _independent_subset(diffs, dim):
             if len(chosen) == dim:
                 break
     return chosen
-
-
-def lattice_points(hull: RationalHull):
-    """All integer points in the hull, in ascending lexicographic order."""
-    n = hull.ambient_dim
-    los = [min(v[i] for v in hull.vertices) for i in range(n)]
-    his = [max(v[i] for v in hull.vertices) for i in range(n)]
-    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(los, his)]
-    out = []
-
-    def rec(idx, acc):
-        if idx == n:
-            if hull.contains(acc):
-                out.append(tuple(acc))
-            return
-        for x in ranges[idx]:
-            rec(idx + 1, acc + [x])
-
-    rec(0, [])
-    return out

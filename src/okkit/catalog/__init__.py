@@ -127,7 +127,8 @@ def _need(doc: dict, key: str, kind, where: str):
 
 def _build_datum(doc: dict, where: str) -> SagbiDatum:
     variables = _need(doc, "ring", list, where)
-    ring = Ring(tuple(variables), laurent=bool(doc.get("laurent", False)))
+    laurent = "laurent" in doc and _need(doc, "laurent", bool, where)
+    ring = Ring(tuple(variables), laurent=laurent)
     backend = _need(doc, "backend", str, where)
     if backend not in (MONOMIAL_BACKEND, SERIES_BACKEND):
         raise CatalogError("%s: unknown backend %r" % (where, backend))
@@ -157,10 +158,10 @@ def _build_datum(doc: dict, where: str) -> SagbiDatum:
             raise CatalogError("%s: generator rows must be objects" % where)
         generators.append(
             SagbiGenerator(
-                int(row["level"]),
-                int(row["index"]),
+                _integer(row.get("level"), "a generator level", where),
+                _integer(row.get("index"), "a generator index", where),
                 parse_polynomial(str(row["representative"]), ring),
-                tuple(int(v) for v in row["value"]),
+                _integers(row.get("value"), None, "a generator value", where),
             )
         )
     return SagbiDatum(
@@ -178,16 +179,17 @@ def _integer(value, what: str, where: str) -> int:
     return value
 
 
-def _row(value, length: int, what: str, where: str) -> list:
-    if not isinstance(value, list) or len(value) != length:
+def _row(value, length: int | None, what: str, where: str) -> list:
+    """value, which must be a list, of the given length unless that is None."""
+    if not isinstance(value, list) or length not in (None, len(value)):
         raise CatalogError(
-            "%s: %s must be a list of length %d, not %r"
-            % (where, what, length, value)
+            "%s: %s must be a list%s, not %r"
+            % (where, what, "" if length is None else " of length %d" % length, value)
         )
     return value
 
 
-def _integers(values, length: int, what: str, where: str) -> tuple:
+def _integers(values, length: int | None, what: str, where: str) -> tuple:
     return tuple(_integer(v, what, where) for v in _row(values, length, what, where))
 
 
@@ -361,7 +363,7 @@ def _load_document(doc: dict, where: str) -> CatalogEntry:
         flow = FlowConfig(epsilon=epsilon, delta=delta)
     except ValueError as exc:
         raise CatalogError("%s: flow settings rejected: %s" % (where, exc)) from exc
-    extended = bool(flow_doc.get("extended", False))
+    extended = "extended" in flow_doc and _need(flow_doc, "extended", bool, where)
 
     return CatalogEntry(
         name=name,

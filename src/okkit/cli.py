@@ -31,6 +31,7 @@ import click
 import numpy as np
 
 from okkit.catalog import CatalogEntry, CatalogError, list_examples, load_entry_file, load_example
+from okkit.catalog import _need, _parse_matrix
 from okkit.degeneration import DegenerationError, build_family, build_projection
 from okkit.embedding import (
     EmbeddingError,
@@ -47,7 +48,7 @@ from okkit.flow import (
     run_batch,
     trajectory_csv,
 )
-from okkit.okounkov import GradingHomomorphism, NotInSemigroupError, subduct
+from okkit.okounkov import NotInSemigroupError, subduct
 from okkit.okounkov import slice as semigroup_slice
 
 COMMUTATION_TOLERANCE = 1e-6
@@ -522,26 +523,23 @@ def slice_cmd(ctx, entry, hom_path, samples, seed, json_path):
     if samples < 1:
         raise click.UsageError("at least one sample is required")
     if hom_path is not None:
+        where = "homomorphism file %s" % hom_path
         try:
             with open(hom_path, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
-            grading = GradingHomomorphism(
-                tuple(tuple(int(x) for x in row) for row in doc["matrix"])
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise click.UsageError(
-                "homomorphism file %s: %s" % (hom_path, exc)
-            ) from exc
+            if not isinstance(doc, dict):
+                raise CatalogError("%s: must hold one JSON object" % where)
+            width = loaded.semigroup.value_dim + 1
+            grading = _parse_matrix(_need(doc, "matrix", list, where), width, where)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise click.UsageError("%s: not valid JSON: %s" % (where, exc)) from exc
+        except CatalogError as exc:
+            raise click.UsageError(str(exc)) from exc
     elif loaded.grading is not None:
         grading = loaded.grading
     else:
         raise click.UsageError(
             "entry %r carries no grading; pass --homomorphism" % loaded.name
-        )
-    if grading.domain_dim != loaded.semigroup.value_dim + 1:
-        raise click.UsageError(
-            "grading matrix has %d columns, expected %d"
-            % (grading.domain_dim, loaded.semigroup.value_dim + 1)
         )
 
     sliced_semigroup, sliced_body = semigroup_slice(

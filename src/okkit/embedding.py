@@ -35,6 +35,7 @@ __all__ = [
     "enumerate_vd_basis",
     "embed_point",
     "toric_moment",
+    "toric_moments",
     "reduced_moment",
     "sample_intrinsic",
 ]
@@ -275,24 +276,32 @@ def embed_point(
     return ProjectivePoint(_normalize(coords), t)
 
 
+def toric_moments(Z: np.ndarray, basis: VdBasis) -> np.ndarray:
+    """The moment map at level d on the rows of Z (its first basis.size
+    columns): sum |z_a|^2 lambda_a / (d sum |z_a|^2), masses re^2 + im^2.
+
+    Both sums run over the basis entries in order, so rows never mix and
+    a row's value does not depend on the batch; 0.0 + makes an all-zero
+    sum +0.0, as a loop from zero would.
+    """
+    masses = Z.real[:, : basis.size] ** 2 + Z.imag[:, : basis.size] ** 2
+    weights = np.array(basis.torus_weights, dtype=float)
+    total = 0.0 + np.add.accumulate(masses, axis=1)[:, -1]
+    out = 0.0 + np.add.accumulate(masses[:, :, None] * weights, axis=1)[:, -1]
+    if not total.all():
+        raise EmbeddingError("moment map is undefined at the zero vector")
+    return out / (basis.degree * total)[:, None]
+
+
 def toric_moment(point, basis: VdBasis):
     """Weighted average of the torus weights: the moment map at level d.
 
-    mu(z) = sum |z_a|^2 lambda_a / (d sum |z_a|^2).  The 1/d factor puts
-    the image inside the body of the value semigroup.
+    The 1/d factor puts the image inside the body of the value
+    semigroup.  A batch of one of :func:`toric_moments`, so it returns
+    the same bits as the flow's recorded moments.
     """
     z = point.z if isinstance(point, ProjectivePoint) else tuple(point)
-    masses = [abs(c) ** 2 for c in z]
-    total = sum(masses)
-    if total == 0:
-        raise EmbeddingError("moment map is undefined at the zero vector")
-    n = basis.value_dim
-    out = [0.0] * n
-    for m, lam in zip(masses, basis.torus_weights):
-        if m:
-            for i in range(n):
-                out[i] += m * lam[i]
-    return tuple(v / (basis.degree * total) for v in out)
+    return tuple(toric_moments(np.array([z], dtype=complex), basis)[0].tolist())
 
 
 def reduced_moment(point, basis: VdBasis, grading) -> tuple:

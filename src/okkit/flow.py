@@ -19,21 +19,22 @@ chart index, the affine coordinates of the remaining symbols, and t.
 Only degree-one bases are supported; the family relations are polynomials
 in the symbols themselves, so the fiber equations need no re-expression.
 
-There is one integration path, and it is batched.  The field is closed
-form: the relations' partial derivatives are one stacked polynomial
-system, so the Jacobians of a batch of states are one product; an SVD
-per state gives the kernel B (realified), and with the metric G,
-V = -B c / (g^T c) for g = B^T G e_{Re t} and c = (B^T G B)^-1 g.  The
-integrator is a lockstep Dormand-Prince 5(4) over the batch: each state
-keeps its own chart, step size, counters and failure, the stages are
-batched numpy calls, and the field at the last stage is reused as the
-next step's first when the state did not move after it.  ``flow_to`` is
-a batch of one, ``run_batch`` integrates all its trajectories together,
-and the Poisson bracket and the symplectic transport submit their
-perturbed flows as one batch each; the bracket flows its batch once per
-point and answers every pair at that point from it.  Every batched call
-works state by state, so a state's result does not depend on the batch
-around it.
+There is one integration path, and it is batched: a round is a fixed
+number of numpy calls over the states, with Python loops over states
+only where something fails.  The field is closed form and complex, as
+the tangent space is: an SVD per state gives the kernel K of the chart
+Jacobian, the metric restricted to it is a Hermitian M in closed form,
+and V = -K c / Re(g^H c) for g the conjugated t row of K, c = M^-1 g.
+The integrator is a lockstep Dormand-Prince 5(4): each state keeps its
+own chart, step size, counters and failure; the last stage's field is
+reused as the next step's first when the state did not move after it;
+the retraction takes one batched minimum-norm Gauss-Newton step per
+iteration; one pass over the accepted states records their samples,
+toric moments included.  ``flow_to`` is a batch of one, ``run_batch``
+integrates all its trajectories together, and the Poisson bracket (once
+per point) and the symplectic transport flow their perturbed starts as
+one batch each.  Every batched call works state by state, so a state's
+result does not depend on the batch around it.
 
 Failures are never silent.  flow_to returns a FlowResult whose ``ok``
 flag is False and whose ``failure`` string says what happened; the
@@ -55,8 +56,8 @@ from okkit.embedding import (
     EmbeddingError,
     ProjectivePoint,
     VdBasis,
-    toric_moment,
     embed_point,
+    toric_moments,
 )
 from okkit.okounkov import SagbiDatum
 
@@ -187,20 +188,12 @@ class ChartPoint:
 
     def as_real(self) -> np.ndarray:
         """Layout: Re w_0, Im w_0, ..., Re t, Im t."""
-        n = len(self.w)
-        y = np.empty(2 * n + 2)
-        for j, v in enumerate(self.w):
-            y[2 * j] = v.real
-            y[2 * j + 1] = v.imag
-        y[2 * n] = self.t.real
-        y[2 * n + 1] = self.t.imag
-        return y
+        return np.array(self.w + (self.t,), dtype=complex).view(float)
 
     @classmethod
     def from_real(cls, chart: int, y: np.ndarray) -> "ChartPoint":
-        n = (len(y) - 2) // 2
-        w = tuple(complex(y[2 * j], y[2 * j + 1]) for j in range(n))
-        return cls(chart, w, complex(y[2 * n], y[2 * n + 1]))
+        z = np.ascontiguousarray(y, dtype=float).view(complex).tolist()
+        return cls(chart, z[:-1], z[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +334,11 @@ class _Model:
     """Compiled relations and Jacobian of one embedded family.
 
     The relations form one stacked system, and so do all their partial
-    derivatives (relation by relation, each by the symbols and then tau),
-    so the complex Jacobian at a batch of points is a single product and
-    the fiber Jacobian is a column slice of it.
+    derivatives (relation by relation, each by the symbols and then tau).
+    Per chart the partials' exponents are kept over the chart
+    coordinates, so the complex Jacobians at a batch of chart states are
+    read straight off the real layout: one vector-matrix product per
+    state, and a gather of each state's chart columns.
     """
 
     def __init__(self, fam: FamilyPresentation, basis: VdBasis):
@@ -361,7 +356,7 @@ class _Model:
         nv = self.nsym + 1  # symbols plus tau
         self.n_rel = len(fam.family)
         self.relations = CompiledPolynomial.stack(fam.family, nv)
-        self.partials = CompiledPolynomial.stack(
+        partials = CompiledPolynomial.stack(
             [_differentiate(g, v) for g in fam.family for v in range(nv)], nv
         )
         # Full-coordinate column of each chart coordinate, per chart: the
@@ -370,8 +365,12 @@ class _Model:
             [[v for v in range(nv) if v != c] for c in range(self.nsym)],
             dtype=np.intp,
         ).reshape(self.nsym, self.nsym)
-        # Per chart, the entries of the flattened partials that make up the
-        # chart Jacobian, with and without the t column.
+        # Per chart, the partials' exponents of the chart coordinates (the
+        # pivot is 1, so its powers drop out), and the entries of the
+        # flattened partials that make up the chart Jacobian, with and
+        # without the t column.
+        self.chart_exps = partials.exps[:, self.columns].transpose(1, 0, 2)
+        self.partial_coeffs = partials.coeffs
         offsets = nv * np.arange(self.n_rel)[:, None]
         self.jacobian_entries = {
             fiber_only: np.array(
@@ -402,75 +401,66 @@ class _Model:
         return relative_residual(self.relations, Z)
 
     def jacobian(
-        self, Z: np.ndarray, charts: np.ndarray, fiber_only: bool
+        self, charts: np.ndarray, Y: np.ndarray, fiber_only: bool
     ) -> np.ndarray:
-        """Complex Jacobians in chart coordinates, shape (batch, relations, columns).
+        """Complex Jacobians at real chart states, shape (batch, relations, columns).
 
         Columns follow the chart layout: the non-pivot symbols in basis
         order, then t unless fiber_only is set.
         """
+        w = np.ascontiguousarray(Y).view(complex)[:, None, :]
+        monomials = (w ** self.chart_exps[charts]).prod(axis=-1)
+        full = (monomials[:, None, :] @ self.partial_coeffs)[:, 0]
         entries = self.jacobian_entries[fiber_only][charts]
-        full = self.partials.values(Z)
-        J = full[np.arange(len(Z))[:, None], entries]
-        return J.reshape(len(Z), self.n_rel, entries.shape[1] // max(self.n_rel, 1))
-
-    def moment(self, cp: ChartPoint) -> tuple:
-        return toric_moment(cp.full_coords(), self.basis)
+        return full[np.arange(len(charts))[:, None], entries].reshape(
+            len(charts), self.n_rel, -1
+        )
 
 
 # ---------------------------------------------------------------------------
 # metric, symplectic form, tangent space
 
 
-def _fs_metric(w: np.ndarray) -> np.ndarray:
-    """Real Fubini-Study metric in an affine chart, plus a flat t block.
+def _realify(A: np.ndarray) -> np.ndarray:
+    """The real matrix of a complex one on the layout Re, Im, Re, Im, ...
 
-    w holds the chart coordinates, with any leading batch axes.  The
-    complex Hermitian matrix h fills the real metric in 2x2 blocks
-    [[Re h, Im h], [-Im h, Re h]].
+    Entry A_pq becomes the 2x2 block [[Re, -Im], [Im, Re]], so column 2q
+    is column q of A and column 2q + 1 is i times it.
     """
-    n = w.shape[-1]
-    batch = w.shape[:-1]
-    re, im = w.real, w.imag
-    one = 1.0 + np.add.reduce(re * re + im * im, axis=-1)
-    denom = (one * one)[..., None, None]
-    h = (-np.conj(w)[..., :, None] * w[..., None, :]) / denom
-    diag = np.arange(n)
-    h[..., diag, diag] += (one / denom[..., 0, 0])[..., None]
-    G = np.zeros(batch + (2 * n + 2, 2 * n + 2))
-    G[..., 0 : 2 * n : 2, 0 : 2 * n : 2] = h.real
-    G[..., 0 : 2 * n : 2, 1 : 2 * n : 2] = h.imag
-    G[..., 1 : 2 * n : 2, 0 : 2 * n : 2] = -h.imag
-    G[..., 1 : 2 * n : 2, 1 : 2 * n : 2] = h.real
-    G[..., 2 * n, 2 * n] = 1.0
-    G[..., 2 * n + 1, 2 * n + 1] = 1.0
-    return G
+    p, q = A.shape
+    R = np.empty((2 * p, 2 * q))
+    R[0::2, 0::2] = R[1::2, 1::2] = A.real
+    R[1::2, 0::2] = A.imag
+    R[0::2, 1::2] = -A.imag
+    return R
 
 
-def _j_matrix(dim: int) -> np.ndarray:
-    J = np.zeros((dim, dim))
-    for k in range(0, dim, 2):
-        J[k, k + 1] = -1.0
-        J[k + 1, k] = 1.0
-    return J
+def _fubini_study(cp: ChartPoint) -> np.ndarray:
+    """The Hermitian H = (I - w w^H / one) / one, one = 1 + |w|^2, on the
+    chart coordinates w, with 1 on t."""
+    w = np.asarray(cp.w, dtype=complex)
+    one = 1.0 + float(np.vdot(w, w).real)
+    H = np.eye(len(w) + 1, dtype=complex)
+    H[:-1, :-1] = (np.eye(len(w)) - np.outer(w, w.conj()) / one) / one
+    return H
 
 
 def ambient_metric(cp: ChartPoint) -> np.ndarray:
-    """Product metric (Fubini-Study on the chart, flat on t) at cp."""
-    return _fs_metric(np.asarray(cp.w, dtype=complex))
+    """Product metric (Fubini-Study on the chart, flat on t) at cp: the
+    real form Re(u^H H v)."""
+    return _realify(_fubini_study(cp))
 
 
 def ambient_symplectic(cp: ChartPoint) -> np.ndarray:
-    """Kaehler form of the product metric: W[a,b] = g(J a, b)."""
-    G = ambient_metric(cp)
-    return _j_matrix(G.shape[0]).T @ G
+    """Kaehler form of the product metric: W[a,b] = g(J a, b), with J
+    multiplication by i, so W[a,b] = Re((i a)^H H b)."""
+    return _realify(-1j * _fubini_study(cp))
 
 
 def _flag(errors: list, mask: np.ndarray, error: Exception) -> None:
     """Give error to every masked state that has none yet."""
-    if np.count_nonzero(mask):
-        for b in np.flatnonzero(mask):
-            errors[b] = errors[b] or error
+    for b in np.flatnonzero(mask):
+        errors[b] = errors[b] or error
 
 
 def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
@@ -483,12 +473,12 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
         else:
             weakest = np.zeros(len(sigma))
         low = weakest <= 1e-10 * np.maximum(1.0, smax)
-        _flag(errors, low, SingularPointError(
-            "family Jacobian has rank below %d at this point" % r_exp
-        ))
-        ill = ~low & (smax > CONDITION_LIMIT * weakest)
-        if np.count_nonzero(ill):
-            for b in np.flatnonzero(ill):
+        ill = smax > CONDITION_LIMIT * weakest
+        if low.any() or ill.any():
+            _flag(errors, low, SingularPointError(
+                "family Jacobian has rank below %d at this point" % r_exp
+            ))
+            for b in np.flatnonzero(~low & ill):
                 warnings.warn(
                     "tangent extraction is ill conditioned (ratio %.3g)"
                     % (smax[b] / weakest[b]),
@@ -497,86 +487,93 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
                 )
     if sigma.shape[1] > r_exp:
         high = sigma[:, r_exp] > 1e-6 * np.maximum(smax, 1e-300)
-        _flag(errors, high, SingularPointError(
-            "family Jacobian rank exceeds the expected %d" % r_exp
-        ))
+        if high.any():
+            _flag(errors, high, SingularPointError(
+                "family Jacobian rank exceeds the expected %d" % r_exp
+            ))
 
 
 def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool):
     """Tangent spaces of the family at a batch of real chart states.
 
-    Returns the realified kernel B (batch, 2n_w + 2, 2k), whose columns
-    span each tangent space as a J-invariant real span; B^T G B for the
-    product metric G; its Cholesky factor L; and per state an exception
-    or None.  A state whose Jacobian rank is off, or whose B^T G B has a
-    Cholesky pivot below 1e-12, gets a SingularPointError and harmless
-    placeholder values.
+    The kernel K of the chart Jacobian is spanned by trailing right
+    singular vectors, so K^H, with orthonormal rows, is a slice of the
+    SVD's Vh.  With w the chart coordinates, one = 1 + |w|^2, a = K_w^H w
+    and g = K^H e_t, the metric H of ``ambient_metric`` restricts to
+    M = K^H H K = I / one + (1 - 1/one) g g^H - a a^H / one^2 (no g term
+    when fiber_only drops the t column).  The real Gram matrix of the
+    realified kernel (columns v, i v) is the realification of M, and its
+    Cholesky factor that of L = chol(M), so the pivots are L's diagonal.
+    Returns K^H, M, L and per state an exception or None: a state whose
+    Jacobian rank is off, or whose L has a pivot below 1e-12, gets a
+    SingularPointError and harmless placeholder values.
     """
     n = len(charts)
     errors = [None] * n
+    Y = np.ascontiguousarray(Y)
     if not np.isfinite(Y).all():
         finite = np.isfinite(Y).all(axis=1)
         _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
         Y = np.where(finite[:, None], Y, 0.0)
-    n_cols = model.n_w + (0 if fiber_only else 1)
-    r_exp = n_cols - model.m + (1 if fiber_only else 0)
+    n_w = model.n_w
+    # the expected rank, the same with or without the t column
+    r_exp = n_w + 1 - model.m
     if model.n_rel:
-        J = model.jacobian(model.points(charts, Y), charts, fiber_only)
-        _, sigma, Vh = np.linalg.svd(J)
+        _, sigma, Vh = np.linalg.svd(model.jacobian(charts, Y, fiber_only))
         _rank_checks(sigma, r_exp, errors)
-        # kernel vectors are the conjugated trailing rows of Vh
-        re = Vh.real[:, r_exp:, :].transpose(0, 2, 1)
-        im = Vh.imag[:, r_exp:, :].transpose(0, 2, 1)
+        KH = Vh[:, r_exp:]
     else:
-        re = np.broadcast_to(np.eye(n_cols), (n, n_cols, n_cols))
-        im = np.zeros((n, n_cols, n_cols))
-    # Each complex kernel vector v gives the real columns v and i v.
-    B = np.zeros((n, 2 * model.n_w + 2, 2 * re.shape[2]))
-    B[:, 0 : 2 * n_cols : 2, 0::2] = re
-    B[:, 1 : 2 * n_cols : 2, 0::2] = -im
-    B[:, 0 : 2 * n_cols : 2, 1::2] = im
-    B[:, 1 : 2 * n_cols : 2, 1::2] = re
-    G = _fs_metric(np.ascontiguousarray(Y).view(complex)[:, : model.n_w])
-    gram = B.transpose(0, 2, 1) @ G @ B
+        n_cols = n_w + (0 if fiber_only else 1)
+        KH = np.broadcast_to(np.eye(n_cols, dtype=complex), (n, n_cols, n_cols))
+    w = Y[:, : 2 * n_w]
+    inv = 1.0 / (1.0 + np.add.reduce(w * w, axis=1))
+    a = KH[:, :, :n_w] @ Y.view(complex)[:, :n_w, None]
+    M = a * (a.conj().transpose(0, 2, 1) * -(inv * inv)[:, None, None])
+    if not fiber_only:
+        g = KH[:, :, n_w, None]
+        M += g * (g.conj().transpose(0, 2, 1) * (1.0 - inv)[:, None, None])
+    diag = np.arange(M.shape[-1])
+    M[:, diag, diag] += inv[:, None]
     if any(errors):
-        gram[[e is not None for e in errors]] = np.eye(gram.shape[-1])
-    degenerate = SingularPointError(
-        "tangent vectors degenerate during orthonormalization"
-    )
+        M[[e is not None for e in errors]] = np.eye(len(diag))
+    degenerate = "tangent vectors degenerate during orthonormalization"
     try:
-        L = np.linalg.cholesky(gram)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        L = np.empty_like(gram)
+        L = np.empty_like(M)
         for b in range(n):
             try:
-                L[b] = np.linalg.cholesky(gram[b])
+                L[b] = np.linalg.cholesky(M[b])
             except np.linalg.LinAlgError:
-                L[b] = gram[b] = np.eye(gram.shape[-1])
-                errors[b] = errors[b] or degenerate
-    _flag(errors, np.diagonal(L, axis1=1, axis2=2).min(axis=1) < 1e-12, degenerate)
-    return B, gram, L, errors
+                L[b] = M[b] = np.eye(M.shape[-1])
+                errors[b] = errors[b] or SingularPointError(degenerate)
+    pivots = L[:, diag, diag].real
+    if not (pivots >= 1e-12).all():
+        _flag(errors, pivots.min(axis=1) < 1e-12, SingularPointError(degenerate))
+    return KH, M, L, errors
 
 
 def _field(model: _Model, charts: np.ndarray, Y: np.ndarray):
     """The flow field at a batch of states, and per state an exception or None.
 
-    With g = B^T G e_{Re t} and c = (B^T G B)^-1 g, the G-orthogonal
-    projection of e_{Re t} onto the tangent space is B c and its squared
-    norm is g^T c, so V = -B c / (g^T c).
+    With g the conjugated t row of K and c = M^-1 g, the metric
+    projection of e_{Re t} onto the tangent space is K c, and its squared
+    norm is Re(g^H c), so V = -K c / Re(g^H c), laid out as a real chart
+    vector.  Its Re t entry is exactly -1.
     """
-    B, gram, _, errors = _tangent(model, charts, Y, fiber_only=False)
-    # G e_{Re t} = e_{Re t}: the t block of the metric is flat.
-    g = B[:, 2 * model.n_w, None, :]
-    c = np.linalg.solve(gram, g.transpose(0, 2, 1))
-    nsq = (g @ c)[:, 0, 0]
+    KH, M, _, errors = _tangent(model, charts, Y, fiber_only=False)
+    c = np.linalg.solve(M, KH[:, :, model.n_w, None])
+    # the t entry of K c is g^H c
+    Kc = (KH.conj().transpose(0, 2, 1) @ c)[:, :, 0]
+    nsq = Kc[:, model.n_w].real
     critical = nsq < CRITICAL_NORM**2
-    if np.count_nonzero(critical):
+    if critical.any():
         for b in np.flatnonzero(critical):
             errors[b] = errors[b] or CriticalPointError(
                 "projected time gradient has norm %.3g" % math.sqrt(max(nsq[b], 0.0))
             )
         nsq = np.where(critical, 1.0, nsq)
-    return (B @ c)[:, :, 0] / -nsq[:, None], errors
+    return (Kc / -nsq[:, None]).view(float), errors
 
 
 def _single(cp: ChartPoint):
@@ -584,11 +581,14 @@ def _single(cp: ChartPoint):
 
 
 def _frame(model: _Model, cp: ChartPoint, fiber_only: bool) -> np.ndarray:
-    B, _, L, errors = _tangent(model, *_single(cp), fiber_only)
+    KH, _, L, errors = _tangent(model, *_single(cp), fiber_only)
     if errors[0] is not None:
         raise errors[0]
-    # (L^-1 B^T)^T = B L^-T
-    return np.linalg.solve(L[0], B[0].T).T
+    # K L^-H, whose Hermitian conjugate is L^-1 K^H
+    E = np.linalg.solve(L[0], KH[0]).conj().T
+    frame = np.zeros((2 * model.n_w + 2, 2 * E.shape[1]))
+    frame[: 2 * E.shape[0]] = _realify(E)
+    return frame
 
 
 def tangent_frame(
@@ -600,10 +600,11 @@ def tangent_frame(
     """Orthonormal real frame of the tangent space at cp.
 
     Columns are real chart vectors, orthonormal for the product metric:
-    the frame is B L^-T, where the columns of B are the realified kernel
-    of the family Jacobian (each complex kernel vector v and i v) and L
-    is the Cholesky factor of B^T G B, so it equals the Gram-Schmidt
-    frame of those columns in their order.  By default the frame spans
+    the frame is the realification of K L^-H, with K the kernel of the
+    family Jacobian and L the Cholesky factor of K^H H K, each complex
+    column e giving the real columns e and i e.  It equals the
+    Gram-Schmidt frame of the realified kernel columns v, i v in their
+    order.  By default the frame spans
     the tangent space of the total family, dimension 2 (dim X + 1); with
     fiber_only the t direction is dropped from the constraints and the
     frame spans the fiber tangent space.
@@ -640,34 +641,47 @@ def gradient_hamiltonian(
 # retraction
 
 
+def _min_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of J x = r over a batch.
+
+    By the SVD, with singular values at or below eps * max(J.shape) times
+    the largest treated as zero: the cutoff of np.linalg.lstsq with
+    rcond=None.  The Jacobians are rank deficient (the gl3-flag fiber
+    Jacobian is 9 x 7 of rank 4), so normal equations do not apply.
+    """
+    U, sigma, Vh = np.linalg.svd(J, full_matrices=False)
+    kept = sigma > sigma[:, :1] * (np.finfo(float).eps * max(J.shape[1:]))
+    coef = (r[:, None, :] @ U.conj())[:, 0] / np.where(kept, sigma, np.inf)
+    return (coef[:, None, :] @ Vh.conj())[:, 0]
+
+
 def _retract(
     model: _Model, charts: np.ndarray, Y: np.ndarray, tol: float, max_iter: int = 20
 ):
     """Gauss-Newton projection of a batch back onto the family, t held fixed.
 
-    Returns the projected states with their full coordinates and relative
-    residuals, a mask of the states that moved, and per state a
-    RetractionError or None.
+    Each iteration takes one batched minimum-norm step for the states
+    still above tol.  Returns the projected states with their full
+    coordinates and relative residuals, a mask of the states that moved,
+    and per state a RetractionError or None.
     """
     Y = np.array(Y, dtype=float)
     Z = model.points(charts, Y)
     res = model.residual(Z)
-    moved = np.zeros(len(Y), dtype=bool)
-    todo = np.flatnonzero(res > tol)
-    n_w = model.n_w
+    moved = res > tol
+    todo = np.flatnonzero(moved)
     for _ in range(max_iter):
         if not todo.size:
             break
-        g = model.relations.values(Z[todo])
-        J = model.jacobian(Z[todo], charts[todo], fiber_only=True)
-        for i, b in enumerate(todo):
-            step, *_ = np.linalg.lstsq(J[i], -g[i], rcond=None)
-            Y[b, 0 : 2 * n_w : 2] += step.real
-            Y[b, 1 : 2 * n_w : 2] += step.imag
-        moved[todo] = True
-        Z[todo] = model.points(charts[todo], Y[todo])
-        res[todo] = model.residual(Z[todo])
-        todo = todo[res[todo] > tol]
+        ct, yt = charts[todo], Y[todo]
+        J = model.jacobian(ct, yt, fiber_only=True)
+        yt[:, : 2 * model.n_w] += _min_norm_step(
+            J, -model.relations.values(Z[todo])
+        ).view(float)
+        Y[todo] = yt
+        Z[todo] = zt = model.points(ct, yt)
+        res[todo] = rt = model.residual(zt)
+        todo = todo[rt > tol]
     errors = [None] * len(Y)
     for b in todo:
         errors[b] = RetractionError(
@@ -745,8 +759,6 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
-    max_im = [0.0] * n
-    max_lin = [0.0] * n
     samples = [[] for _ in range(n)]
     failure = [None] * n
     running = np.ones(n, dtype=bool)
@@ -758,38 +770,38 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
         failure[b] = reason
         running[b] = False
 
-    def record(b, residual):
-        point = ChartPoint.from_real(int(charts[b]), Y[b])
-        s_now = float(s[b])
-        im = abs(point.t.imag)
-        lin = abs(point.t.real - (float(start_re[b]) - s_now))
-        max_im[b] = max(max_im[b], im)
-        max_lin[b] = max(max_lin[b], lin)
-        samples[b].append(
-            FlowSample(
-                s=s_now,
-                t=point.t,
-                chart=point.chart,
-                residual=float(residual),
-                im_pi=im,
-                re_lin_err=lin,
-                moment=model.moment(point),
-            )
+    def record(rows, Z, residual):
+        """Sample the states of rows at their full coordinates Z; returns
+        |Im t| and the deviation of Re t from linear decay."""
+        t = Z[:, -1]
+        s_now = s[rows]
+        im = np.abs(t.imag)
+        lin = np.abs(t.real - (start_re[rows] - s_now))
+        columns = zip(
+            rows.tolist(),
+            s_now.tolist(),
+            t.tolist(),
+            charts[rows].tolist(),
+            residual.tolist(),
+            im.tolist(),
+            lin.tolist(),
+            toric_moments(Z, model.basis).tolist(),
         )
+        for b, *fields, moment in columns:
+            samples[b].append(FlowSample(*fields, tuple(moment)))
         return im, lin
 
-    residual = model.residual(model.points(charts, Y))
-    for b in range(n):
-        try:
-            record(b, residual[b])
-        except (FlowError, EmbeddingError) as exc:
-            fail(b, "initial point rejected: %s" % exc)
-            continue
-        if not residual[b] <= max(cfg.retraction_tol * 10, 1e-8):
-            fail(b, "initial point misses the family by %.3g" % residual[b])
+    Z = model.points(charts, Y)
+    residual = model.residual(Z)
+    with np.errstate(invalid="ignore", over="ignore"):
+        record(np.arange(n), Z, residual)
+    for b in np.flatnonzero(~(residual <= max(cfg.retraction_tol * 10, 1e-8))):
+        fail(b, "initial point misses the family by %.3g" % residual[b])
 
-    while np.count_nonzero(running):
-        act = running.nonzero()[0]
+    while True:
+        act = np.flatnonzero(running)
+        if not act.size:
+            break
         over = steps[act] >= cfg.max_steps
         if np.count_nonzero(over):
             for b in act[over]:
@@ -819,7 +831,8 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
         sums = np.zeros((8,) + y.shape)
         reuse = carry[act]
         dead = np.zeros(len(act), dtype=bool)
-        died = np.full(len(act), 7)
+        # seven evaluations, less a reused stage 0 and any stage after a failure
+        evals[act] += 7 - reuse
         for i in range(7):
             if i == 0 and np.count_nonzero(reuse):
                 V = carried[act]
@@ -836,12 +849,11 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                     r = j if rows is None else rows[j]
                     if exc is not None and not dead[r]:
                         dead[r] = True
-                        died[r] = i
+                        evals[act[r]] -= 6 - i
                         fail(act[r], str(exc))
             sums += _DP_WEIGHTS[i] * V
             if i == 0:
                 first = V
-        evals[act] += np.minimum(died + 1, 7) - reuse
         last = V
         y5 = y + hh * sums[6]
         y4 = y + hh * sums[7]
@@ -875,54 +887,59 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             new, Z, res, moved, errors = _retract(
                 model, charts[acc], y5, cfg.retraction_tol
             )
-            pivot_share = (1.0 / np.abs(Z[:, : model.nsym]).max(axis=1)).tolist()
-            finished = (s[acc] >= s_end[acc]).tolist()
             carry[acc] = False
-            for j, b in enumerate(acc.tolist()):
-                if errors[j] is not None:
-                    fail(b, str(errors[j]))
-                    continue
-                Y[b] = new[j]
-                im, lin = record(b, res[j])
-                if im > IM_PI_TOLERANCE:
-                    fail(b, "Im t drifted to %.3g" % im)
-                elif lin > LINEARITY_TOLERANCE:
-                    fail(b, "Re t deviates from linear decay by %.3g" % lin)
-                elif finished[j]:
-                    running[b] = False
-                elif pivot_share[j] < CHART_SHARE:
-                    # rechart when the pivot is no longer dominant
-                    point = ChartPoint.from_real(int(charts[b]), Y[b])
-                    pivot = int(np.argmax(np.abs(Z[j, : model.nsym])))
-                    point = point.to_chart(pivot)
-                    charts[b] = point.chart
-                    Y[b] = point.as_real()
-                elif not moved[j]:
-                    # the state is the last stage point, whose field is known
-                    carried[b] = last[j]
-                    carry[b] = True
+            if any(errors):
+                kept = np.array([e is None for e in errors])
+                for j in np.flatnonzero(~kept):
+                    fail(acc[j], str(errors[j]))
+                acc, new, Z, res = acc[kept], new[kept], Z[kept], res[kept]
+                moved, last = moved[kept], last[kept]
+            Y[acc] = new
+            im, lin = record(acc, Z, res)
+            drift = im > IM_PI_TOLERANCE
+            off = lin > LINEARITY_TOLERANCE
+            if drift.any() or off.any():
+                for j in np.flatnonzero(drift | off):
+                    if drift[j]:
+                        fail(acc[j], "Im t drifted to %.3g" % im[j])
+                    else:
+                        fail(acc[j], "Re t deviates from linear decay by %.3g" % lin[j])
+            going = ~(drift | off)
+            finished = s[acc] >= s_end[acc]
+            running[acc[going & finished]] = False
+            going &= ~finished
+            # rechart when the pivot is no longer dominant
+            rechart = going & (1.0 / np.abs(Z[:, : model.nsym]).max(axis=1) < CHART_SHARE)
+            for j in np.flatnonzero(rechart):
+                b = acc[j]
+                pivot = int(np.argmax(np.abs(Z[j, : model.nsym])))
+                point = ChartPoint.from_real(int(charts[b]), Y[b]).to_chart(pivot)
+                charts[b] = point.chart
+                Y[b] = point.as_real()
+            # a state that did not move is the last stage point, whose field is known
+            known = going & ~rechart & ~moved
+            carried[acc[known]] = last[known]
+            carry[acc[known]] = True
         # standard PI-free step controller
         factor = 0.9 * (1.0 / np.maximum(q, 1e-10)) ** 0.2
         h[act] = np.minimum(h[act] * np.minimum(5.0, np.maximum(0.2, factor)), 0.25)
 
-    results = []
-    for b in range(n):
-        terminal = ChartPoint.from_real(int(charts[b]), Y[b]) if samples[b] else None
-        results.append(
-            FlowResult(
-                ok=failure[b] is None,
-                failure=failure[b],
-                samples=tuple(samples[b]),
-                terminal=terminal,
-                moment=model.moment(terminal) if failure[b] is None else None,
-                steps=int(steps[b]),
-                max_im_pi=max_im[b],
-                max_re_lin_err=max_lin[b],
-                rejected=int(rejected[b]),
-                field_evals=int(evals[b]),
-            )
+    # a finished state's last sample was taken at its terminal point
+    return [
+        FlowResult(
+            ok=failure[b] is None,
+            failure=failure[b],
+            samples=tuple(samples[b]),
+            terminal=ChartPoint.from_real(int(charts[b]), Y[b]),
+            moment=samples[b][-1].moment if failure[b] is None else None,
+            steps=int(steps[b]),
+            max_im_pi=max([0.0] + [x.im_pi for x in samples[b]]),
+            max_re_lin_err=max([0.0] + [x.re_lin_err for x in samples[b]]),
+            rejected=int(rejected[b]),
+            field_evals=int(evals[b]),
         )
-    return results
+        for b in range(n)
+    ]
 
 
 def _legs(model: _Model, starts, target: float, cfg: FlowConfig) -> list:

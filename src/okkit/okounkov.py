@@ -50,7 +50,6 @@ __all__ = [
     "OkounkovBody",
     "GradingHomomorphism",
     "reduce_modulo",
-    "extended_value",
     "subduct",
     "semigroup_hilbert",
     "okounkov_body",
@@ -381,14 +380,7 @@ def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# extended values and subduction
-
-
-def extended_value(f: Polynomial, k: int, datum: SagbiDatum) -> BiDegree:
-    """(k, v(f)) for a nonzero representative of a level-k class."""
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    return BiDegree(k, datum.value_of(f))
+# subduction
 
 
 def _decompose(datum: SagbiDatum, k: int, target: tuple):

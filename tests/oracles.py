@@ -6,6 +6,7 @@ means something.  None of this code is imported by the package.
 """
 
 from fractions import Fraction
+from math import ceil, floor
 from itertools import combinations_with_replacement
 
 
@@ -94,4 +95,24 @@ def all_products_of_generators(gens_exponents, max_total):
     out = []
     for total in range(1, max_total + 1):
         out.extend(combinations_with_replacement(range(gens_exponents), total))
+    return out
+
+
+def lattice_points(hull):
+    """All integer points in the hull, in ascending lexicographic order."""
+    n = hull.ambient_dim
+    los = [min(v[i] for v in hull.vertices) for i in range(n)]
+    his = [max(v[i] for v in hull.vertices) for i in range(n)]
+    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(los, his)]
+    out = []
+
+    def rec(idx, acc):
+        if idx == n:
+            if hull.contains(acc):
+                out.append(tuple(acc))
+            return
+        for x in ranges[idx]:
+            rec(idx + 1, acc + [x])
+
+    rec(0, [])
     return out

@@ -197,6 +197,36 @@ def test_malformed_expectations_exit_2(runner, tmp_path, name, path, value):
     assert "Traceback" not in result.output
 
 
+# (path into p1.json, replacement): generator fields and flags that a
+# lenient parse would coerce; each must be refused with exit 2
+LENIENT = [
+    (("generators", 1, "value"), [1.9]),
+    (("generators", 1, "level"), True),
+    (("generators", 1, "index"), 2.0),
+    (("flow", "extended"), "no"),
+    (("laurent",), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value", LENIENT, ids=["%s=%s" % (p[-1], json.dumps(v)) for p, v in LENIENT]
+)
+def test_generator_fields_and_flags_parse_strictly(runner, tmp_path, path, value):
+    import okkit.catalog as cat
+
+    doc = json.loads((Path(cat.__file__).parent / "data" / "p1.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "lenient.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["body", str(bad)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 class TestBodySvgUnits:
     def test_one_marker_per_vertex(self):
         body = load_example("p1").body
@@ -394,6 +424,17 @@ class TestSlice:
         hom.write_text('{"matrix": [[1, 2, 3, 4]]}')
         result = runner.invoke(main, ["slice", "p1", "--homomorphism", str(hom)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "text", ['{"matrix": [[1.5, 0, 0]]}', '{"matrix": [[true, 0, 0]]}', "[[1, 0, 0]]"]
+    )
+    def test_non_integer_matrix_rejected(self, runner, tmp_path, text):
+        hom = tmp_path / "lenient.json"
+        hom.write_text(text)
+        result = runner.invoke(main, ["slice", "p1xp1", "--homomorphism", str(hom)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_malformed_homomorphism_file(self, runner, tmp_path):
         hom = tmp_path / "junk.json"

@@ -17,6 +17,7 @@ from okkit.embedding import (
     family_residual,
     sample_intrinsic,
     toric_moment,
+    toric_moments,
 )
 from okkit.okounkov import SagbiDatum, SagbiGenerator, okounkov_body
 
@@ -243,6 +244,49 @@ class TestToricMoment:
         after = toric_moment(rotated, basis)
         for a, b in zip(before, after):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def _spread_rows(rng, count, size, decades):
+    """Complex rows whose moduli spread over 10^-decades .. 10^decades."""
+    z = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
+    return z * 10.0 ** rng.uniform(-decades, decades, (count, size))
+
+
+class TestToricMoments:
+    @pytest.mark.parametrize("name", ["elliptic", "gl3-flag"])
+    def test_rows_equal_toric_moment_bit_for_bit(self, name):
+        _, _, basis = pipeline(name)
+        Z = _spread_rows(np.random.default_rng(21), 40, basis.size, 4)
+        batch = toric_moments(Z, basis)
+        for z, row in zip(Z, batch):
+            assert toric_moment(tuple(z), basis) == tuple(row.tolist())
+
+    @pytest.mark.parametrize("name", ["elliptic", "gl3-flag"])
+    def test_row_bits_do_not_depend_on_batch(self, name):
+        _, _, basis = pipeline(name)
+        Z = _spread_rows(np.random.default_rng(22), 50, basis.size, 8)
+        batch = toric_moments(Z, basis)
+        for i in range(len(Z)):
+            alone = toric_moments(Z[i : i + 1], basis)[0]
+            assert alone.tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("name", ["p1xp1", "elliptic", "gl3-flag"])
+    @pytest.mark.parametrize("decades", [0, 8])
+    def test_matches_exact_fractions(self, name, decades):
+        _, _, basis = pipeline(name)
+        Z = _spread_rows(np.random.default_rng(23 + decades), 30, basis.size, decades)
+        for z, row in zip(Z, toric_moments(Z, basis)):
+            masses = [Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in z]
+            total = basis.degree * sum(masses)
+            for i, value in enumerate(row):
+                exact = sum(m * lam[i] for m, lam in zip(masses, basis.torus_weights))
+                exact /= total
+                assert abs(Fraction(value) - exact) <= Fraction(1, 10**15) * abs(exact)
+
+    def test_zero_row_rejected(self):
+        _, _, basis = pipeline("p1")
+        with pytest.raises(EmbeddingError):
+            toric_moments(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), basis)
 
 
 class TestSampling:

@@ -388,6 +388,83 @@ class TestFlowTo:
         assert res.max_im_pi < 1e-8
 
 
+def _retraction_batch(pipe, seed):
+    """Chart states of pipe at t = 0.5: two on the family and three pushed
+    off it, so they need Gauss-Newton iterations."""
+    datum, fam, basis = pipe
+    rng = np.random.default_rng(seed)
+    cps = [embedded_chart_point(pipe, x) for x in sample_intrinsic(datum, 5, rng)]
+    charts = np.array([cp.chart for cp in cps], dtype=np.intp)
+    Y = np.array([cp.as_real() for cp in cps])
+    Y[2:, :-2] += 1e-2 * rng.standard_normal((3, Y.shape[1] - 2))
+    return charts, Y
+
+
+class TestRetraction:
+    def test_batch_equals_each_state_alone(self, elliptic):
+        model = flow._Model(elliptic[1], elliptic[2])
+        charts, Y = _retraction_batch(elliptic, 5)
+        # a^2 - b^3 - tau^12 in the chart of the third symbol: at a = b = 0
+        # every fiber partial vanishes while the relation does not
+        charts = np.append(charts, 2)
+        Y = np.vstack([Y, ChartPoint(2, (0.0, 0.0), 0.5).as_real()])
+        new, Z, res, moved, errors = flow._retract(model, charts, Y, 1e-10)
+        assert moved.tolist() == [False, False, True, True, True, True]
+        assert [e is None for e in errors] == [True] * 5 + [False]
+        assert str(errors[-1]) == (
+            "retraction stalled at relative residual 1 (tolerance 1e-10)"
+        )
+        for b in range(len(Y)):
+            alone = flow._retract(model, charts[b : b + 1], Y[b : b + 1], 1e-10)
+            assert alone[0].tobytes() == new[b].tobytes()
+            assert alone[1].tobytes() == Z[b].tobytes()
+            assert alone[2].tobytes() == res[b : b + 1].tobytes()
+            assert alone[3][0] == moved[b]
+            assert str(alone[4][0]) == str(errors[b])
+
+    def test_gl3_batch_equals_each_state_alone(self, gl3):
+        model = flow._Model(gl3[1], gl3[2])
+        charts, Y = _retraction_batch(gl3, 6)
+        new, Z, res, moved, errors = flow._retract(model, charts, Y, 1e-10)
+        assert moved.tolist() == [False, False, True, True, True]
+        assert errors == [None] * 5
+        for b in range(len(Y)):
+            alone = flow._retract(model, charts[b : b + 1], Y[b : b + 1], 1e-10)
+            assert alone[0].tobytes() == new[b].tobytes()
+            assert alone[2].tobytes() == res[b : b + 1].tobytes()
+
+    def test_step_matches_lstsq_on_rank_deficient_jacobian(self, gl3):
+        model = flow._Model(gl3[1], gl3[2])
+        charts, Y = _retraction_batch(gl3, 7)
+        J = model.jacobian(charts, Y, fiber_only=True)
+        # rank 4 on the family, full column rank off it
+        assert J.shape[1:] == (9, 7)
+        assert [np.linalg.matrix_rank(j) for j in J] == [4, 4, 7, 7, 7]
+        rng = np.random.default_rng(8)
+        r = rng.standard_normal((len(J), 9)) + 1j * rng.standard_normal((len(J), 9))
+        step = flow._min_norm_step(J, r)
+        for j, rhs, x in zip(J, r, step):
+            expected = np.linalg.lstsq(j, rhs, rcond=None)[0]
+            assert np.abs(x - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (math.inf, "initial point misses the family by nan"),
+            (-math.inf, "initial point misses the family by nan"),
+            (math.nan, "chart coordinates are not finite"),
+        ],
+    )
+    def test_non_finite_start_fails_with_reason(self, elliptic, bad, reason):
+        _, fam, basis = elliptic
+        cp = ChartPoint(2, (bad, 0.5), 0.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = flow_to(cp, 0.1, FlowConfig(), fam, basis)
+        assert not res.ok
+        assert res.failure == reason
+        assert res.steps == 0 and len(res.samples) == 1
+
+
 class TestIntegrableSystemEval:
     def test_p1_matches_direct_moment(self, p1):
         datum, fam, basis = p1

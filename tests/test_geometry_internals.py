@@ -20,10 +20,9 @@ from okkit._polytope import (
     _rank,
     _solve_exact,
     convex_hull,
-    lattice_points,
 )
 
-from oracles import qhull_volume
+from oracles import lattice_points, qhull_volume
 
 
 def frac_det(rows):

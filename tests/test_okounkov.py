@@ -19,7 +19,6 @@ from okkit.okounkov import (
     SliceCompletenessWarning,
     ValueSemigroup,
     degree_check,
-    extended_value,
     okounkov_body,
     reduce_modulo,
     semigroup_hilbert,
@@ -133,25 +132,25 @@ class TestReduction:
 class TestExtendedValue:
     def test_section_has_value_zero(self, elliptic):
         h = elliptic.section.representative
-        assert extended_value(h, 1, elliptic) == BiDegree(1, (0,))
+        assert elliptic.value_of(h) == (0,)
 
     def test_elliptic_x(self, elliptic):
         x = parse_polynomial("x", elliptic.ring)
-        assert extended_value(x, 1, elliptic) == BiDegree(1, (1,))
+        assert elliptic.value_of(x) == (1,)
 
     def test_product_adds(self, elliptic):
         xz = parse_polynomial("x*z", elliptic.ring)
-        assert extended_value(xz, 2, elliptic) == BiDegree(2, (4,))
+        assert elliptic.value_of(xz) == (4,)
 
     def test_zero_rejected(self, elliptic):
         from okkit.algebra import UndefinedValuationError
 
         with pytest.raises(UndefinedValuationError):
-            extended_value(Polynomial.zero(elliptic.ring), 1, elliptic)
+            elliptic.value_of(Polynomial.zero(elliptic.ring))
 
     def test_gl3_quadratic_section(self, gl3):
         f = parse_polynomial("a^2*c - a*b", gl3.ring)
-        assert extended_value(f, 1, gl3) == BiDegree(1, (1, 1, 0))
+        assert gl3.value_of(f) == (1, 1, 0)
 
     @pytest.mark.parametrize("name", ["elliptic", "gl3"])
     def test_lead_is_value_and_leading_coefficient(self, name, request):
