@@ -1,9 +1,14 @@
 """Exact rational convex hulls in ambient dimension at most three.
 
-Desk-scale implementation: candidate supporting hyperplanes are enumerated
-from point tuples and kept when every input point lies on one side and the
-tight set is genuinely a facet.  All arithmetic is in Fractions; normals
-are reduced to primitive integer vectors, so the output is canonical.
+Desk-scale implementation, one algorithm for every dimension n.  The
+points are scaled by the common denominator of their coordinates, so every
+step runs in integer arithmetic.  Each n-subset of points proposes the
+cofactor vector (generalised cross product) of its n - 1 edge vectors as a
+facet normal; a candidate is kept when every point lies on one side and
+the tight set spans a hyperplane.  Normals are reduced to primitive integer
+vectors, so the output is canonical.  The volume is the sum of the
+pyramids from the vertex centroid over the facets, each facet measured in
+its own n - 1 dimensional coordinates (a point counts as 1).
 
 Degenerate hulls (dimension below the ambient one) are kept in the ambient
 space: the affine hull contributes equality pairs to the facet list, the
@@ -17,12 +22,12 @@ anything else, so equal point sets give byte-identical hulls.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
 
-__all__ = ["HullError", "RationalHull", "convex_hull"]
+__all__ = ["HullError", "OkounkovBody", "convex_hull"]
 
 
 class HullError(Exception):
@@ -30,32 +35,57 @@ class HullError(Exception):
 
 
 @dataclass(frozen=True)
-class RationalHull:
+class OkounkovBody:
+    """Rational polytope in both V- and H-representation.
+
+    ambient_dim is the length n of the points; dim is the dimension of the
+    polytope itself (-1 for the empty body, from slicing).  vertices are
+    tuples of Fractions, sorted lexicographically.  facets are pairs
+    (primitive integer normal, rational offset) meaning normal . x <=
+    offset; a polytope of dimension below n carries equality pairs for its
+    affine hull.  volume is the n-dimensional measure, zero when dim < n.
+    """
+
     ambient_dim: int
     dim: int
-    vertices: tuple  # tuples of Fractions, sorted lexicographically
-    facets: tuple  # (primitive int normal, Fraction offset): normal.x <= offset
-    volume: Fraction  # ambient-dimensional measure
+    vertices: tuple
+    facets: tuple
+    volume: Fraction
 
-    def contains(self, point, slack=Fraction(0)):
+    @classmethod
+    def empty(cls, ambient_dim: int) -> "OkounkovBody":
+        unsatisfiable = (((0,) * ambient_dim, Fraction(-1)),)
+        return cls(ambient_dim, -1, (), unsatisfiable, Fraction(0))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.vertices
+
+    def contains(self, point, slack=Fraction(0)) -> bool:
         point = tuple(Fraction(x) for x in point)
-        return all(_dot(n, point) <= b + slack for n, b in self.facets)
-
-    def dilate(self, k) -> "RationalHull":
-        """The scaled hull k * self, k a nonnegative rational."""
-        k = Fraction(k)
-        if k < 0:
-            raise HullError("dilation factor must be nonnegative")
-        if k == 0:
-            origin = tuple(Fraction(0) for _ in range(self.ambient_dim))
-            return convex_hull([origin], self.ambient_dim)
-        return RationalHull(
-            self.ambient_dim,
-            self.dim,
-            tuple(sorted(tuple(k * x for x in v) for v in self.vertices)),
-            tuple(sorted((n, k * b) for n, b in self.facets)),
-            self.volume * k**self.ambient_dim,
+        if len(point) != self.ambient_dim:
+            raise ValueError("point dimension mismatch")
+        return all(
+            _dot(normal, point) <= offset + slack for normal, offset in self.facets
         )
+
+    def to_json_dict(self) -> dict:
+        """The documented serialization: rationals as [numerator,
+        denominator] pairs, one pair per coordinate."""
+        return {
+            "dim": self.ambient_dim,
+            "vertices": [
+                [[x.numerator, x.denominator] for x in v] for v in self.vertices
+            ],
+            "facets": [
+                {
+                    "normal": [int(a) for a in normal],
+                    "offset": [offset.numerator, offset.denominator],
+                }
+                for normal, offset in self.facets
+            ],
+            "volume": [self.volume.numerator, self.volume.denominator],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +93,7 @@ class RationalHull:
 
 
 def _dot(a, b):
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _sub(a, b):
@@ -73,17 +103,31 @@ def _sub(a, b):
 def _primitive(vec):
     """Scale a rational vector to coprime integers.  The sign pattern is
     preserved: outward orientation is meaningful for facet normals."""
-    denoms = [Fraction(x).denominator for x in vec]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
+    lcm = math.lcm(*(Fraction(x).denominator for x in vec))
     ints = [int(Fraction(x) * lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g == 0:
         return tuple(ints)
     return tuple(v // g for v in ints)
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def _cross(rows, n):
+    """Cofactor vector w of n - 1 vectors in R^n: w . x = det(rows + [x])."""
+    return tuple(
+        (-1) ** (n - 1 + k) * _det([r[:k] + r[k + 1 :] for r in rows])
+        for k in range(n)
+    )
 
 
 def _rref(rows):
@@ -151,73 +195,28 @@ def _null_space_rows(matrix):
     return out
 
 
-def _det3(a, b, c):
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+def _parametrize(points, dim):
+    """Affine coordinates of points whose affine hull has dimension dim.
 
-
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-# ---------------------------------------------------------------------------
-# cyclic ordering of coplanar points (exact angular sort)
-
-
-def _cyclic_order(points, sigma):
-    """Sort points around their centroid by angle, exactly.
-
-    sigma(u, w) is the sine sign between two direction vectors.  Directions
-    from the centroid are pairwise distinct for vertices of a convex
-    polygon, which is the only use here.
+    Returns (base, basis, coords) with points[i] = base + sum_k
+    coords[i][k] * basis[k]; the basis is the first independent run of
+    differences from base, so the answer is deterministic.
     """
-    n = len(points)
-    c = tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
-    rel = [(_sub(p, c), p) for p in points]
-    ref = rel[0][0]
-
-    def half(u):
-        s = sigma(ref, u)
-        if s > 0:
-            return 0
-        if s < 0:
-            return 1
-        # parallel to the reference: same side opens the tour, opposite
-        # side starts the second half-turn
-        return 0 if _dot(ref, u) > 0 else 1
-
-    def cmp(a, b):
-        u, w = a[0], b[0]
-        ha, hb = half(u), half(w)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        s = sigma(u, w)
-        if s > 0:
-            return -1
-        if s < 0:
-            return 1
-        return 0
-
-    rel.sort(key=functools.cmp_to_key(cmp))
-    return [p for _, p in rel]
+    base = points[0]
+    basis = []
+    for p in points[1:]:
+        d = _sub(p, base)
+        if len(basis) < dim and _rank(basis + [d]) > len(basis):
+            basis.append(d)
+    matrix = [[b[i] for b in basis] for i in range(len(base))]
+    coords = [_solve_exact(matrix, _sub(p, base)) for p in points]
+    if any(y is None for y in coords):
+        raise HullError("affine parametrization failed")
+    return base, basis, coords
 
 
 # ---------------------------------------------------------------------------
-# full-dimensional hulls per ambient dimension
-
-
-def _hull_1d(points):
-    xs = sorted(p[0] for p in points)
-    lo, hi = xs[0], xs[-1]
-    facets = (((-1,), -lo), ((1,), hi))
-    return ((lo,), (hi,)), tuple(sorted(facets)), hi - lo
+# full-dimensional hulls
 
 
 def _supporting_facets(points, candidates, n):
@@ -235,55 +234,11 @@ def _supporting_facets(points, candidates, n):
             tight = [p for p, x in zip(points, v) if x == b]
             if len(tight) < n:
                 continue
-            if n >= 3:
-                diffs = [_sub(q, tight[0]) for q in tight[1:]]
-                if _rank(diffs) < n - 1:
-                    continue
+            diffs = [_sub(q, tight[0]) for q in tight[1:]]
+            if _rank(diffs) < n - 1:
+                continue
             final.add((nrm, b))
     return final
-
-
-def _hull_2d(points):
-    candidates = set()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = _sub(points[j], points[i])
-            if d != (0, 0):
-                candidates.add(_primitive((-d[1], d[0])))
-    facets = _supporting_facets(points, candidates, 2)
-    vertices = _extract_vertices(points, facets, 2)
-    ordered = _cyclic_order(
-        sorted(vertices), sigma=lambda u, w: u[0] * w[1] - u[1] * w[0]
-    )
-    area = Fraction(0)
-    for i, (x1, y1) in enumerate(ordered):
-        x2, y2 = ordered[(i + 1) % len(ordered)]
-        area += x1 * y2 - x2 * y1
-    return tuple(sorted(vertices)), tuple(sorted(facets)), abs(area) / 2
-
-
-def _hull_3d(points):
-    candidates = set()
-    npts = len(points)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            for k in range(j + 1, npts):
-                cr = _cross3(_sub(points[j], points[i]), _sub(points[k], points[i]))
-                if cr != (0, 0, 0):
-                    candidates.add(_primitive(cr))
-    facets = _supporting_facets(points, candidates, 3)
-    vertices = _extract_vertices(points, facets, 3)
-    centroid = tuple(sum(v[i] for v in vertices) / len(vertices) for i in range(3))
-    six_volume = Fraction(0)
-    for normal, offset in sorted(facets):
-        tight = sorted(v for v in vertices if _dot(normal, v) == offset)
-        ordered = _cyclic_order(tight, sigma=lambda u, w, N=normal: _det3(u, w, N))
-        v0 = ordered[0]
-        for a, b in zip(ordered[1:], ordered[2:]):
-            six_volume += abs(
-                _det3(_sub(v0, centroid), _sub(a, centroid), _sub(b, centroid))
-            )
-    return tuple(sorted(vertices)), tuple(sorted(facets)), six_volume / 6
 
 
 def _extract_vertices(points, facets, n):
@@ -295,11 +250,38 @@ def _extract_vertices(points, facets, n):
     return vertices
 
 
+def _full_hull(points, n):
+    """Sorted vertices, facets and n-volume of the hull of points that
+    span R^n, computed on the points scaled to integers."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    ints = [tuple(int(x * scale) for x in p) for p in points]
+    candidates = set()
+    for subset in combinations(ints, n):
+        normal = _cross([_sub(q, subset[0]) for q in subset[1:]], n)
+        if any(normal):
+            candidates.add(_primitive(normal))
+    facets = _supporting_facets(ints, candidates, n)
+    vertices = sorted(_extract_vertices(ints, facets, n))
+    centroid = tuple(Fraction(sum(c), len(vertices)) for c in zip(*vertices))
+    volume = Fraction(0)
+    for normal, offset in facets:
+        tight = [v for v in vertices if _dot(normal, v) == offset]
+        base, basis, coords = _parametrize(tight, n - 1)
+        measure = _full_hull(coords, n - 1)[2] if n > 1 else 1
+        height = abs(_dot(_cross(basis, n), _sub(centroid, base)))
+        volume += height * measure / n
+    return (
+        tuple(tuple(Fraction(x, scale) for x in v) for v in vertices),
+        tuple(sorted((nrm, Fraction(b, scale)) for nrm, b in facets)),
+        volume / scale**n,
+    )
+
+
 # ---------------------------------------------------------------------------
-# public entry points
+# public entry point
 
 
-def convex_hull(points, ambient_dim=None) -> RationalHull:
+def convex_hull(points, ambient_dim=None) -> OkounkovBody:
     """Exact convex hull of rational points, ambient dimension <= 3.
 
     Degenerate point sets are handled: the affine hull is encoded as
@@ -320,74 +302,46 @@ def convex_hull(points, ambient_dim=None) -> RationalHull:
     if n == 0:
         raise HullError("zero-dimensional ambient space")
 
-    base = pts[0]
-    diffs = [_sub(p, base) for p in pts[1:]]
-    dim = _rank(diffs) if diffs else 0
-
-    if dim == 0:
-        facets = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            facets.append((e, base[i]))
-            facets.append((tuple(-x for x in e), -base[i]))
-        return RationalHull(n, 0, (base,), tuple(sorted(facets)), Fraction(0))
-
+    dim = _rank([_sub(p, pts[0]) for p in pts[1:]])
     if dim == n:
-        if n == 1:
-            vertices, facets, vol = _hull_1d(pts)
-        elif n == 2:
-            vertices, facets, vol = _hull_2d(pts)
-        else:
-            vertices, facets, vol = _hull_3d(pts)
-        return RationalHull(n, dim, vertices, tuple(sorted(facets)), vol)
+        vertices, facets, volume = _full_hull(pts, n)
+    else:
+        vertices, facets = _degenerate_hull(pts, dim, n)
+        volume = Fraction(0)
+    body = OkounkovBody(n, dim, vertices, facets, volume)
+    for v in vertices:
+        if not body.contains(v):
+            raise HullError("hull vertex violates its own facets")
+    return body
 
-    # degenerate: parametrize the affine hull exactly and recurse
-    basis = _independent_subset(diffs, dim)
-    matrix = [[b[i] for b in basis] for i in range(n)]  # columns span the hull
-    inner_pts = []
-    for p in pts:
-        y = _solve_exact(matrix, _sub(p, base))
-        if y is None:
-            raise HullError("affine parametrization failed")
-        inner_pts.append(y)
-    inner = convex_hull(inner_pts, dim)
+
+def _degenerate_hull(pts, dim, n):
+    """Vertices and facets of points spanning dim < n affine dimensions:
+    the hull in internal coordinates, lifted, plus the affine hull's
+    equality pairs."""
+    base, basis, inner_pts = _parametrize(pts, dim)
+    # dim 0 (a single point) gives the one vertex () and no facets
+    inner_vertices, inner_facets, _ = _full_hull(inner_pts, dim)
 
     facets = set()
+    matrix = [[b[i] for b in basis] for i in range(n)]  # columns span the hull
     for w in _null_space_rows(matrix):
         b = _dot(w, base)
         facets.add((w, b))
         facets.add((tuple(-x for x in w), -b))
     # lift inner facets: an ambient normal nu with basis^T nu = a restricts
     # to the inner functional a on the affine hull
-    bt = [list(b) for b in basis]
-    for a, b_off in inner.facets:
-        nu = _solve_exact(bt, a)
+    for a, b_off in inner_facets:
+        nu = _solve_exact(basis, a)
         if nu is None:
             raise HullError("facet lift failed")
         prim = _primitive(nu)
-        scale = None
-        for x, y in zip(prim, nu):
-            if y != 0:
-                scale = Fraction(x) / Fraction(y)
-                break
+        scale = next(Fraction(x) / y for x, y in zip(prim, nu) if y != 0)
         facets.add((prim, scale * (b_off + _dot(nu, base))))
     lifted_vertices = tuple(
         sorted(
-            tuple(
-                base[i] + sum(y[k] * basis[k][i] for k in range(dim))
-                for i in range(n)
-            )
-            for y in inner.vertices
+            tuple(base[i] + _dot(y, [b[i] for b in basis]) for i in range(n))
+            for y in inner_vertices
         )
     )
-    return RationalHull(n, dim, lifted_vertices, tuple(sorted(facets)), Fraction(0))
-
-
-def _independent_subset(diffs, dim):
-    chosen = []
-    for d in diffs:
-        if _rank(chosen + [d]) > len(chosen):
-            chosen.append(d)
-            if len(chosen) == dim:
-                break
-    return chosen
+    return lifted_vertices, tuple(sorted(facets))

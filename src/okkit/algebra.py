@@ -588,7 +588,7 @@ class CompiledPolynomial:
     is the checked entry point.
     """
 
-    __slots__ = ("exps", "coeffs")
+    __slots__ = ("exps", "coeffs", "magnitudes")
 
     def __init__(self, poly: Polynomial):
         items = sorted(poly.terms.items())
@@ -596,6 +596,7 @@ class CompiledPolynomial:
             [e for e, _ in items], dtype=np.int64
         ).reshape(len(items), poly.ring.nvars)
         self.coeffs = np.array([complex(c) for _, c in items], dtype=complex)
+        self.magnitudes = np.abs(self.coeffs)
 
     @classmethod
     def stack(cls, polys: Sequence[Polynomial], nvars: int) -> "CompiledPolynomial":
@@ -608,6 +609,7 @@ class CompiledPolynomial:
         for k, f in enumerate(polys):
             for e, c in f.terms.items():
                 out.coeffs[row[e], k] = complex(c)
+        out.magnitudes = np.abs(out.coeffs)
         return out
 
     def monomials(self, z: np.ndarray) -> np.ndarray:
@@ -631,20 +633,25 @@ class CompiledPolynomial:
         """Sum of term magnitudes of each polynomial of a stack at |z|, the
         denominators of relative residuals."""
         terms = (zabs[..., None, :] ** self.exps).prod(axis=-1)
-        return (terms[..., None, :] @ np.abs(self.coeffs))[..., 0, :]
+        return (terms[..., None, :] @ self.magnitudes)[..., 0, :]
 
 
-def relative_residual(system: CompiledPolynomial, z: np.ndarray):
+def relative_residual(system: CompiledPolynomial, z: np.ndarray, values=None):
     """Largest |g(z)| / sum |terms of g at z| over a stacked system.
 
     Relations whose terms all vanish at z (scale below 1e-300) are skipped,
-    so no relations, or none that can be measured, give 0.  A batch of
-    points (shape (..., nvars)) gives an array of residuals.
+    so no relations, or none that can be measured, give 0; a point with a
+    non-finite coordinate gives NaN.  A batch of points (shape (...,
+    nvars)) gives an array of residuals.  values, when given, are
+    ``system.values(z)`` already computed.
     """
+    if values is None:
+        values = system.values(z)
     denom = system.scales(np.abs(z))
     measured = denom >= 1e-300
-    ratio = np.abs(system.values(z)) / np.where(measured, denom, 1.0)
+    ratio = np.abs(values) / np.where(measured, denom, 1.0)
     worst = np.where(measured, ratio, 0.0).max(axis=-1, initial=0.0)
+    worst = np.where(np.isfinite(z).all(axis=-1), worst, np.nan)
     return float(worst) if worst.ndim == 0 else worst
 
 

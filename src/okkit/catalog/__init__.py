@@ -25,7 +25,7 @@ Entry grammar, one JSON object per file:
     expected      {"semigroup_generators": [[level, [value...]]...],
                    "body_vertices": [[[num, den]...]...],
                    "degree": int}
-    flow          {"epsilon": float, "delta": float, "extended": bool}
+    flow          {"epsilon": float, "delta": float}, no other keys
     homomorphism  optional {"matrix": [[int...]...],
                    "sliced_generators": like semigroup_generators,
                    "sliced_vertices": like body_vertices}
@@ -91,9 +91,7 @@ class CatalogEntry:
 
     semigroup, body and degree are re-derived at load time; sliced_semigroup
     and sliced_body are present exactly when the entry carries a grading
-    homomorphism.  flow holds the entry's suggested flow parameters and
-    ``extended`` marks entries whose flow runs are too slow for quick
-    checks.
+    homomorphism.  flow holds the entry's suggested flow parameters.
     """
 
     name: str
@@ -104,7 +102,6 @@ class CatalogEntry:
     body: OkounkovBody
     degree: int
     flow: FlowConfig
-    extended: bool
     grading: GradingHomomorphism | None = None
     sliced_semigroup: ValueSemigroup | None = None
     sliced_body: OkounkovBody | None = None
@@ -357,13 +354,17 @@ def _load_document(doc: dict, where: str) -> CatalogEntry:
         )
 
     flow_doc = _need(doc, "flow", dict, where)
+    unknown = sorted(set(flow_doc) - {"epsilon", "delta"})
+    if unknown:
+        raise CatalogError(
+            "%s: unknown flow key %r (known: delta, epsilon)" % (where, unknown[0])
+        )
     epsilon = _need(flow_doc, "epsilon", float, where)
     delta = _need(flow_doc, "delta", float, where)
     try:
         flow = FlowConfig(epsilon=epsilon, delta=delta)
     except ValueError as exc:
         raise CatalogError("%s: flow settings rejected: %s" % (where, exc)) from exc
-    extended = "extended" in flow_doc and _need(flow_doc, "extended", bool, where)
 
     return CatalogEntry(
         name=name,
@@ -374,7 +375,6 @@ def _load_document(doc: dict, where: str) -> CatalogEntry:
         body=body,
         degree=int(degree),
         flow=flow,
-        extended=extended,
         grading=grading,
         sliced_semigroup=sliced_s,
         sliced_body=sliced_b,

@@ -381,11 +381,6 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
         cfg = FlowConfig(epsilon=epsilon, delta=delta, seed=seed)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    if loaded.extended:
-        click.echo(
-            "note: %s is an extended entry; this may take a while" % loaded.name,
-            err=True,
-        )
     fam, basis = _entry_pipeline(loaded)
     points = _sample_points(loaded, samples, seed, spread)
     try:
@@ -453,16 +448,13 @@ def _check_rows(entry: CatalogEntry):
             contained = False
     row("moment containment", contained, "20 random points")
 
-    if entry.extended:
-        rows.append(("flow probe", None, "skipped: extended entry"))
+    try:
+        points = _sample_points(entry, 2, 7, 1.0)
+        results = run_batch(points, entry.flow, datum, fam, basis)
+    except FlowError as exc:
+        rows.append(("flow probe", None, "skipped: %s" % exc))
     else:
-        try:
-            points = _sample_points(entry, 2, 7, 1.0)
-            results = run_batch(points, entry.flow, datum, fam, basis)
-        except FlowError as exc:
-            rows.append(("flow probe", None, "skipped: %s" % exc))
-        else:
-            row("flow probe", all(r.ok for r in results), "2 trajectories")
+        row("flow probe", all(r.ok for r in results), "2 trajectories")
     return rows
 
 

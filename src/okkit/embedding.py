@@ -190,10 +190,6 @@ class ProjectivePoint:
     z: tuple
     t: complex
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.z))
-
 
 def _normalize(z):
     """Unit norm, largest-modulus coordinate rotated to the positive axis."""
@@ -259,7 +255,7 @@ def embed_point(
         _power(t, w) * f / h for w, f in zip(fam.weights, f_values)
     ]
     residual = family_residual(fam, rescaled, t)
-    if residual > RESIDUAL_TOLERANCE:
+    if not residual <= RESIDUAL_TOLERANCE:
         raise EmbeddingError(
             "embedded point misses the family by relative residual %.3e"
             % residual

@@ -667,23 +667,23 @@ def _retract(
     """
     Y = np.array(Y, dtype=float)
     Z = model.points(charts, Y)
-    res = model.residual(Z)
-    moved = res > tol
-    todo = np.flatnonzero(moved)
+    G = model.relations.values(Z)
+    res = relative_residual(model.relations, Z, G)
+    moved = ~(res <= tol)
+    todo = np.flatnonzero(res > tol)  # a state with a NaN residual takes no step
     for _ in range(max_iter):
         if not todo.size:
             break
         ct, yt = charts[todo], Y[todo]
         J = model.jacobian(ct, yt, fiber_only=True)
-        yt[:, : 2 * model.n_w] += _min_norm_step(
-            J, -model.relations.values(Z[todo])
-        ).view(float)
+        yt[:, : 2 * model.n_w] += _min_norm_step(J, -G[todo]).view(float)
         Y[todo] = yt
         Z[todo] = zt = model.points(ct, yt)
-        res[todo] = rt = model.residual(zt)
+        G[todo] = gt = model.relations.values(zt)
+        res[todo] = rt = relative_residual(model.relations, zt, gt)
         todo = todo[rt > tol]
     errors = [None] * len(Y)
-    for b in todo:
+    for b in np.flatnonzero(~(res <= tol)):
         errors[b] = RetractionError(
             "retraction stalled at relative residual %.3g (tolerance %.3g)"
             % (res[b], tol)
@@ -1027,15 +1027,6 @@ def _evaluate(model: _Model, starts, cfg: FlowConfig) -> list:
                 leg,
             )
     return out
-
-
-def _eval_from_chart(
-    cp: ChartPoint,
-    cfg: FlowConfig,
-    fam: FamilyPresentation,
-    basis: VdBasis,
-) -> EvalResult:
-    return _evaluate(_Model(fam, basis), [cp], cfg)[0]
 
 
 def _evaluate_points(model: _Model, xs, cfg: FlowConfig, datum: SagbiDatum) -> list:

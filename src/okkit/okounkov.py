@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import _lattice
-from ._polytope import _null_space_rows, _solve_exact, convex_hull
+from ._polytope import OkounkovBody, _null_space_rows, _solve_exact, convex_hull
 from .algebra import (
     BiDegree,
     Polynomial,
@@ -474,70 +474,6 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
 # bodies
 
 
-@dataclass(frozen=True)
-class OkounkovBody:
-    """Rational polytope conv{u/k} in both V- and H-representation.
-
-    ambient_dim is the length n of the value vectors; dim is the dimension
-    of the polytope itself (-1 for the empty body, from slicing).  facets
-    are pairs (integer normal, rational offset) meaning normal . x <=
-    offset; a polytope of dimension below n carries equality pairs for its
-    affine hull.  volume is the n-dimensional measure, zero when dim < n.
-    """
-
-    ambient_dim: int
-    dim: int
-    vertices: tuple
-    facets: tuple
-    volume: Fraction
-
-    @classmethod
-    def from_hull(cls, hull) -> "OkounkovBody":
-        body = cls(
-            hull.ambient_dim, hull.dim, hull.vertices, hull.facets, hull.volume
-        )
-        for v in body.vertices:
-            if not body.contains(v):
-                raise OkounkovError("hull vertex violates its own facets")
-        return body
-
-    @classmethod
-    def empty(cls, ambient_dim: int) -> "OkounkovBody":
-        unsatisfiable = (((0,) * ambient_dim, Fraction(-1)),)
-        return cls(ambient_dim, -1, (), unsatisfiable, Fraction(0))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
-    def contains(self, point, slack=Fraction(0)) -> bool:
-        point = tuple(Fraction(x) for x in point)
-        if len(point) != self.ambient_dim:
-            raise ValueError("point dimension mismatch")
-        return all(
-            sum(n * x for n, x in zip(normal, point)) <= offset + slack
-            for normal, offset in self.facets
-        )
-
-    def to_json_dict(self) -> dict:
-        """The documented serialization: rationals as [numerator,
-        denominator] pairs, one pair per coordinate."""
-        return {
-            "dim": self.ambient_dim,
-            "vertices": [
-                [[x.numerator, x.denominator] for x in v] for v in self.vertices
-            ],
-            "facets": [
-                {
-                    "normal": [int(a) for a in normal],
-                    "offset": [offset.numerator, offset.denominator],
-                }
-                for normal, offset in self.facets
-            ],
-            "volume": [self.volume.numerator, self.volume.denominator],
-        }
-
-
 def okounkov_body(S: ValueSemigroup) -> OkounkovBody:
     """Exact convex hull of the level-normalized generator values."""
     if not S.generators:
@@ -545,7 +481,7 @@ def okounkov_body(S: ValueSemigroup) -> OkounkovBody:
     points = [
         tuple(Fraction(x, g.level) for x in g.value) for g in S.generators
     ]
-    return OkounkovBody.from_hull(convex_hull(points))
+    return convex_hull(points)
 
 
 def _hilbert_leading_coefficient(S: ValueSemigroup, n: int, K: int) -> Fraction:
@@ -668,7 +604,7 @@ def _sliced_body(body: OkounkovBody, grading: GradingHomomorphism) -> OkounkovBo
     d = len(W)
     if d == 0:
         if body.contains(particular):
-            return OkounkovBody.from_hull(convex_hull([particular], n))
+            return convex_hull([particular], n)
         return OkounkovBody.empty(n)
     # inequalities in the y chart: (normal . W_j) y_j <= offset - normal . v0
     rows = []
@@ -694,7 +630,7 @@ def _sliced_body(body: OkounkovBody, grading: GradingHomomorphism) -> OkounkovBo
         )
         for y in sorted(candidates)
     ]
-    return OkounkovBody.from_hull(convex_hull(points, n))
+    return convex_hull(points, n)
 
 
 def slice(

@@ -81,6 +81,16 @@ def qhull_volume(points):
         return 0.0
 
 
+def qhull_vertices(points):
+    """Float vertices of a full-dimensional hull via qhull, as a set of
+    coordinate tuples."""
+    import numpy as np
+    from scipy.spatial import ConvexHull
+
+    pts = np.asarray(points, dtype=float)
+    return {tuple(pts[i]) for i in ConvexHull(pts).vertices}
+
+
 def directional_derivative(fn, x, direction, h=1e-6):
     """Central finite difference of a scalar function along a direction."""
     import numpy as np
@@ -116,3 +126,16 @@ def lattice_points(hull):
 
     rec(0, [])
     return out
+
+
+def dilate(body, k):
+    """The scaled polytope k * body, k a positive rational: every vertex
+    and facet offset times k, the volume times k^n."""
+    k = Fraction(k)
+    return type(body)(
+        body.ambient_dim,
+        body.dim,
+        tuple(sorted(tuple(k * x for x in v) for v in body.vertices)),
+        tuple(sorted((n, k * b) for n, b in body.facets)),
+        body.volume * k**body.ambient_dim,
+    )

@@ -48,7 +48,8 @@ from presentations import ALL_DATA, relation_set_for
 EPSILON = 0.5
 DELTA = 1e-4
 MAIN_ENTRIES = ("p1", "p1xp1", "elliptic", "gl3-flag")
-FLOW_ENTRIES = ("p1", "p1xp1", "elliptic")  # gl3-flag is the extended entry
+# gl3-flag flows take the longest; `okkit check` probes them
+FLOW_ENTRIES = ("p1", "p1xp1", "elliptic")
 
 
 def _report(number, label, started, detail=""):

@@ -1,14 +1,17 @@
 """Exact-arithmetic layer: composite order, polynomials, valuations, grammar."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okkit.algebra import (
     BiDegree,
+    CompiledPolynomial,
     DimensionError,
     EvaluationError,
     InconclusiveValuationError,
@@ -22,6 +25,7 @@ from okkit.algebra import (
     format_polynomial,
     monomial_valuation,
     parse_polynomial,
+    relative_residual,
     series_valuation,
 )
 
@@ -292,6 +296,19 @@ def test_evaluate_laurent_zero_guard():
 def test_evaluate_length_mismatch():
     with pytest.raises(EvaluationError):
         evaluate_complex(parse_polynomial("x", XY), (1,))
+
+
+def test_relative_residual_of_a_nan_point_is_nan():
+    system = CompiledPolynomial.stack(
+        [parse_polynomial("x^2 - y", XY), parse_polynomial("y - 1", XY)], 2
+    )
+    rows = np.array([[1, 1], [2, 4], [math.nan, 1]], dtype=complex)
+    r = relative_residual(system, rows)
+    assert r[0] == 0 and r[1] == pytest.approx(3 / 5)
+    assert math.isnan(r[2])
+    # y - 1 does not involve x: only the point itself shows the NaN
+    only_y = CompiledPolynomial.stack([parse_polynomial("y - 1", XY)], 2)
+    assert math.isnan(relative_residual(only_y, rows[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ class TestLoading:
         entry = load_example("gl3-flag")
         assert entry.degree == 6
         assert len(entry.body.vertices) == 7
-        assert entry.extended
         assert semigroup_hilbert(entry.semigroup, 1) == weyl_dimension_gl3((2, 1, 0))
 
     def test_quotient_demo_slice(self):
@@ -98,7 +97,6 @@ class TestLoading:
             entry = load_example(name)
             assert entry.flow.epsilon == 0.5
             assert entry.flow.delta == 1e-4
-            assert entry.extended == (name == "gl3-flag")
 
 
 class TestTampering:
@@ -199,7 +197,6 @@ class TestUserFiles:
         assert entry.name == "conic"
         assert entry.degree == 2
         assert entry.flow.delta == 0.001
-        assert not entry.extended
 
     def test_bundled_file_verbatim_through_file_loader(self, tmp_path):
         copied = tmp_path / "elliptic.json"

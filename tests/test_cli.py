@@ -342,7 +342,7 @@ def _level_two_entry(tmp_path):
             "body_vertices": [[[0, 1]], [[2, 1]]],
             "degree": 2,
         },
-        "flow": {"epsilon": 0.5, "delta": 0.0001, "extended": False},
+        "flow": {"epsilon": 0.5, "delta": 0.0001},
     }
     path = tmp_path / "level-two.json"
     path.write_text(json.dumps(doc))
@@ -360,10 +360,11 @@ class TestCheck:
         assert "overall: PASS" in result.output
         assert "FAIL" not in result.output
 
-    def test_extended_entry_skips_flow_probe(self, runner):
+    def test_flag_entry_runs_flow_probe(self, runner):
         result = invoke(runner, "check", "gl3-flag")
         assert result.exit_code == 0
-        assert "SKIP" in result.output and "extended" in result.output
+        probe = [line for line in result.output.splitlines() if "flow probe" in line]
+        assert len(probe) == 1 and "PASS" in probe[0]
 
     def test_level_two_entry_skips_flow_probe(self, runner, tmp_path):
         entry = _level_two_entry(tmp_path)

@@ -22,7 +22,7 @@ from okkit._polytope import (
     convex_hull,
 )
 
-from oracles import lattice_points, qhull_volume
+from oracles import dilate, lattice_points, qhull_vertices, qhull_volume
 
 
 def frac_det(rows):
@@ -288,8 +288,8 @@ class TestFlagHull:
         h = convex_hull(GL3_VALUES)
         # Ehrhart count (k + 1)^3 for this polytope
         for k in range(1, 5):
-            assert len(lattice_points(h.dilate(k))) == (k + 1) ** 3
-        assert h.dilate(2).volume == 8
+            assert len(lattice_points(dilate(h, k))) == (k + 1) ** 3
+        assert dilate(h, 2).volume == 8
 
     def test_every_input_point_inside(self):
         h = convex_hull(GL3_VALUES)
@@ -297,17 +297,39 @@ class TestFlagHull:
         assert set(lattice_points(h)) == set(GL3_VALUES)
 
 
+def rationals(bound):
+    """num / den with |num| <= bound and den in 1..3, so the hull has
+    denominators to clear."""
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 3))
+
+
+small_points_1d = st.lists(st.tuples(rationals(4)), min_size=1, max_size=9)
 small_points_2d = st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=9
+    st.tuples(rationals(4), rationals(4)), min_size=1, max_size=9
 )
 small_points_3d = st.lists(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(rationals(3), rationals(3), rationals(3)),
     min_size=1,
     max_size=8,
 )
 
 
+def assert_vertices_match_qhull(h, pts):
+    if h.dim == h.ambient_dim:
+        assert {tuple(map(float, v)) for v in h.vertices} == qhull_vertices(pts)
+
+
 class TestHullProperties:
+    @given(small_points_1d)
+    @settings(max_examples=60, deadline=None)
+    def test_interval_is_min_to_max(self, pts):
+        h = convex_hull(pts)
+        lo, hi = min(pts), max(pts)
+        assert h.dim == (1 if lo != hi else 0)
+        assert h.vertices == tuple(sorted({lo, hi}))
+        assert h.volume == hi[0] - lo[0]
+        assert all(h.contains(p) for p in pts)
+
     @given(small_points_2d)
     @settings(max_examples=120, deadline=None)
     def test_matches_qhull_2d(self, pts):
@@ -315,6 +337,7 @@ class TestHullProperties:
         assert abs(float(h.volume) - qhull_volume(pts)) < 1e-9
         assert all(h.contains(p) for p in pts)
         assert set(h.vertices) <= {tuple(map(Fraction, p)) for p in pts}
+        assert_vertices_match_qhull(h, pts)
 
     @given(small_points_3d)
     @settings(max_examples=80, deadline=None)
@@ -322,6 +345,7 @@ class TestHullProperties:
         h = convex_hull(pts)
         assert abs(float(h.volume) - qhull_volume(pts)) < 1e-9
         assert all(h.contains(p) for p in pts)
+        assert_vertices_match_qhull(h, pts)
 
     @given(small_points_3d)
     @settings(max_examples=60, deadline=None)
@@ -330,4 +354,5 @@ class TestHullProperties:
         for q in lattice_points(h):
             assert h.contains(q)
         # integer inputs are themselves lattice points of the hull
-        assert {tuple(map(int, p)) for p in pts} <= set(lattice_points(h))
+        integral = [p for p in pts if all(x.denominator == 1 for x in p)]
+        assert {tuple(map(int, p)) for p in integral} <= set(lattice_points(h))
