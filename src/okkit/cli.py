@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from okkit.flow import (
     run_batch,
     trajectory_csv,
 )
-from okkit.okounkov import NotInSemigroupError, subduct
+from okkit.okounkov import NotInSemigroupError, SliceCompletenessWarning, subduct
 from okkit.okounkov import slice as semigroup_slice
 
 COMMUTATION_TOLERANCE = 1e-6
@@ -534,9 +535,13 @@ def slice_cmd(ctx, entry, hom_path, samples, seed, json_path):
             "entry %r carries no grading; pass --homomorphism" % loaded.name
         )
 
-    sliced_semigroup, sliced_body = semigroup_slice(
-        loaded.semigroup, loaded.body, grading
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SliceCompletenessWarning)
+        sliced_semigroup, sliced_body = semigroup_slice(
+            loaded.semigroup, loaded.body, grading
+        )
+    for warning in caught:
+        click.echo("warning: %s" % warning.message, err=True)
 
     fam, basis = _entry_pipeline(loaded)
     worst = 0.0

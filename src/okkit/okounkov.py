@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
+
+import numpy as np
 
 from . import _lattice
 from ._polytope import OkounkovBody, _null_space_rows, _solve_exact, convex_hull
@@ -355,27 +358,110 @@ class ValueSemigroup:
         return len(self.generators[0].value)
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+class _Level(NamedTuple):
+    """One level set {u : (k, u) in S} of a finitely generated semigroup.
+
+    rows are the values, lexicographically sorted, as read-only int64 rows
+    of shape (count, n); lo and hi bound each coordinate (Python ints) and
+    keys are the rows' mixed-radix keys (rows - lo) @ place, which sort in
+    the same order, so membership is one binary search.
+    """
+
+    rows: np.ndarray
+    lo: tuple
+    hi: tuple
+    place: tuple
+    keys: np.ndarray
+
+    def __contains__(self, u) -> bool:
+        if not all(a <= x <= b for a, x, b in zip(self.lo, u, self.hi)):
+            return False
+        key = sum((x - a) * p for x, a, p in zip(u, self.lo, self.place))
+        i = int(self.keys.searchsorted(key))
+        return i < len(self.keys) and self.keys[i] == key
+
+
+def _frozen_level(rows, lo, hi, place, keys) -> _Level:
+    rows.flags.writeable = False
+    keys.flags.writeable = False
+    return _Level(rows, lo, hi, place, keys)
+
+
+def _next_level(gens: tuple, levels: list) -> _Level:
+    """Level k = len(levels): the union over generators g of level k -
+    g.level shifted by g.value, deduplicated by one np.unique over the
+    level's mixed-radix keys.  Raises OverflowError when a generator
+    value or the level's key range does not fit int64."""
+    k = len(levels)
+    n = levels[0].rows.shape[1]
+    blocks = [
+        (levels[k - g.level], g.value)
+        for g in gens
+        if g.level <= k and len(levels[k - g.level].rows)
+    ]
+    if not blocks:
+        # bounds with lo > hi, so no value passes the membership test
+        empty = np.empty((0, n), dtype=np.int64)
+        return _frozen_level(empty, (1,) * n, (0,) * n, (1,) * n, np.empty(0, np.int64))
+    lo = tuple(min(b.lo[j] + v[j] for b, v in blocks) for j in range(n))
+    hi = tuple(max(b.hi[j] + v[j] for b, v in blocks) for j in range(n))
+    spans = [b - a + 1 for a, b in zip(lo, hi)]
+    extremes = lo + hi + tuple(x for _, v in blocks for x in v)
+    if math.prod(spans) > 2**63 or not all(
+        _INT64_MIN <= x <= _INT64_MAX for x in extremes
+    ):
+        raise OverflowError(
+            "level %d of the value semigroup does not fit int64: coordinate"
+            " spans %s" % (k, spans)
+        )
+    place = tuple(math.prod(spans[j + 1:]) for j in range(n))
+    rows = np.concatenate(
+        [b.rows + np.array(v, dtype=np.int64) for b, v in blocks]
+    )
+    keys = (rows - np.array(lo, dtype=np.int64)) @ np.array(place, dtype=np.int64)
+    keys, first = np.unique(keys, return_index=True)
+    return _frozen_level(rows[first], lo, hi, place, keys)
+
+
 @lru_cache(maxsize=None)
-def _reachable_values(gens: tuple, k: int) -> frozenset:
-    """Values u with (k, u) in the semigroup generated by gens."""
-    if k == 0:
-        if not gens:
-            return frozenset({()})
-        return frozenset({(0,) * len(gens[0].value)})
-    out = set()
-    for g in gens:
-        if g.level <= k:
-            for u in _reachable_values(gens, k - g.level):
-                out.add(tuple(a + b for a, b in zip(u, g.value)))
-    return frozenset(out)
+def _level_sets(gens: tuple) -> list:
+    """The levels of gens built so far, from level 0 up; _level_table
+    appends to the list in place."""
+    n = len(gens[0].value) if gens else 0
+    zero = np.zeros((1, n), dtype=np.int64)
+    return [_frozen_level(zero, (0,) * n, (0,) * n, (1,) * n, np.zeros(1, np.int64))]
+
+
+def _level_table(gens: tuple, k: int) -> _Level:
+    """Level k of the semigroup generated by gens (BiDegrees), building
+    every missing level below it first, lowest first, so no call recurses
+    however deep k is."""
+    levels = _level_sets(gens)
+    while len(levels) <= k:
+        levels.append(_next_level(gens, levels))
+    return levels[k]
+
+
+@lru_cache(maxsize=None)
+def _reachable_values(gens: tuple, k: int) -> np.ndarray:
+    """Values u with (k, u) in the semigroup generated by gens, as
+    lexicographically sorted, read-only int64 rows of shape (count, n)."""
+    return _level_table(gens, k).rows
 
 
 def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
-    """Number of distinct values at level k, by memoized reachability."""
+    """Number of distinct values at level k: the length of the cached
+    level table.
+
+    The table holds int64 rows; a level whose coordinate box (the product
+    of its coordinate spans) or whose generator values do not fit int64
+    raises OverflowError naming the level, never a wrapped count.
+    """
     if k < 0:
         raise ValueError("level must be nonnegative")
-    if not S.generators:
-        return 1 if k == 0 else 0
     return len(_reachable_values(S.generators, k))
 
 
@@ -383,43 +469,30 @@ def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
 # subduction
 
 
-def _decompose(datum: SagbiDatum, k: int, target: tuple):
-    """Exponents alpha over datum.generators with sum of levels k and sum
-    of values target, or None.  Deterministic: prefers high powers of
-    early generators."""
-    gens = datum.generators
-    memo = {}
+def _reaches(gens: tuple, k: int, u: tuple) -> bool:
+    """Whether (k, u) lies in the semigroup generated by gens."""
+    if not gens:
+        return k == 0 and not any(u)
+    return u in _level_table(gens, k)
 
-    def reachable(i, level_left, residual):
-        if i == len(gens):
-            return level_left == 0 and all(x == 0 for x in residual)
-        key = (i, level_left, residual)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        g = gens[i]
-        ok = False
-        for c in range(level_left // g.level + 1):
-            res = tuple(
-                r - c * v for r, v in zip(residual, g.value)
-            )
-            if reachable(i + 1, level_left - c * g.level, res):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
 
-    if not reachable(0, k, tuple(target)):
+def _decompose(gens: tuple, k: int, target: tuple):
+    """Exponents alpha over gens (BiDegrees) with sum of levels k and sum
+    of values target, or None.  Deterministic: takes the highest power of
+    the earliest generator that leaves a residual the later generators
+    still reach, read off the level table of that suffix."""
+    target = tuple(target)
+    if not _reaches(gens, k, target):
         return None
     counts = []
-    level_left, residual = k, tuple(target)
+    level_left, residual = k, target
     for i, g in enumerate(gens):
         for c in range(level_left // g.level, -1, -1):
+            left = level_left - c * g.level
             res = tuple(r - c * v for r, v in zip(residual, g.value))
-            if reachable(i + 1, level_left - c * g.level, res):
+            if _reaches(gens[i + 1:], left, res):
                 counts.append(c)
-                level_left -= c * g.level
-                residual = res
+                level_left, residual = left, res
                 break
     return tuple(counts)
 
@@ -440,7 +513,8 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
     symbol_ring = datum.symbol_ring
     expression = Polynomial.zero(symbol_ring)
     chain = []
-    budget = semigroup_hilbert(datum.semigroup(), k) + 1
+    S = datum.semigroup()
+    budget = semigroup_hilbert(S, k) + 1
     for _ in range(budget):
         if g.is_zero():
             return expression, chain
@@ -450,7 +524,7 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
             raise NotInSemigroupError(
                 "subduction failed to increase the value at %s" % (step,)
             )
-        alpha = _decompose(datum, k, u)
+        alpha = _decompose(S.generators, k, u)
         if alpha is None:
             raise NotInSemigroupError(
                 "value (%d, %s) is not a sum of generator values" % (k, u)
@@ -661,13 +735,20 @@ def slice(
     if bound is None:
         levels = [g.level for g in S.generators]
         bound = math.lcm(*levels) * (n + 1) if levels else n + 1
+    matrix = np.array(grading.matrix, dtype=np.int64)
     kept = []
-    zero_m = (0,) * grading.codomain_dim
     for k in range(1, bound + 1):
-        for u in sorted(_reachable_values(S.generators, k)):
-            b = BiDegree(k, u)
-            if grading.apply(b) == zero_m:
-                kept.append(b)
+        level = _level_table(S.generators, k)
+        reach = (k,) + tuple(max(-a, b) for a, b in zip(level.lo, level.hi))
+        top = max(sum(abs(m) * r for m, r in zip(row, reach)) for row in grading.matrix)
+        if len(level.rows) and top > _INT64_MAX:
+            raise OverflowError(
+                "level %d of the slice does not fit int64: grading images"
+                " up to %d" % (k, top)
+            )
+        images = level.rows @ matrix[:, 1:].T + k * matrix[:, 0]
+        kernel = level.rows[~images.any(axis=1)]
+        kept.extend(BiDegree(k, u) for u in kernel.tolist())
     gens = _minimal_generators(kept)
     sliced_semigroup = ValueSemigroup(gens)
 

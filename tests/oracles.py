@@ -40,6 +40,49 @@ def brute_semigroup_level(generators, k):
     return out
 
 
+def dfs_decompose(generators, k, target):
+    """Exponents over ``generators`` with levels summing to k and values
+    summing to ``target``, or None, by a memoised depth-first search.
+
+    generators: sequence of (level, value tuple).  Greedy and
+    deterministic: the highest power of the earliest generator that
+    leaves a reachable residual comes first.
+    """
+    gens = list(generators)
+    memo = {}
+
+    def reachable(i, level_left, residual):
+        if i == len(gens):
+            return level_left == 0 and all(x == 0 for x in residual)
+        key = (i, level_left, residual)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        lvl, val = gens[i]
+        ok = False
+        for c in range(level_left // lvl + 1):
+            res = tuple(r - c * v for r, v in zip(residual, val))
+            if reachable(i + 1, level_left - c * lvl, res):
+                ok = True
+                break
+        memo[key] = ok
+        return ok
+
+    if not reachable(0, k, tuple(target)):
+        return None
+    counts = []
+    level_left, residual = k, tuple(target)
+    for i, (lvl, val) in enumerate(gens):
+        for c in range(level_left // lvl, -1, -1):
+            res = tuple(r - c * v for r, v in zip(residual, val))
+            if reachable(i + 1, level_left - c * lvl, res):
+                counts.append(c)
+                level_left -= c * lvl
+                residual = res
+                break
+    return tuple(counts)
+
+
 def weyl_dimension_gl3(lam):
     """Dimension of the irreducible GL(3) representation with highest
     weight lam = (l1 >= l2 >= l3), by the Weyl dimension formula:

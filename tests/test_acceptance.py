@@ -159,9 +159,10 @@ def test_criterion_04_family_identities():
 
 
 def test_criterion_05_flow_conservation():
-    """50 trajectories per non-extended entry: the time component of the
-    gradient field is -1 to 1e-8, Im pi stays under 1e-8, and the time
-    coordinate tracks epsilon - s to 1e-6."""
+    """50 trajectories per entry of FLOW_ENTRIES (gl3-flag is left out
+    for time): the time component of the gradient field is -1 to 1e-8,
+    Im pi stays under 1e-8, and the time coordinate tracks epsilon - s
+    to 1e-6."""
     started = time.perf_counter()
     cfg = FlowConfig(epsilon=EPSILON, delta=DELTA)
     for name in FLOW_ENTRIES:
@@ -237,8 +238,9 @@ def test_criterion_08_p1xp1_brackets_vanish():
 
 
 def test_criterion_09_symplectic_transport():
-    """20 (point, u, v) triples per non-extended entry: the symplectic
-    pairing of transported tangent vectors is conserved to 1e-4."""
+    """20 (point, u, v) triples per entry of FLOW_ENTRIES (gl3-flag is
+    left out for time): the symplectic pairing of transported tangent
+    vectors is conserved to 1e-4."""
     started = time.perf_counter()
     cfg = FlowConfig(epsilon=EPSILON, delta=DELTA)
     rng = np.random.default_rng(97)

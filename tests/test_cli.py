@@ -1,12 +1,16 @@
 """Command line behavior: exit codes, canonical output, config files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import okkit
 from okkit.cli import _hull_2d, body_svg, canonical_json, main
 from okkit.catalog import load_example
 
@@ -436,6 +440,24 @@ class TestSlice:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    def test_incomplete_slice_warns_in_one_line(self, tmp_path):
+        # a real process, so a raw Python warning would reach its stderr
+        hom = tmp_path / "steep.json"
+        hom.write_text('{"matrix": [[-2, 1]]}')
+        env = dict(os.environ, PYTHONPATH=str(Path(okkit.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "okkit.cli", "slice", "p1", "--homomorphism", str(hom)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0
+        lines = result.stderr.splitlines()
+        assert lines == [
+            "warning: sliced semigroup generators (bound 2) may be incomplete"
+            " for the kernel lattice"
+        ]
+        assert "okounkov.py" not in result.stderr
+        assert "semigroup_slice(" not in result.stderr
 
     def test_malformed_homomorphism_file(self, runner, tmp_path):
         hom = tmp_path / "junk.json"

@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okkit.algebra import BiDegree, Polynomial, Ring, parse_polynomial
 from okkit.okounkov import (
@@ -24,9 +26,11 @@ from okkit.okounkov import (
     semigroup_hilbert,
     subduct,
 )
+from okkit.catalog import load_example
+from okkit.okounkov import _decompose, _reachable_values
 from okkit.okounkov import slice as semigroup_slice
 
-from oracles import brute_semigroup_level
+from oracles import brute_semigroup_level, dfs_decompose
 from presentations import (
     ALL_DATA,
     elliptic_datum,
@@ -296,12 +300,70 @@ class TestHilbert:
         assert semigroup_hilbert(S, 0) == 1
         assert semigroup_hilbert(S, 3) == 0
 
+    def test_deep_level_does_not_recurse(self):
+        assert semigroup_hilbert(load_example("p1").semigroup, 3000) == 3001
+
+    def test_generator_beyond_int64_raises(self):
+        S = ValueSemigroup((BiDegree(1, (0,)), BiDegree(1, (2**70,))))
+        with pytest.raises(OverflowError, match="level 1 "):
+            semigroup_hilbert(S, 1)
+
+    def test_key_range_beyond_int64_raises(self):
+        S = ValueSemigroup((BiDegree(1, (0, 0)), BiDegree(1, (2**32, 2**32))))
+        with pytest.raises(OverflowError, match="level 1 "):
+            semigroup_hilbert(S, 1)
+
+    def test_overflow_names_the_first_level_that_wraps(self):
+        S = ValueSemigroup((BiDegree(1, (0,)), BiDegree(1, (2**62,))))
+        assert semigroup_hilbert(S, 1) == 2
+        with pytest.raises(OverflowError, match="level 2 "):
+            semigroup_hilbert(S, 2)
+
     def test_group_completeness_flag(self, any_datum):
         assert any_datum.semigroup().group_complete
 
     def test_incomplete_group_detected(self):
         S = ValueSemigroup((BiDegree(1, (0,)), BiDegree(1, (2,))))
         assert not S.group_complete
+
+
+@st.composite
+def small_semigroups(draw):
+    """(level, value) generators: n from 1 to 3, levels 1 to 3, coordinates
+    from -4 to 4."""
+    n = draw(st.integers(1, 3))
+    value = st.tuples(*[st.integers(-4, 4)] * n)
+    return draw(
+        st.lists(st.tuples(st.integers(1, 3), value), min_size=1, max_size=4, unique=True)
+    )
+
+
+class TestLevelTables:
+    @given(small_semigroups())
+    @settings(max_examples=100, deadline=None)
+    def test_levels_match_bruteforce(self, gens):
+        S = ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens))
+        for k in range(6):
+            rows = _reachable_values(S.generators, k)
+            assert rows.dtype == "int64" and not rows.flags.writeable
+            expected = sorted(brute_semigroup_level(gens, k))
+            assert [tuple(r) for r in rows.tolist()] == expected
+
+    @given(small_semigroups(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decompose_matches_oracle(self, gens, data):
+        S = ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens))
+        n = len(gens[0][1])
+        for k in range(5):
+            level = brute_semigroup_level(gens, k)
+            for u in sorted(level):
+                assert _decompose(S.generators, k, u) == dfs_decompose(gens, k, u)
+            coordinate = st.integers(-4 * k - 1, 4 * k + 1)
+            u = data.draw(st.tuples(*[coordinate] * n))
+            if u not in level:
+                assert _decompose(S.generators, k, u) is None
+                assert dfs_decompose(gens, k, u) is None
+            assert _decompose(S.generators, k, (2**70,) * n) is None
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +517,12 @@ class TestSlicing:
         grading = GradingHomomorphism(((-2, 1),))
         with pytest.warns(SliceCompletenessWarning):
             semigroup_slice(S, body, grading, bound=1)
+
+    def test_grading_images_beyond_int64_raise(self, elliptic):
+        S = elliptic.semigroup()
+        grading = GradingHomomorphism(((2**62, 2**62),))
+        with pytest.raises(OverflowError, match="level 1 "):
+            semigroup_slice(S, okounkov_body(S), grading)
 
     def test_kernel_lattice(self):
         grading = GradingHomomorphism(((-1, 1),))
