@@ -288,7 +288,10 @@ def _verify_grading(doc: dict, semigroup, body, where: str):
         raise CatalogError("%s: homomorphism must be an object" % where)
     n = body.ambient_dim
     grading = _parse_matrix(_need(block, "matrix", list, where), n + 1, where)
-    sliced_semigroup, sliced_body = semigroup_slice(semigroup, body, grading)
+    try:
+        sliced_semigroup, sliced_body = semigroup_slice(semigroup, body, grading)
+    except OverflowError as exc:
+        raise CatalogError("%s: homomorphism rejected: %s" % (where, exc)) from exc
     problems = []
     want_gens = _parse_bidegrees(
         _need(block, "sliced_generators", list, where), n, "sliced_generators", where

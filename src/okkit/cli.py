@@ -537,9 +537,12 @@ def slice_cmd(ctx, entry, hom_path, samples, seed, json_path):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SliceCompletenessWarning)
-        sliced_semigroup, sliced_body = semigroup_slice(
-            loaded.semigroup, loaded.body, grading
-        )
+        try:
+            sliced_semigroup, sliced_body = semigroup_slice(
+                loaded.semigroup, loaded.body, grading
+            )
+        except OverflowError as exc:
+            raise click.UsageError("homomorphism rejected: %s" % exc) from exc
     for warning in caught:
         click.echo("warning: %s" % warning.message, err=True)
 

@@ -36,6 +36,10 @@ per point) and the symplectic transport flow their perturbed starts as
 one batch each.  Every batched call works state by state, so a state's
 result does not depend on the batch around it.
 
+The fiber frame is Kaehler-orthonormal in pairs e, i e, so the Kaehler
+form restricted to it is the standard J and a Poisson bracket is a
+closed-form pairing of two differentials, with nothing to solve.
+
 Failures are never silent.  flow_to returns a FlowResult whose ``ok``
 flag is False and whose ``failure`` string says what happened; the
 samples collected up to that point are kept.
@@ -74,7 +78,6 @@ __all__ = [
     "SingularPointError",
     "CriticalPointError",
     "RetractionError",
-    "DegenerateFormError",
     "IllConditionedWarning",
     "ambient_metric",
     "ambient_symplectic",
@@ -130,10 +133,6 @@ class CriticalPointError(FlowError):
 
 class RetractionError(FlowError):
     """Gauss-Newton retraction failed to reach the family."""
-
-
-class DegenerateFormError(FlowError):
-    """The restricted symplectic form was too close to singular to invert."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -721,20 +720,9 @@ _DP_WEIGHTS = np.array(
 ).T[:, :, None, None]
 
 
-def _start_problem(cp: ChartPoint, target: float):
-    """Why cp cannot start a leg down to target, or None."""
-    if not (0.0 < target < cp.t.real):
-        return "target %g must lie strictly between 0 and Re t = %g" % (
-            target,
-            cp.t.real,
-        )
-    if abs(cp.t.imag) > IM_PI_TOLERANCE:
-        return "starting point has |Im t| = %g" % abs(cp.t.imag)
-    return None
-
-
 def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
-    """Flow a batch of valid starts down to Re t = target, in lockstep.
+    """Flow a batch of starts down to Re t = target, in lockstep; a start
+    with Re t <= target or |Im t| > IM_PI_TOLERANCE raises ValueError.
 
     Every state keeps its own chart, step size, arc length s, counters
     and failure; each round takes one Dormand-Prince step on every state
@@ -745,6 +733,14 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     only ever combined with itself, and every batched call works state
     by state, so a state's result does not depend on the batch around it.
     """
+    for cp in starts:
+        if not (0.0 < target < cp.t.real):
+            raise ValueError(
+                "target %g must lie strictly between 0 and Re t = %g"
+                % (target, cp.t.real)
+            )
+        if abs(cp.t.imag) > IM_PI_TOLERANCE:
+            raise ValueError("starting point has |Im t| = %g" % abs(cp.t.imag))
     n = len(starts)
     if not n:
         return []
@@ -942,17 +938,6 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     ]
 
 
-def _legs(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
-    """One lockstep leg per start down to target; a start that cannot
-    begin the leg gives the reason, as a string, in place of a result."""
-    out = [_start_problem(cp, target) for cp in starts]
-    valid = [i for i, problem in enumerate(out) if problem is None]
-    flown = _integrate(model, [starts[i] for i in valid], target, cfg)
-    for i, result in zip(valid, flown):
-        out[i] = result
-    return out
-
-
 def flow_to(
     cp: ChartPoint,
     target: float,
@@ -976,11 +961,7 @@ def flow_to(
     that cannot begin the leg (target not below Re t, or Im t nonzero)
     raises ValueError.
     """
-    model = _Model(fam, basis)
-    problem = _start_problem(cp, target)
-    if problem is not None:
-        raise ValueError(problem)
-    return _integrate(model, [cp], target, cfg)[0]
+    return _integrate(_Model(fam, basis), [cp], target, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -990,31 +971,20 @@ def flow_to(
 def _evaluate(model: _Model, starts, cfg: FlowConfig) -> list:
     """Both legs for a batch of chart points: eps -> delta for all of
     them as one lockstep phase, then delta -> delta/2 for the survivors as
-    a second.  Never raises; every failure is an ok=False result."""
-    first = _legs(model, starts, cfg.delta, cfg)
+    a second.  Every flow failure is an ok=False result.  An ok first leg
+    ends at Re t = delta with |Im t| <= IM_PI_TOLERANCE, so only an
+    invalid first start raises ValueError, from ``_integrate``."""
+    first = _integrate(model, starts, cfg.delta, cfg)
     out = [None] * len(starts)
     going = []
     for i, leg in enumerate(first):
-        if isinstance(leg, str):
-            out[i] = EvalResult(
-                False, "invalid start: %s" % leg, None, None, None, None
-            )
-        elif not leg.ok:
-            out[i] = EvalResult(False, leg.failure, None, None, leg, None)
-        else:
+        if leg.ok:
             going.append(i)
-    second = _legs(model, [first[i].terminal for i in going], cfg.delta / 2, cfg)
+        else:
+            out[i] = EvalResult(False, leg.failure, None, None, leg, None)
+    second = _integrate(model, [first[i].terminal for i in going], cfg.delta / 2, cfg)
     for i, leg in zip(going, second):
-        if isinstance(leg, str):
-            out[i] = EvalResult(
-                False,
-                "invalid continuation start: %s" % leg,
-                None,
-                None,
-                first[i],
-                None,
-            )
-        elif not leg.ok:
+        if not leg.ok:
             out[i] = EvalResult(False, leg.failure, None, None, first[i], leg)
         else:
             a, b = first[i].moment, leg.moment
@@ -1088,13 +1058,6 @@ def run_batch(
 # Poisson brackets and symplectic transport
 
 
-def _fiber_basepoint(
-    x, cfg: FlowConfig, datum: SagbiDatum, fam: FamilyPresentation, basis: VdBasis
-) -> ChartPoint:
-    pt = embed_point(x, datum, fam, cfg.epsilon, basis)
-    return ChartPoint.from_projective(pt)
-
-
 def _shifted_starts(model: _Model, cp: ChartPoint, Y: np.ndarray, tol: float):
     """Retract perturbed copies of cp back onto the family, keeping its chart."""
     charts = np.full(len(Y), cp.chart, dtype=np.intp)
@@ -1102,7 +1065,7 @@ def _shifted_starts(model: _Model, cp: ChartPoint, Y: np.ndarray, tol: float):
     return [ChartPoint.from_real(cp.chart, y) for y in Y], errors
 
 
-# (key, datum, fam, basis, W, dF) of the last point _differentials computed.
+# (key, datum, fam, basis, dF) of the last point _differentials computed.
 _last_differentials = None
 
 
@@ -1118,10 +1081,17 @@ def _point_key(x) -> tuple:
 def _differentials(
     x, cfg: FlowConfig, datum: SagbiDatum, fam: FamilyPresentation, basis: VdBasis
 ):
-    """Restricted Kaehler form W and differential dF of F at x.
+    """Differential dF of F at x along the fiber frame.
 
     dF[k] is the central difference of F_{k+1} along the orthonormal
     fiber frame, with all the perturbed evaluations flowed as one batch.
+    The frame's columns are g-orthonormal pairs e, i e, and i maps each
+    column to plus or minus its partner, so the Kaehler form
+    W(a, b) = g(i a, b) restricted to it is the standard J
+    (W(e, i e) = g(i e, i e) = 1, zero on every other pair) and dF alone
+    fixes every bracket.  The frame's t rows are zero, so the perturbed
+    starts keep t = epsilon.
+
     The last result is held with its key (x's exact coordinates, cfg by
     value, and datum, fam and basis by identity) and returned, read-only,
     while the key matches; a failure raises and holds nothing.
@@ -1136,16 +1106,10 @@ def _differentials(
         and held[2] is fam
         and held[3] is basis
     ):
-        return held[4], held[5]
+        return held[4]
     model = _Model(fam, basis)
-    cp = _fiber_basepoint(x, cfg, datum, fam, basis)
+    cp = ChartPoint.from_projective(embed_point(x, datum, fam, cfg.epsilon, basis))
     E = _frame(model, cp, fiber_only=True)
-    W_amb = ambient_symplectic(cp)
-    W = E.T @ W_amb @ E
-    if np.linalg.cond(W) > 1e10:
-        raise DegenerateFormError(
-            "restricted symplectic form is numerically singular"
-        )
     y0 = cp.as_real()
     # rows (k, +), (k, -) for every frame direction k
     shifts = [
@@ -1165,10 +1129,15 @@ def _differentials(
             )
     values = np.array([outcome.F for outcome in outcomes])
     dF = ((values[0::2] - values[1::2]) / (2 * FD_STEP)).T
-    W.setflags(write=False)
     dF.setflags(write=False)
-    _last_differentials = (key, datum, fam, basis, W, dF)
-    return W, dF
+    _last_differentials = (key, datum, fam, basis, dF)
+    return dF
+
+
+def _bracket(dF_i: np.ndarray, dF_j: np.ndarray) -> float:
+    """dF_j^T J dF_i, for differentials along frame pairs e, i e; as a
+    difference of two dot products it is exactly antisymmetric."""
+    return float(dF_j[0::2] @ dF_i[1::2] - dF_j[1::2] @ dF_i[0::2])
 
 
 def poisson_bracket(
@@ -1185,12 +1154,12 @@ def poisson_bracket(
     Components are 1-based, matching the F_1..F_n columns of the CSV
     export.  Differentials of F are estimated by central differences
     along an orthonormal fiber frame at the embedded point, with all the
-    perturbed evaluations flowed as one batch; Hamiltonian vectors solve
-    against the restricted Kaehler form, and the value is antisymmetrized
-    so {F_i, F_i} is exactly zero.
+    perturbed evaluations flowed as one batch.  The restricted Kaehler
+    form in that frame is the standard J, so the bracket is dF_j^T J dF_i
+    in closed form: exactly antisymmetric, and {F_i, F_i} is exactly 0.
 
-    The form and the differentials depend on the point, not on the pair,
-    so they are computed once per point and reused by later calls for
+    The differentials depend on the point, not on the pair, so they are
+    computed once per point and reused by later calls for
     other pairs at the same x, cfg, datum, fam and basis; only the last
     point is kept.  Warnings such as IllConditionedWarning come from the
     perturbed flows and so fire on the call that computes them only.  A
@@ -1200,12 +1169,8 @@ def poisson_bracket(
     n = basis.value_dim
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("component indices must lie in 1..%d" % n)
-    W, dF = _differentials(x, cfg, datum, fam, basis)
-    a_i = np.linalg.solve(W.T, dF[i - 1])
-    a_j = np.linalg.solve(W.T, dF[j - 1])
-    raw = float(a_j @ W @ a_i)
-    raw_swapped = float(a_i @ W @ a_j)
-    return 0.5 * (raw - raw_swapped)
+    dF = _differentials(x, cfg, datum, fam, basis)
+    return _bracket(dF[i - 1], dF[j - 1])
 
 
 def symplectic_residual(
@@ -1254,12 +1219,10 @@ def symplectic_residual(
     y0 = cp.as_real()
     shifts = np.array([y0 + sign * hh * d for d, hh, sign in plan])
     shifted, errors = _shifted_starts(model, cp, shifts, tight.retraction_tol)
-    flows = _legs(model, [cp] + shifted, tight.delta, tight)
+    flows = _integrate(model, [cp] + shifted, tight.delta, tight)
     for error, res in zip([None] + errors, flows):
         if error is not None:
             raise error
-        if isinstance(res, str):
-            raise ValueError(res)
         res.require_ok()
     base = flows[0]
     ends = [res.terminal.to_chart(base.terminal.chart).as_real() for res in flows[1:]]

@@ -271,6 +271,11 @@ class SagbiDatum:
         return tuple(self.lead(g.representative) for g in self.generators)
 
     def semigroup(self) -> "ValueSemigroup":
+        """The semigroup of the generators' bidegrees, built once."""
+        return self._semigroup
+
+    @cached_property
+    def _semigroup(self) -> "ValueSemigroup":
         return ValueSemigroup(tuple(g.bidegree for g in self.generators))
 
     # -- the valuation interface ----------------------------------------------
@@ -445,13 +450,6 @@ def _level_table(gens: tuple, k: int) -> _Level:
     return levels[k]
 
 
-@lru_cache(maxsize=None)
-def _reachable_values(gens: tuple, k: int) -> np.ndarray:
-    """Values u with (k, u) in the semigroup generated by gens, as
-    lexicographically sorted, read-only int64 rows of shape (count, n)."""
-    return _level_table(gens, k).rows
-
-
 def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
     """Number of distinct values at level k: the length of the cached
     level table.
@@ -462,7 +460,7 @@ def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
-    return len(_reachable_values(S.generators, k))
+    return len(_level_table(S.generators, k).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +720,8 @@ def slice(
     dropping decomposable ones.  Completeness of that generator list is
     checked against the saturated kernel lattice, and for full-dimensional
     sliced bodies also against Hilbert growth; failures are reported with
-    a SliceCompletenessWarning, never silently.
+    a SliceCompletenessWarning, never silently.  A matrix entry or a
+    level's grading image beyond int64 raises OverflowError.
     """
     n = S.value_dim if S.generators else body.ambient_dim
     if grading.domain_dim != n + 1:
@@ -735,6 +734,8 @@ def slice(
     if bound is None:
         levels = [g.level for g in S.generators]
         bound = math.lcm(*levels) * (n + 1) if levels else n + 1
+    if not all(_INT64_MIN <= x <= _INT64_MAX for row in grading.matrix for x in row):
+        raise OverflowError("grading matrix entries do not fit int64")
     matrix = np.array(grading.matrix, dtype=np.int64)
     kept = []
     for k in range(1, bound + 1):

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import okkit
 from okkit.cli import _hull_2d, body_svg, canonical_json, main
-from okkit.catalog import load_example
+from okkit.catalog import list_examples, load_example
 
 
 @pytest.fixture()
@@ -171,6 +173,8 @@ MALFORMED = [
     ("elliptic-quotient-demo", ("homomorphism", "matrix"), []),
     ("elliptic-quotient-demo", ("homomorphism", "matrix", 0), [-1, 1, 0]),
     ("elliptic-quotient-demo", ("homomorphism", "matrix", 0, 0), "x"),
+    ("elliptic-quotient-demo", ("homomorphism", "matrix", 0, 0), 10**30),
+    ("elliptic-quotient-demo", ("homomorphism", "matrix", 0, 0), 2**62),
     ("elliptic-quotient-demo", ("homomorphism", "sliced_generators", 0, 1), [None]),
     ("elliptic-quotient-demo", ("homomorphism", "sliced_vertices", 0, 0), [1]),
 ]
@@ -229,6 +233,53 @@ def test_generator_fields_and_flags_parse_strictly(runner, tmp_path, path, value
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+def _bundled(name):
+    import okkit.catalog as cat
+
+    return json.loads((Path(cat.__file__).parent / "data" / (name + ".json")).read_text())
+
+
+def _field_paths(node, path=()):
+    """Every path into a JSON document, to containers and leaves alike."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+FUZZ_FIELDS = [
+    (name, path) for name, _ in list_examples() for path in _field_paths(_bundled(name))
+]
+DELETE = "<delete the field>"
+FUZZ_VALUES = [DELETE, None, True, 1.5, -1, "x", [], {}, [1.9], 10**30]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES))
+def test_mutated_entry_ends_with_an_exit_code(tmp_path_factory, field, value):
+    name, path = field
+    doc = _bundled(name)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    entry = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    entry.write_text(json.dumps(doc))
+    for command in ("body", "degenerate"):
+        result = CliRunner().invoke(main, [command, str(entry)])
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
 
 class TestBodySvgUnits:
@@ -464,6 +515,17 @@ class TestSlice:
         hom.write_text('{"rows": 3}')
         result = runner.invoke(main, ["slice", "p1", "--homomorphism", str(hom)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("value", [10**30, 2**62])
+    def test_oversized_matrix_is_usage_error(self, runner, tmp_path, value):
+        hom = tmp_path / "oversized.json"
+        hom.write_text(json.dumps({"matrix": [[value, -1]]}))
+        result = runner.invoke(main, ["slice", "elliptic", "--homomorphism", str(hom)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "homomorphism rejected" in errors[0]
+        assert "Traceback" not in result.output
 
 
 # ---------------------------------------------------------------------------

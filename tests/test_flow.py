@@ -17,6 +17,7 @@ from okkit.embedding import (
 )
 from okkit.flow import (
     DELTA_MIN,
+    FD_STEP,
     ChartPoint,
     CriticalPointError,
     EvalResult,
@@ -25,6 +26,7 @@ from okkit.flow import (
     FlowResult,
     SingularPointError,
     _Model,
+    _bracket,
     _differentials,
     _evaluate,
     _point_key,
@@ -219,6 +221,17 @@ class TestTangentFrame:
         cp = embedded_chart_point(gl3, x)
         E = tangent_frame(cp, fam, basis)
         assert E.shape == (16, 8)
+
+    @pytest.mark.parametrize("name", ["p1", "p1xp1", "elliptic", "gl3"])
+    def test_fiber_frame_form_is_standard(self, request, name):
+        # the closed-form bracket relies on W = E^T W_amb E being J
+        pipe = request.getfixturevalue(name)
+        datum, fam, basis = pipe
+        x = sample_intrinsic(datum, 1, np.random.default_rng(13))[0]
+        cp = embedded_chart_point(pipe, x)
+        E = tangent_frame(cp, fam, basis, fiber_only=True)
+        J = np.kron(np.eye(E.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_allclose(E.T @ ambient_symplectic(cp) @ E, J, atol=1e-12)
 
 
 def _root(x):
@@ -491,13 +504,11 @@ class TestIntegrableSystemEval:
             assert out.convergence < 1e-6
 
     @pytest.mark.parametrize("t", [0.5e-4, 1e-4, 0.5 + 0.1j])
-    def test_invalid_start_reported_not_raised(self, elliptic, t):
+    def test_invalid_start_raises(self, elliptic, t):
         _, fam, basis = elliptic
         cp = ChartPoint(2, (0.5, 0.5), t)
-        out = _evaluate(_Model(fam, basis), [cp], FlowConfig())[0]
-        assert not out.ok
-        assert out.failure.startswith("invalid start: ")
-        assert out.F is None and out.flow is None
+        with pytest.raises(ValueError, match="target|Im t"):
+            _evaluate(_Model(fam, basis), [cp], FlowConfig())
 
     def test_off_variety_point_reported_not_raised(self, elliptic):
         datum, fam, basis = elliptic
@@ -576,6 +587,20 @@ class TestPoissonBracket:
         ba = poisson_bracket(2, 1, x, cfg, datum, fam, basis)
         assert ab == -ba
 
+    @pytest.mark.parametrize("w", [0.3 + 0.2j, -1.1 + 0.7j])
+    def test_positive_control_for_noncommuting_pair(self, p1, w):
+        # x = Re w and y = Im w on the Fubini-Study line: {x, y} = -(1 + |w|^2)^2,
+        # at least 1.27, far above the 1e-3 gate for commuting pairs
+        _, fam, basis = p1
+        cp = ChartPoint(0, (w,), 0.5)
+        E = tangent_frame(cp, fam, basis, fiber_only=True)
+        y0 = cp.as_real()
+        up = y0[:, None] + FD_STEP * E
+        down = y0[:, None] - FD_STEP * E
+        dx, dy = (up[:2] - down[:2]) / (2 * FD_STEP)
+        value = _bracket(dx, dy)
+        assert value == pytest.approx(-((1 + abs(w) ** 2) ** 2), abs=1e-8)
+
     def test_component_indices_validated(self, p1xp1):
         datum, fam, basis = p1xp1
         cfg = FlowConfig()
@@ -600,15 +625,14 @@ class TestPoissonBracket:
         x = sample_intrinsic(datum, 1, np.random.default_rng(79))[0]
         pairs = ((1, 2), (2, 1), (1, 1))
         reused = [poisson_bracket(i, j, x, cfg, datum, fam, basis) for i, j in pairs]
-        W, dF = _differentials(x, cfg, datum, fam, basis)
+        dF = _differentials(x, cfg, datum, fam, basis)
         assert len(evaluations) == 1
-        assert not W.flags.writeable and not dF.flags.writeable
+        assert not dF.flags.writeable
         for (i, j), value in zip(pairs, reused):
             flow._last_differentials = None
             cold = poisson_bracket(i, j, x, cfg, datum, fam, basis)
             assert cold.hex() == value.hex()
-        cold_W, cold_dF = flow._last_differentials[4:]
-        assert cold_W.tobytes() == W.tobytes() and cold_dF.tobytes() == dF.tobytes()
+        assert flow._last_differentials[4].tobytes() == dF.tobytes()
         assert len(evaluations) == 1 + len(pairs)
 
     def test_changed_key_recomputes(self, p1xp1, evaluations):

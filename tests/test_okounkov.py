@@ -27,7 +27,7 @@ from okkit.okounkov import (
     subduct,
 )
 from okkit.catalog import load_example
-from okkit.okounkov import _decompose, _reachable_values
+from okkit.okounkov import _decompose, _level_table
 from okkit.okounkov import slice as semigroup_slice
 
 from oracles import brute_semigroup_level, dfs_decompose
@@ -322,6 +322,9 @@ class TestHilbert:
     def test_group_completeness_flag(self, any_datum):
         assert any_datum.semigroup().group_complete
 
+    def test_semigroup_built_once(self, any_datum):
+        assert any_datum.semigroup() is any_datum.semigroup()
+
     def test_incomplete_group_detected(self):
         S = ValueSemigroup((BiDegree(1, (0,)), BiDegree(1, (2,))))
         assert not S.group_complete
@@ -344,7 +347,7 @@ class TestLevelTables:
     def test_levels_match_bruteforce(self, gens):
         S = ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens))
         for k in range(6):
-            rows = _reachable_values(S.generators, k)
+            rows = _level_table(S.generators, k).rows
             assert rows.dtype == "int64" and not rows.flags.writeable
             expected = sorted(brute_semigroup_level(gens, k))
             assert [tuple(r) for r in rows.tolist()] == expected
@@ -522,6 +525,12 @@ class TestSlicing:
         S = elliptic.semigroup()
         grading = GradingHomomorphism(((2**62, 2**62),))
         with pytest.raises(OverflowError, match="level 1 "):
+            semigroup_slice(S, okounkov_body(S), grading)
+
+    def test_matrix_entries_beyond_int64_raise(self, elliptic):
+        S = elliptic.semigroup()
+        grading = GradingHomomorphism(((10**30, -1),))
+        with pytest.raises(OverflowError, match="matrix entries"):
             semigroup_slice(S, okounkov_body(S), grading)
 
     def test_kernel_lattice(self):
