@@ -1,5 +1,5 @@
 """Exact integer lattice utilities: row Hermite form with transform,
-integer kernels, membership and full-lattice tests.
+integer kernels, and lattice comparisons through the Hermite form.
 
 Row convention throughout: a lattice is the set of integer combinations of
 the ROWS of a matrix (lists of lists of ints).
@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "hermite_with_transform",
     "integer_kernel",
-    "lattice_contains",
     "is_full_lattice",
     "lattices_equal",
 ]
@@ -78,43 +77,19 @@ def integer_kernel(matrix):
     return [U[i] for i in range(m) if all(v == 0 for v in H[i])]
 
 
-def lattice_contains(basis_rows, x):
-    """Is x an integer combination of the basis rows?"""
-    if not basis_rows:
-        return all(v == 0 for v in x)
-    H, _ = hermite_with_transform(basis_rows)
-    x = list(map(int, x))
-    n = len(x)
-    for row in H:
-        if all(v == 0 for v in row):
-            break
-        col = next(i for i, v in enumerate(row) if v != 0)
-        if x[col] != 0:
-            if x[col] % row[col] != 0:
-                return False
-            q = x[col] // row[col]
-            for k in range(n):
-                x[k] -= q * row[k]
-    return all(v == 0 for v in x)
+def _hermite_rows(rows):
+    """The nonzero rows of the Hermite form: a canonical basis of the
+    lattice the rows generate."""
+    H, _ = hermite_with_transform(rows)
+    return [r for r in H if any(r)]
 
 
 def is_full_lattice(rows, ambient_rank):
     """Do the rows generate all of Z^ambient_rank as a group?"""
-    if not rows:
-        return ambient_rank == 0
-    H, _ = hermite_with_transform(rows)
-    nonzero = [r for r in H if any(v != 0 for v in r)]
-    if len(nonzero) != ambient_rank:
-        return False
-    prod = 1
-    for r in nonzero:
-        col = next(i for i, v in enumerate(r) if v != 0)
-        prod *= r[col]
-    return abs(prod) == 1
+    identity = [[int(i == j) for j in range(ambient_rank)] for i in range(ambient_rank)]
+    return _hermite_rows(rows) == identity
 
 
 def lattices_equal(rows_a, rows_b):
     """Do two row sets generate the same lattice?"""
-    return all(lattice_contains(rows_b, r) for r in rows_a) and all(
-        lattice_contains(rows_a, r) for r in rows_b
-    )
+    return _hermite_rows(rows_a) == _hermite_rows(rows_b)

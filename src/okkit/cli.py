@@ -62,6 +62,12 @@ _CONFIG_KEYS = {
     "seed": int,
     "spread": float,
 }
+# values a config key, and the flag of the same name, refuse although they parse
+_LIMITS = {
+    "samples": (lambda v: v >= 1, "must be at least 1"),
+    "seed": (lambda v: v >= 0, "must be nonnegative"),
+    "spread": (math.isfinite, "must be finite"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +276,11 @@ def _parse_config(path: str) -> dict:
                 raise click.UsageError(
                     "%s:%d: bad value for %r" % (path, lineno, key)
                 )
+            within, limit = _LIMITS.get(key, (None, None))
+            if within and not within(values[key]):
+                raise click.UsageError(
+                    "%s:%d: bad value for %r: %s" % (path, lineno, key, limit)
+                )
     return values
 
 
@@ -283,9 +294,10 @@ def _sample_points(entry: CatalogEntry, count: int, seed: int, spread: float):
     return points
 
 
-def _positive_samples(ctx, param, value):
-    if value < 1:
-        raise click.BadParameter("at least one sample is required")
+def _within_limits(ctx, param, value):
+    within, limit = _LIMITS[param.name]
+    if not within(value):
+        raise click.BadParameter(limit)
     return value
 
 
@@ -357,9 +369,9 @@ def degenerate(entry, json_path):
 @click.argument("entry")
 @click.option("--epsilon", type=float, default=0.5, show_default=True)
 @click.option("--delta", type=float, default=1e-4, show_default=True)
-@click.option("--samples", type=int, default=50, show_default=True, callback=_positive_samples)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--spread", type=float, default=2.0, show_default=True,
+@click.option("--samples", type=int, default=50, show_default=True, callback=_within_limits)
+@click.option("--seed", type=int, default=0, show_default=True, callback=_within_limits)
+@click.option("--spread", type=float, default=2.0, show_default=True, callback=_within_limits,
               help="log10 radius spread of the intrinsic sampling.")
 @click.option("--csv", "csv_path", type=click.Path(writable=True), default=None)
 @click.option("--diagnostics", "diag_path", type=click.Path(writable=True), default=None)
@@ -376,8 +388,6 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
     samples = _setting(ctx, "samples", samples)
     seed = _setting(ctx, "seed", seed)
     spread = _setting(ctx, "spread", spread)
-    if samples < 1:
-        raise click.UsageError("at least one sample is required")
     try:
         cfg = FlowConfig(epsilon=epsilon, delta=delta, seed=seed)
     except ValueError as exc:
@@ -499,8 +509,8 @@ def check(ctx, entry):
     default=None,
     help='JSON file {"matrix": [[...], ...]}; defaults to the grading bundled with the entry.',
 )
-@click.option("--samples", type=int, default=50, show_default=True, callback=_positive_samples)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--samples", type=int, default=50, show_default=True, callback=_within_limits)
+@click.option("--seed", type=int, default=0, show_default=True, callback=_within_limits)
 @click.option("--json", "json_path", type=click.Path(writable=True), default=None)
 @click.pass_context
 def slice_cmd(ctx, entry, hom_path, samples, seed, json_path):
@@ -513,8 +523,6 @@ def slice_cmd(ctx, entry, hom_path, samples, seed, json_path):
     loaded = _load_entry(entry)
     samples = _setting(ctx, "samples", samples)
     seed = _setting(ctx, "seed", seed)
-    if samples < 1:
-        raise click.UsageError("at least one sample is required")
     if hom_path is not None:
         where = "homomorphism file %s" % hom_path
         try:

@@ -558,7 +558,8 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray):
     With g the conjugated t row of K and c = M^-1 g, the metric
     projection of e_{Re t} onto the tangent space is K c, and its squared
     norm is Re(g^H c), so V = -K c / Re(g^H c), laid out as a real chart
-    vector.  Its Re t entry is exactly -1.
+    vector.  Its Re t entry is -1 to within one ulp: numpy divides a
+    complex by a real by multiplying with the reciprocal.
     """
     KH, M, _, errors = _tangent(model, charts, Y, fiber_only=False)
     c = np.linalg.solve(M, KH[:, :, model.n_w, None])
@@ -620,20 +621,13 @@ def gradient_hamiltonian(
 ) -> np.ndarray:
     """The flow field V at cp, as a real chart vector.
 
-    Normalized so the derivative of Re t along V is exactly -1; the
-    computed value is checked to within 1e-8 before returning.
+    Normalized so the derivative of Re t along V is -1: _field divides
+    by minus the Re t entry itself, which leaves it within one ulp of -1.
     """
-    model = _Model(fam, basis)
-    V, errors = _field(model, *_single(cp))
+    V, errors = _field(_Model(fam, basis), *_single(cp))
     if errors[0] is not None:
         raise errors[0]
-    V = V[0]
-    drift = V[len(V) - 2] + 1.0
-    if abs(drift) > 1e-8:
-        raise FlowError(
-            "time derivative of Re t along V is off by %.3g" % abs(drift)
-        )
-    return V
+    return V[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ chart relation).  The extended value of a nonzero class at level k is
 
 The value semigroup collects the generator values; its Newton-Okounkov
 body is the convex hull of the level-normalized values u/k, computed
-exactly over the rationals.  Everything here is deterministic and
-side-effect free, so results are reproducible bit for bit.
+exactly over the rationals.  Hilbert counts, subduction and slices read
+one int64 table of level sets per semigroup, held by it and freed with it.
+Nothing is cached for the life of the process, and everything here is
+deterministic, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -362,6 +364,11 @@ class ValueSemigroup:
             raise EmptySemigroupError("empty semigroup has no value dimension")
         return len(self.generators[0].value)
 
+    @cached_property
+    def _levels(self) -> list:
+        """The level tables built so far from level 0 up, by _level_table."""
+        return [_trivial_level(len(self.generators[0].value) if self.generators else 0, 1)]
+
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -372,7 +379,9 @@ class _Level(NamedTuple):
     rows are the values, lexicographically sorted, as read-only int64 rows
     of shape (count, n); lo and hi bound each coordinate (Python ints) and
     keys are the rows' mixed-radix keys (rows - lo) @ place, which sort in
-    the same order, so membership is one binary search.
+    the same order, so a lookup is one binary search.  first holds, per
+    row u, the index of the earliest generator g with u - g.value at level
+    k - g.level (0 at level 0).
     """
 
     rows: np.ndarray
@@ -380,79 +389,76 @@ class _Level(NamedTuple):
     hi: tuple
     place: tuple
     keys: np.ndarray
+    first: np.ndarray
 
-    def __contains__(self, u) -> bool:
+    def find(self, u) -> int | None:
+        """The row index of the value u, or None when u is not at this level."""
         if not all(a <= x <= b for a, x, b in zip(self.lo, u, self.hi)):
-            return False
+            return None
         key = sum((x - a) * p for x, a, p in zip(u, self.lo, self.place))
         i = int(self.keys.searchsorted(key))
-        return i < len(self.keys) and self.keys[i] == key
+        return i if i < len(self.keys) and self.keys[i] == key else None
 
 
-def _frozen_level(rows, lo, hi, place, keys) -> _Level:
-    rows.flags.writeable = False
-    keys.flags.writeable = False
-    return _Level(rows, lo, hi, place, keys)
+def _frozen_level(rows, lo, hi, place, keys, first) -> _Level:
+    for column in (rows, keys, first):
+        column.flags.writeable = False
+    return _Level(rows, lo, hi, place, keys, first)
+
+
+def _trivial_level(n: int, count: int) -> _Level:
+    """Level 0 (count 1: the zero value) or an empty level (count 0: bounds
+    with lo > hi, so no value passes a lookup)."""
+    rows, keys = np.zeros((count, n), np.int64), np.zeros(count, np.int64)
+    bounds = ((1 - count,) * n, (0,) * n, (1,) * n)
+    return _frozen_level(rows, *bounds, keys, keys.astype(np.uint8))
 
 
 def _next_level(gens: tuple, levels: list) -> _Level:
-    """Level k = len(levels): the union over generators g of level k -
-    g.level shifted by g.value, deduplicated by one np.unique over the
-    level's mixed-radix keys.  Raises OverflowError when a generator
+    """Level k = len(levels): the union over generators g, in order, of
+    level k - g.level shifted by g.value, deduplicated by one np.unique
+    over the level's mixed-radix keys, which keeps each key's first block
+    and so its earliest generator.  Raises OverflowError when a generator
     value or the level's key range does not fit int64."""
     k = len(levels)
     n = levels[0].rows.shape[1]
     blocks = [
-        (levels[k - g.level], g.value)
-        for g in gens
+        (i, levels[k - g.level], g.value)
+        for i, g in enumerate(gens)
         if g.level <= k and len(levels[k - g.level].rows)
     ]
     if not blocks:
-        # bounds with lo > hi, so no value passes the membership test
-        empty = np.empty((0, n), dtype=np.int64)
-        return _frozen_level(empty, (1,) * n, (0,) * n, (1,) * n, np.empty(0, np.int64))
-    lo = tuple(min(b.lo[j] + v[j] for b, v in blocks) for j in range(n))
-    hi = tuple(max(b.hi[j] + v[j] for b, v in blocks) for j in range(n))
+        return _trivial_level(n, 0)
+    lo = tuple(min(b.lo[j] + v[j] for _, b, v in blocks) for j in range(n))
+    hi = tuple(max(b.hi[j] + v[j] for _, b, v in blocks) for j in range(n))
     spans = [b - a + 1 for a, b in zip(lo, hi)]
-    extremes = lo + hi + tuple(x for _, v in blocks for x in v)
-    if math.prod(spans) > 2**63 or not all(
-        _INT64_MIN <= x <= _INT64_MAX for x in extremes
-    ):
+    extremes = lo + hi + tuple(x for _, _, v in blocks for x in v)
+    if math.prod(spans) > 2**63 or not all(_INT64_MIN <= x <= _INT64_MAX for x in extremes):
         raise OverflowError(
             "level %d of the value semigroup does not fit int64: coordinate"
             " spans %s" % (k, spans)
         )
     place = tuple(math.prod(spans[j + 1:]) for j in range(n))
-    rows = np.concatenate(
-        [b.rows + np.array(v, dtype=np.int64) for b, v in blocks]
-    )
+    rows = np.concatenate([b.rows + np.array(v, dtype=np.int64) for _, b, v in blocks])
+    index_type = np.min_scalar_type(len(gens))
+    generator = np.concatenate([np.full(len(b.rows), i, index_type) for i, b, _ in blocks])
     keys = (rows - np.array(lo, dtype=np.int64)) @ np.array(place, dtype=np.int64)
-    keys, first = np.unique(keys, return_index=True)
-    return _frozen_level(rows[first], lo, hi, place, keys)
+    keys, kept = np.unique(keys, return_index=True)
+    return _frozen_level(rows[kept], lo, hi, place, keys, generator[kept])
 
 
-@lru_cache(maxsize=None)
-def _level_sets(gens: tuple) -> list:
-    """The levels of gens built so far, from level 0 up; _level_table
-    appends to the list in place."""
-    n = len(gens[0].value) if gens else 0
-    zero = np.zeros((1, n), dtype=np.int64)
-    return [_frozen_level(zero, (0,) * n, (0,) * n, (1,) * n, np.zeros(1, np.int64))]
-
-
-def _level_table(gens: tuple, k: int) -> _Level:
-    """Level k of the semigroup generated by gens (BiDegrees), building
-    every missing level below it first, lowest first, so no call recurses
-    however deep k is."""
-    levels = _level_sets(gens)
+def _level_table(S: ValueSemigroup, k: int) -> _Level:
+    """Level k of S, building every missing level below it first, lowest
+    first, so no call recurses however deep k is.  The levels are kept on
+    S and freed with it."""
+    levels = S._levels
     while len(levels) <= k:
-        levels.append(_next_level(gens, levels))
+        levels.append(_next_level(S.generators, levels))
     return levels[k]
 
 
 def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
-    """Number of distinct values at level k: the length of the cached
-    level table.
+    """Number of distinct values at level k: the length of S's level table.
 
     The table holds int64 rows; a level whose coordinate box (the product
     of its coordinate spans) or whose generator values do not fit int64
@@ -460,39 +466,33 @@ def semigroup_hilbert(S: ValueSemigroup, k: int) -> int:
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
-    return len(_level_table(S.generators, k).rows)
+    return len(_level_table(S, k).rows)
 
 
 # ---------------------------------------------------------------------------
 # subduction
 
 
-def _reaches(gens: tuple, k: int, u: tuple) -> bool:
-    """Whether (k, u) lies in the semigroup generated by gens."""
-    if not gens:
-        return k == 0 and not any(u)
-    return u in _level_table(gens, k)
-
-
-def _decompose(gens: tuple, k: int, target: tuple):
-    """Exponents alpha over gens (BiDegrees) with sum of levels k and sum
-    of values target, or None.  Deterministic: takes the highest power of
+def _decompose(S: ValueSemigroup, k: int, target: tuple):
+    """Exponents alpha over S's generators with sum of levels k and sum of
+    values target, or None.  Walks S's level table down to level 0, each
+    step taking the row's first generator.  That is the highest power of
     the earliest generator that leaves a residual the later generators
-    still reach, read off the level table of that suffix."""
-    target = tuple(target)
-    if not _reaches(gens, k, target):
-        return None
-    counts = []
-    level_left, residual = k, target
-    for i, g in enumerate(gens):
-        for c in range(level_left // g.level, -1, -1):
-            left = level_left - c * g.level
-            res = tuple(r - c * v for r, v in zip(residual, g.value))
-            if _reaches(gens[i + 1:], left, res):
-                counts.append(c)
-                level_left, residual = left, res
-                break
-    return tuple(counts)
+    reach: were the residual after c copies of g reachable only with g,
+    the walk would have taken g once more."""
+    counts = [0] * len(S.generators)
+    u = tuple(target)
+    while True:
+        level = _level_table(S, k)
+        i = level.find(u)
+        if i is None:
+            return None
+        if k == 0:
+            return tuple(counts)
+        j = int(level.first[i])
+        counts[j] += 1
+        k -= S.generators[j].level
+        u = tuple(x - v for x, v in zip(u, S.generators[j].value))
 
 
 def subduct(f: Polynomial, k: int, datum: SagbiDatum):
@@ -522,7 +522,7 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
             raise NotInSemigroupError(
                 "subduction failed to increase the value at %s" % (step,)
             )
-        alpha = _decompose(S.generators, k, u)
+        alpha = _decompose(S, k, u)
         if alpha is None:
             raise NotInSemigroupError(
                 "value (%d, %s) is not a sum of generator values" % (k, u)
@@ -739,7 +739,7 @@ def slice(
     matrix = np.array(grading.matrix, dtype=np.int64)
     kept = []
     for k in range(1, bound + 1):
-        level = _level_table(S.generators, k)
+        level = _level_table(S, k)
         reach = (k,) + tuple(max(-a, b) for a, b in zip(level.lo, level.hi))
         top = max(sum(abs(m) * r for m, r in zip(row, reach)) for row in grading.matrix)
         if len(level.rows) and top > _INT64_MAX:

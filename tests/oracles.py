@@ -83,6 +83,29 @@ def dfs_decompose(generators, k, target):
     return tuple(counts)
 
 
+def lattice_contains(basis_rows, x):
+    """Is x an integer combination of the basis rows?  Reduces x against
+    the library's Hermite form, pivot by pivot."""
+    from okkit._lattice import hermite_with_transform
+
+    if not basis_rows:
+        return all(v == 0 for v in x)
+    H, _ = hermite_with_transform(basis_rows)
+    x = list(map(int, x))
+    n = len(x)
+    for row in H:
+        if all(v == 0 for v in row):
+            break
+        col = next(i for i, v in enumerate(row) if v != 0)
+        if x[col] != 0:
+            if x[col] % row[col] != 0:
+                return False
+            q = x[col] // row[col]
+            for k in range(n):
+                x[k] -= q * row[k]
+    return all(v == 0 for v in x)
+
+
 def weyl_dimension_gl3(lam):
     """Dimension of the irreducible GL(3) representation with highest
     weight lam = (l1 >= l2 >= l3), by the Weyl dimension formula:

@@ -577,6 +577,34 @@ class TestConfig:
         result = runner.invoke(main, ["--config", str(cfg), "flow", "p1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["flow", "p1", "--seed", "-1"], None),
+            (["slice", "elliptic-quotient-demo", "--seed", "-1"], None),
+            (["flow", "p1", "--spread", "inf"], None),
+            (["flow", "p1", "--spread", "nan"], None),
+            (["flow", "p1"], "seed = -1\n"),
+            (["slice", "elliptic-quotient-demo"], "seed = -1\n"),
+            (["flow", "p1"], "spread = inf\n"),
+            (["flow", "p1"], "spread = nan\n"),
+        ],
+        ids=[
+            "flag-seed-flow", "flag-seed-slice", "flag-spread-inf", "flag-spread-nan",
+            "config-seed-flow", "config-seed-slice", "config-spread-inf", "config-spread-nan",
+        ],
+    )
+    def test_out_of_range_setting_is_usage_error(self, runner, tmp_path, args, config):
+        if config is not None:
+            cfg = tmp_path / "okkit.cfg"
+            cfg.write_text(config)
+            args = ["--config", str(cfg)] + args
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+
     def test_threads_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "okkit.cfg"
         cfg.write_text("threads = 2\n")

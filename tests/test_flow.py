@@ -254,7 +254,7 @@ class TestGradient:
         for x in sample_intrinsic(datum, 10, rng):
             cp = embedded_chart_point(elliptic, x)
             V = gradient_hamiltonian(cp, fam, basis)
-            assert abs(V[len(V) - 2] + 1.0) < 1e-8
+            assert abs(V[len(V) - 2] + 1.0) <= np.finfo(float).eps
 
     def test_projection_matches_finite_differences(self, elliptic):
         datum, fam, basis = elliptic

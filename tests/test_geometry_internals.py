@@ -11,7 +11,6 @@ from okkit._lattice import (
     hermite_with_transform,
     integer_kernel,
     is_full_lattice,
-    lattice_contains,
     lattices_equal,
 )
 from okkit._polytope import (
@@ -22,7 +21,7 @@ from okkit._polytope import (
     convex_hull,
 )
 
-from oracles import dilate, lattice_points, qhull_vertices, qhull_volume
+from oracles import dilate, lattice_contains, lattice_points, qhull_vertices, qhull_volume
 
 
 def frac_det(rows):
@@ -162,6 +161,19 @@ class TestMembership:
     def test_equality(self):
         assert lattices_equal([(1, 0), (0, 1)], [(1, 1), (0, 1)])
         assert not lattices_equal([(1, 0), (0, 1)], [(2, 0), (0, 1)])
+
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equality_is_mutual_containment(self, a, b):
+        mutual = all(lattice_contains(b, r) for r in a) and all(
+            lattice_contains(a, r) for r in b
+        )
+        assert lattices_equal(a, b) == mutual
+        if a:
+            assert lattices_equal(a, [tuple(x + y for x, y in zip(a[0], a[-1]))] + a)
 
     @given(
         st.lists(

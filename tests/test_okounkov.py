@@ -1,7 +1,9 @@
 """Value semigroups, subduction, bodies, degree checks, and slicing."""
 
+import gc
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -347,7 +349,7 @@ class TestLevelTables:
     def test_levels_match_bruteforce(self, gens):
         S = ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens))
         for k in range(6):
-            rows = _level_table(S.generators, k).rows
+            rows = _level_table(S, k).rows
             assert rows.dtype == "int64" and not rows.flags.writeable
             expected = sorted(brute_semigroup_level(gens, k))
             assert [tuple(r) for r in rows.tolist()] == expected
@@ -360,13 +362,21 @@ class TestLevelTables:
         for k in range(5):
             level = brute_semigroup_level(gens, k)
             for u in sorted(level):
-                assert _decompose(S.generators, k, u) == dfs_decompose(gens, k, u)
+                assert _decompose(S, k, u) == dfs_decompose(gens, k, u)
             coordinate = st.integers(-4 * k - 1, 4 * k + 1)
             u = data.draw(st.tuples(*[coordinate] * n))
             if u not in level:
-                assert _decompose(S.generators, k, u) is None
+                assert _decompose(S, k, u) is None
                 assert dfs_decompose(gens, k, u) is None
-            assert _decompose(S.generators, k, (2**70,) * n) is None
+            assert _decompose(S, k, (2**70,) * n) is None
+
+    def test_tables_live_and_die_with_their_semigroup(self):
+        S = ValueSemigroup((BiDegree(1, (0, 0)), BiDegree(1, (1, 0)), BiDegree(1, (0, 1))))
+        rows = weakref.ref(_level_table(S, 50).rows)
+        assert rows() is not None and _level_table(S, 50).rows is rows()
+        del S
+        gc.collect()
+        assert rows() is None
 
 
 # ---------------------------------------------------------------------------
