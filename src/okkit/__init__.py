@@ -35,7 +35,6 @@ from okkit.algebra import (
     format_polynomial,
     monomial_valuation,
     parse_polynomial,
-    series_valuation,
 )
 from okkit.degeneration import (
     FamilyPresentation,

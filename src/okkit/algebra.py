@@ -45,7 +45,6 @@ __all__ = [
     "CompiledPolynomial",
     "compare_composite",
     "monomial_valuation",
-    "series_valuation",
     "evaluate_complex",
     "relative_residual",
     "parse_polynomial",
@@ -562,12 +561,6 @@ class SeriesContext:
                     " check for an identically zero representative" % self.cap
                 )
             trunc = min(2 * trunc, self.cap)
-
-
-def series_valuation(f: Polynomial, ctx: SeriesContext) -> int:
-    """Order of vanishing of a polynomial at the expansion point: the
-    order of :meth:`SeriesContext.lead`, with its escalation and errors."""
-    return ctx.lead(f)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +81,14 @@ class VdBasis:
     @property
     def value_dim(self) -> int:
         return len(self.torus_weights[0]) if self.entries else 0
+
+    @cached_property
+    def _moment_weights(self) -> np.ndarray:
+        """torus_weights and a ones column (for the total), read-only."""
+        weights = np.ones((self.size, self.value_dim + 1))
+        weights[:, :-1] = self.torus_weights
+        weights.setflags(write=False)
+        return weights
 
 
 def _composition_count(level_counts, d) -> int:
@@ -276,17 +284,17 @@ def toric_moments(Z: np.ndarray, basis: VdBasis) -> np.ndarray:
     """The moment map at level d on the rows of Z (its first basis.size
     columns): sum |z_a|^2 lambda_a / (d sum |z_a|^2), masses re^2 + im^2.
 
-    Both sums run over the basis entries in order, so rows never mix and
-    a row's value does not depend on the batch; 0.0 + makes an all-zero
-    sum +0.0, as a loop from zero would.
+    Both sums are one running sum over the basis entries in order, so
+    rows never mix and a row's value does not depend on the batch;
+    0.0 + makes an all-zero sum +0.0, as a loop from zero would.
     """
     masses = Z.real[:, : basis.size] ** 2 + Z.imag[:, : basis.size] ** 2
-    weights = np.array(basis.torus_weights, dtype=float)
-    total = 0.0 + np.add.accumulate(masses, axis=1)[:, -1]
-    out = 0.0 + np.add.accumulate(masses[:, :, None] * weights, axis=1)[:, -1]
+    weighted = masses[:, :, None] * basis._moment_weights
+    sums = 0.0 + np.add.accumulate(weighted, axis=1)[:, -1]
+    total = sums[:, -1]
     if not total.all():
         raise EmbeddingError("moment map is undefined at the zero vector")
-    return out / (basis.degree * total)[:, None]
+    return sums[:, :-1] / (basis.degree * total)[:, None]
 
 
 def toric_moment(point, basis: VdBasis):

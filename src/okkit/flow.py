@@ -22,19 +22,20 @@ in the symbols themselves, so the fiber equations need no re-expression.
 There is one integration path, and it is batched: a round is a fixed
 number of numpy calls over the states, with Python loops over states
 only where something fails.  The field is closed form and complex, as
-the tangent space is: an SVD per state gives the kernel K of the chart
-Jacobian, the metric restricted to it is a Hermitian M in closed form,
-and V = -K c / Re(g^H c) for g the conjugated t row of K, c = M^-1 g.
-The integrator is a lockstep Dormand-Prince 5(4): each state keeps its
-own chart, step size, counters and failure; the last stage's field is
-reused as the next step's first when the state did not move after it;
-the retraction takes one batched minimum-norm Gauss-Newton step per
-iteration; one pass over the accepted states records their samples,
-toric moments included.  ``flow_to`` is a batch of one, ``run_batch``
-integrates all its trajectories together, and the Poisson bracket (once
-per point) and the symplectic transport flow their perturbed starts as
-one batch each.  Every batched call works state by state, so a state's
-result does not depend on the batch around it.
+the tangent space is.  For one relation it is explicit in the Jacobian
+row, with nothing to solve.  Otherwise an SVD per state gives the kernel
+K of the chart Jacobian, the metric restricted to it is a Hermitian M in
+closed form, and V = -K c / Re(g^H c) for g the conjugated t row of K,
+c = M^-1 g.  The integrator is a lockstep Dormand-Prince 5(4): each
+state keeps its own chart, step size, counters and failure; the last
+stage's field is reused as the next step's first when the state did not
+move after it; the retraction takes one batched minimum-norm
+Gauss-Newton step per iteration; one pass over the accepted states
+records their samples, toric moments included.  ``flow_to`` is a batch
+of one, ``run_batch`` integrates all its trajectories together, and the
+Poisson bracket (once per point) and the symplectic transport flow their
+perturbed starts as one batch each.  Every batched call works state by
+state, so a state's result does not depend on the batch around it.
 
 The fiber frame is Kaehler-orthonormal in pairs e, i e, so the Kaehler
 form restricted to it is the standard J and a Poisson bracket is a
@@ -552,28 +553,61 @@ def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool)
     return KH, M, L, errors
 
 
-def _field(model: _Model, charts: np.ndarray, Y: np.ndarray):
-    """The flow field at a batch of states, and per state an exception or None.
-
-    With g the conjugated t row of K and c = M^-1 g, the metric
-    projection of e_{Re t} onto the tangent space is K c, and its squared
-    norm is Re(g^H c), so V = -K c / Re(g^H c), laid out as a real chart
-    vector.  Its Re t entry is -1 to within one ulp: numpy divides a
-    complex by a real by multiplying with the reciprocal.
-    """
-    KH, M, _, errors = _tangent(model, charts, Y, fiber_only=False)
-    c = np.linalg.solve(M, KH[:, :, model.n_w, None])
-    # the t entry of K c is g^H c
-    Kc = (KH.conj().transpose(0, 2, 1) @ c)[:, :, 0]
-    nsq = Kc[:, model.n_w].real
+def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
+    """Flag the states with nsq < CRITICAL_NORM^2; returns their mask."""
     critical = nsq < CRITICAL_NORM**2
     if critical.any():
         for b in np.flatnonzero(critical):
             errors[b] = errors[b] or CriticalPointError(
                 "projected time gradient has norm %.3g" % math.sqrt(max(nsq[b], 0.0))
             )
-        nsq = np.where(critical, 1.0, nsq)
-    return (Kc / -nsq[:, None]).view(float), errors
+    return critical
+
+
+def _field(model: _Model, charts: np.ndarray, Y: np.ndarray):
+    """The flow field at a batch of states, and per state an exception or None.
+
+    With g the conjugated t row of K and c = M^-1 g, the metric projection
+    of e_{Re t} is K c, of squared norm Re(g^H c), so V = -K c / Re(g^H c)
+    as a real chart vector, its Re t entry -1 to within one ulp (numpy
+    divides a complex by a real as a product with the reciprocal).  For
+    one relation of rank one, with row j = (j_w, j_t), one = 1 + |w|^2 and
+    H_w^-1 = one (I + w w^H), that V is u = H_w^-1 j_w^H, s_w = Re(j_w u)
+    = one (|j_w|^2 + |j_w w|^2), nsq = s_w / (s_w + |j_t|^2), V_w = u j_t
+    / s_w and V_t = -1 exactly; |j| is the one singular value to check.
+    """
+    if model.n_rel != 1 or model.nsym != model.m + 1:
+        KH, M, _, errors = _tangent(model, charts, Y, fiber_only=False)
+        c = np.linalg.solve(M, KH[:, :, model.n_w, None])
+        # the t entry of K c is g^H c
+        Kc = (KH.conj().transpose(0, 2, 1) @ c)[:, :, 0]
+        nsq = Kc[:, model.n_w].real
+        critical = _critical(nsq, errors)
+        if critical.any():
+            nsq = np.where(critical, 1.0, nsq)
+        return (Kc / -nsq[:, None]).view(float), errors
+    n_w = model.n_w
+    errors = [None] * len(charts)
+    Y = np.ascontiguousarray(Y)
+    if not np.isfinite(Y).all():
+        finite = np.isfinite(Y).all(axis=1)
+        _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
+        Y = np.where(finite[:, None], Y, 0.0)
+    j = model.jacobian(charts, Y, fiber_only=False)[:, 0]
+    jw, jt, w = j[:, :n_w], j[:, n_w], Y.view(complex)[:, :n_w]
+    one = 1.0 + np.add.reduce(Y[:, : 2 * n_w] ** 2, axis=1)
+    p = np.add.reduce(jw * w, axis=1)
+    jw_sq = np.add.reduce(jw.real**2 + jw.imag**2, axis=1)
+    jt_sq = jt.real**2 + jt.imag**2
+    _rank_checks(np.sqrt(jw_sq + jt_sq)[:, None], 1, errors)
+    s_w = one * (jw_sq + (p.real**2 + p.imag**2))
+    total = s_w + jt_sq
+    bad = _critical(s_w / np.where(total > 0, total, 1.0), errors)
+    V = np.empty((len(charts), n_w + 1), dtype=complex)
+    u = one[:, None] * (jw.conj() + w * p.conj()[:, None])
+    V[:, :n_w] = u * (jt / np.where(bad, 1.0, s_w))[:, None]
+    V[:, n_w] = -1.0
+    return V.view(float), errors
 
 
 def _single(cp: ChartPoint):
@@ -621,8 +655,9 @@ def gradient_hamiltonian(
 ) -> np.ndarray:
     """The flow field V at cp, as a real chart vector.
 
-    Normalized so the derivative of Re t along V is -1: _field divides
-    by minus the Re t entry itself, which leaves it within one ulp of -1.
+    Normalized so the derivative of Re t along V is -1: exactly -1 (and
+    Im t entry 0) for one relation, else within one ulp of -1, as _field
+    divides by minus the Re t entry itself.
     """
     V, errors = _field(_Model(fam, basis), *_single(cp))
     if errors[0] is not None:
@@ -640,8 +675,13 @@ def _min_norm_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
     By the SVD, with singular values at or below eps * max(J.shape) times
     the largest treated as zero: the cutoff of np.linalg.lstsq with
     rcond=None.  The Jacobians are rank deficient (the gl3-flag fiber
-    Jacobian is 9 x 7 of rank 4), so normal equations do not apply.
+    Jacobian is 9 x 7 of rank 4), so normal equations do not apply.  One
+    row j (singular value |j|) steps conj(j) r / |j|^2, or 0 at j = 0.
     """
+    if J.shape[1] == 1:
+        j = J[:, 0]
+        sq = np.add.reduce(j.real**2 + j.imag**2, axis=1)
+        return j.conj() * (r[:, 0] / np.where(sq > 0, sq, np.inf))[:, None]
     U, sigma, Vh = np.linalg.svd(J, full_matrices=False)
     kept = sigma > sigma[:, :1] * (np.finfo(float).eps * max(J.shape[1:]))
     coef = (r[:, None, :] @ U.conj())[:, 0] / np.where(kept, sigma, np.inf)

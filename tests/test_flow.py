@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import okkit.flow as flow
+from okkit.catalog import load_example
 from okkit.degeneration import build_family, build_projection
 from okkit.embedding import (
     embed_point,
@@ -248,13 +249,17 @@ class TestGradient:
         assert abs(V[2] + 1.0) < 1e-12
         assert max(abs(V[0]), abs(V[1]), abs(V[3])) < 1e-10
 
-    def test_unit_speed_in_time(self, elliptic):
-        datum, fam, basis = elliptic
-        rng = np.random.default_rng(9)
-        for x in sample_intrinsic(datum, 10, rng):
-            cp = embedded_chart_point(elliptic, x)
-            V = gradient_hamiltonian(cp, fam, basis)
-            assert abs(V[len(V) - 2] + 1.0) <= np.finfo(float).eps
+    def test_unit_speed_in_time(self, elliptic, p1xp1):
+        # one relation: the closed-form field moves Re t at exactly unit
+        # speed and leaves Im t exactly fixed
+        for pipe in (elliptic, p1xp1):
+            datum, fam, basis = pipe
+            rng = np.random.default_rng(9)
+            for x in sample_intrinsic(datum, 10, rng):
+                cp = embedded_chart_point(pipe, x)
+                V = gradient_hamiltonian(cp, fam, basis)
+                assert V[len(V) - 2] == -1.0
+                assert V[len(V) - 1] == 0.0
 
     def test_projection_matches_finite_differences(self, elliptic):
         datum, fam, basis = elliptic
@@ -284,6 +289,120 @@ class TestGradient:
             expected = -(E @ coeffs) / (coeffs @ coeffs)
             V = gradient_hamiltonian(cp, fam, basis)
             assert np.abs(V - expected).max() < 1e-12
+
+
+def catalog_model(name):
+    entry = load_example(name)
+    fam = build_family(entry.relations, build_projection(entry.relations))
+    return flow._Model(fam, enumerate_vd_basis(entry.datum, fam)), entry.datum
+
+
+def _kernel_field(model, charts, Y):
+    """V = -K c / Re(g^H c) through the SVD kernel and a solve."""
+    KH, M, _, errors = flow._tangent(model, charts, Y, fiber_only=False)
+    assert not any(errors)
+    c = np.linalg.solve(M, KH[:, :, model.n_w, None])
+    Kc = (KH.conj().transpose(0, 2, 1) @ c)[:, :, 0]
+    return (Kc / -Kc[:, model.n_w, None].real).view(float)
+
+
+def _one_relation_states(model, datum, seed):
+    """Random chart states and embedded family points, each also in every
+    other chart whose pivot holds at least CHART_SHARE of the largest
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    Y = rng.standard_normal((n, 2 * model.nsym))
+    Y[:, -2], Y[:, -1] = rng.uniform(0.05, 0.95, n), 0.0
+    charts = rng.integers(0, model.nsym, n)
+    cps = [ChartPoint.from_real(int(c), y) for c, y in zip(charts, Y)]
+    for x in sample_intrinsic(datum, 10, rng, log10_spread=1.0):
+        for t in (0.5, 0.1):
+            pt = embed_point(x, datum, model.fam, t, model.basis)
+            cps.append(ChartPoint.from_projective(pt))
+    for cp in list(cps):
+        z = np.abs(cp.full_coords())
+        cps += [
+            cp.to_chart(c)
+            for c in range(model.nsym)
+            if c != cp.chart and z[c] >= flow.CHART_SHARE * z.max()
+        ]
+    charts = np.array([cp.chart for cp in cps], dtype=np.intp)
+    return charts, np.array([cp.as_real() for cp in cps])
+
+
+ONE_RELATION = ["elliptic", "elliptic-quotient-demo", "p1xp1"]
+
+
+class TestOneRelationField:
+    @pytest.mark.parametrize("name", ONE_RELATION)
+    def test_matches_kernel_path(self, name):
+        model, datum = catalog_model(name)
+        assert model.n_rel == 1
+        charts, Y = _one_relation_states(model, datum, 31)
+        assert len(set(charts.tolist())) > 1
+        V, errors = flow._field(model, charts, Y)
+        assert errors == [None] * len(Y)
+        expected = _kernel_field(model, charts, Y)
+        scale = np.abs(expected).max(axis=1)
+        assert (np.abs(V - expected).max(axis=1) <= 1e-12 * scale).all()
+        assert (V[:, -2] == -1.0).all() and (V[:, -1] == 0.0).all()
+        # tangent: the relation's row annihilates V
+        j = model.jacobian(charts, Y, fiber_only=False)[:, 0]
+        assert (np.abs((j * V.view(complex)).sum(axis=1)) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("name", ONE_RELATION)
+    def test_state_bits_do_not_depend_on_batch(self, name):
+        model, datum = catalog_model(name)
+        charts, Y = _one_relation_states(model, datum, 37)
+        charts, Y = charts[:50], Y[:50]
+        assert len(Y) == 50
+        V, _ = flow._field(model, charts, Y)
+        for b in range(len(Y)):
+            alone, _ = flow._field(model, charts[b : b + 1], Y[b : b + 1])
+            assert alone[0].tobytes() == V[b].tobytes()
+
+    def test_failure_paths_keep_their_messages(self, elliptic):
+        _, fam, basis = elliptic
+        model = flow._Model(fam, basis)
+        good = embedded_chart_point(elliptic, (1.5, _root(1.5)))
+        cases = [
+            # a^2 c - b^3 - c^3 tau^12 at a = b = 0, c = 1: every partial
+            # vanishes at tau = 0, all but the tau one at tau = 0.5
+            (ChartPoint(2, (0.0, 0.0), 0.0), SingularPointError,
+             "family Jacobian has rank below 1 at this point"),
+            (ChartPoint(2, (math.nan, 0.5), 0.5), FlowError,
+             "chart coordinates are not finite"),
+            (ChartPoint(2, (0.0, 0.0), 0.5), CriticalPointError,
+             "projected time gradient has norm 0"),
+        ]
+        states = [good] + [cp for cp, _, _ in cases] + [good]
+        charts = np.array([cp.chart for cp in states], dtype=np.intp)
+        Y = np.array([cp.as_real() for cp in states])
+        V, errors = flow._field(model, charts, Y)
+        assert errors[0] is None and errors[-1] is None
+        assert V[0].tobytes() == V[-1].tobytes()
+        assert V[0].tobytes() == gradient_hamiltonian(good, fam, basis).tobytes()
+        for (cp, kind, text), error in zip(cases, errors[1:-1]):
+            assert type(error) is kind and str(error) == text
+            with pytest.raises(kind) as raised:
+                gradient_hamiltonian(cp, fam, basis)
+            assert type(raised.value) is kind and str(raised.value) == text
+
+    def test_no_linear_algebra_routine(self, elliptic, monkeypatch):
+        _, fam, basis = elliptic
+        model = flow._Model(fam, basis)
+        charts, Y = _retraction_batch(elliptic, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called on a one-relation family")
+
+        for routine in ("svd", "solve", "cholesky", "lstsq", "eigh"):
+            monkeypatch.setattr(np.linalg, routine, refuse)
+        V, errors = flow._field(model, charts, Y)
+        assert errors == [None] * len(Y) and np.isfinite(V).all()
+        J = model.jacobian(charts, Y, fiber_only=True)
+        assert np.isfinite(flow._min_norm_step(J, np.ones((len(Y), 1)))).all()
 
 
 class TestFlowTo:
@@ -460,6 +579,21 @@ class TestRetraction:
         for j, rhs, x in zip(J, r, step):
             expected = np.linalg.lstsq(j, rhs, rcond=None)[0]
             assert np.abs(x - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    def test_one_row_step_matches_lstsq(self):
+        rng = np.random.default_rng(12)
+        J = rng.standard_normal((20, 1, 3)) + 1j * rng.standard_normal((20, 1, 3))
+        J *= 10.0 ** rng.uniform(-6, 6, (20, 1, 1))
+        J[5] = 0.0
+        r = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+        step = flow._min_norm_step(J, r)
+        assert step.shape == (20, 3)
+        assert not step[5].any()
+        for j, rhs, x in zip(J, r, step):
+            expected = np.linalg.lstsq(j, rhs, rcond=None)[0]
+            scale = max(1.0, np.abs(expected).max())
+            assert np.abs(x - expected).max() <= 1e-12 * scale
+            assert flow._min_norm_step(j[None], rhs[None])[0].tobytes() == x.tobytes()
 
     @pytest.mark.parametrize(
         "bad, reason",
