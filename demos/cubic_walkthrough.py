@@ -11,12 +11,7 @@ Run:  python3 demos/cubic_walkthrough.py
 import numpy as np
 
 from okkit.catalog import load_example
-from okkit.degeneration import (
-    build_family,
-    build_projection,
-    format_polynomial,
-    specialize_fiber,
-)
+from okkit.degeneration import build_family, build_projection, format_polynomial
 from okkit.embedding import embed_point, enumerate_vd_basis, sample_intrinsic, toric_moment
 from okkit.flow import ChartPoint, FlowConfig, flow_to, integrable_system_eval
 
@@ -33,17 +28,17 @@ print("body vertices:", [tuple(map(str, v)) for v in entry.body.vertices])
 print("degree (n! times volume):", entry.degree)
 print()
 
-# The degeneration: one relation picks up a tau power, its initial form
-# is the cuspidal cubic, and the two fiber specializations are exact.
+# The degeneration: one relation picks up a tau power and its initial form
+# is the cuspidal cubic.  build_family checks exactly that tau = 1 gives
+# back the relation and tau = 0 the initial form.
 fam = build_family(entry.relations, build_projection(entry.relations))
 print("weight functional p =", fam.functional.p)
 print("family over the tau-line:")
 for g in fam.family:
     print("  ", format_polynomial(g))
-print("fiber at t=1 equals the relation:",
-      tuple(specialize_fiber(fam, 1)) == entry.relations.relations)
-print("fiber at t=0 equals the initial form:",
-      tuple(specialize_fiber(fam, 0)) == fam.initial_forms)
+print("initial forms (the fiber at t=0):")
+for g in fam.initial_forms:
+    print("  ", format_polynomial(g))
 print()
 
 # Embed one sample at t = 1/2 and flow it to t = 1e-4.

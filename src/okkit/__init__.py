@@ -43,7 +43,6 @@ from okkit.degeneration import (
     build_family,
     build_projection,
     initial_form,
-    specialize_fiber,
 )
 from okkit.okounkov import (
     GradingHomomorphism,

@@ -1,14 +1,17 @@
-"""Exact rational convex hulls in ambient dimension at most three.
+"""Exact rational convex hulls; ``convex_hull`` caps the ambient dimension
+at three.
 
-Desk-scale implementation, one algorithm for every dimension n.  The
-points are scaled by the common denominator of their coordinates, so every
-step runs in integer arithmetic.  Each n-subset of points proposes the
-cofactor vector (generalised cross product) of its n - 1 edge vectors as a
-facet normal; a candidate is kept when every point lies on one side and
-the tight set spans a hyperplane.  Normals are reduced to primitive integer
-vectors, so the output is canonical.  The volume is the sum of the
-pyramids from the vertex centroid over the facets, each facet measured in
-its own n - 1 dimensional coordinates (a point counts as 1).
+One algorithm for every dimension n, in batched integer numpy arithmetic
+on the points scaled by their common denominator.  An n-subset's cofactor
+vector (generalised cross product of its n - 1 edges) is nonzero exactly
+when the subset spans a hyperplane, and that hyperplane is a facet when
+every point lies on one side of it.  The normals, made primitive so the
+output is canonical, are deduplicated with their offsets and tested in one
+matrix product; a point is a vertex when no other point lies on all of its
+facets.  The volume sums the barycentric subdivision, one simplex per flag
+of faces.  Every entry is at most n! (2C)^n in absolute value, C the
+largest scaled coordinate, so the arrays are int64 below 2^62 and numpy
+object arrays of Python ints, exact at any size, above it.
 
 Degenerate hulls (dimension below the ambient one) are kept in the ambient
 space: the affine hull contributes equality pairs to the facet list, the
@@ -25,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 __all__ = ["HullError", "OkounkovBody", "convex_hull"]
 
@@ -111,23 +116,19 @@ def _primitive(vec):
     return tuple(v // g for v in ints)
 
 
-def _det(rows):
-    """Determinant by cofactor expansion along the first row."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j, a in enumerate(rows[0])
-        if a
-    )
-
-
-def _cross(rows, n):
-    """Cofactor vector w of n - 1 vectors in R^n: w . x = det(rows + [x])."""
-    return tuple(
-        (-1) ** (n - 1 + k) * _det([r[:k] + r[k + 1 :] for r in rows])
-        for k in range(n)
-    )
+def _det(a):
+    """Determinants of a stack of square matrices, shape (..., k, k), by
+    cofactor expansion along the first row.  Exact on object arrays of
+    Python ints, and on int64 while every partial sum of k! products of
+    entries fits."""
+    k = a.shape[-1]
+    if k == 0:
+        return np.ones(a.shape[:-2], dtype=a.dtype)
+    total = 0
+    for j in range(k):
+        term = a[..., 0, j] * _det(np.delete(a[..., 1:, :], j, axis=-1))
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def _rref(rows):
@@ -219,60 +220,73 @@ def _parametrize(points, dim):
 # full-dimensional hulls
 
 
-def _supporting_facets(points, candidates, n):
-    """(normal, offset) pairs whose hyperplane supports the point set with
-    a tight set of affine dimension n - 1, oriented outward."""
-    final = set()
-    for normal in candidates:
-        vals = [_dot(normal, p) for p in points]
-        if max(vals) == min(vals):
-            continue
-        for sign in (1, -1):
-            nrm = normal if sign == 1 else tuple(-x for x in normal)
-            v = vals if sign == 1 else [-x for x in vals]
-            b = max(v)
-            tight = [p for p, x in zip(points, v) if x == b]
-            if len(tight) < n:
-                continue
-            diffs = [_sub(q, tight[0]) for q in tight[1:]]
-            if _rank(diffs) < n - 1:
-                continue
-            final.add((nrm, b))
-    return final
-
-
-def _extract_vertices(points, facets, n):
-    vertices = set()
-    for p in points:
-        tight = [normal for normal, offset in facets if _dot(normal, p) == offset]
-        if len(tight) >= n and _rank(tight) == n:
-            vertices.add(p)
-    return vertices
+def _flags(face, facets):
+    """Every chain face > F_1 > ... > {v}, each a facet of the one before,
+    as vertex-index sets: the facets of a face are the maximal ones among
+    its proper intersections with the hull's facets."""
+    if len(face) == 1:
+        return [(face,)]
+    cuts = {face & f for f in facets} - {face}
+    return [
+        (face,) + flag
+        for cut in cuts
+        if not any(cut < other for other in cuts)
+        for flag in _flags(cut, facets)
+    ]
 
 
 def _full_hull(points, n):
-    """Sorted vertices, facets and n-volume of the hull of points that
-    span R^n, computed on the points scaled to integers."""
+    """Sorted vertices, facets and n-volume of the hull of distinct points
+    that span R^n (n >= 1), computed on the points scaled to integers."""
     scale = math.lcm(*(x.denominator for p in points for x in p))
-    ints = [tuple(int(x * scale) for x in p) for p in points]
-    candidates = set()
-    for subset in combinations(ints, n):
-        normal = _cross([_sub(q, subset[0]) for q in subset[1:]], n)
-        if any(normal):
-            candidates.add(_primitive(normal))
-    facets = _supporting_facets(ints, candidates, n)
-    vertices = sorted(_extract_vertices(ints, facets, n))
-    centroid = tuple(Fraction(sum(c), len(vertices)) for c in zip(*vertices))
-    volume = Fraction(0)
-    for normal, offset in facets:
-        tight = [v for v in vertices if _dot(normal, v) == offset]
-        base, basis, coords = _parametrize(tight, n - 1)
-        measure = _full_hull(coords, n - 1)[2] if n > 1 else 1
-        height = abs(_dot(_cross(basis, n), _sub(centroid, base)))
-        volume += height * measure / n
+    ints = sorted(tuple(int(x * scale) for x in p) for p in points)
+    big = max(abs(x) for p in ints for x in p)
+    exact64 = math.factorial(n) * (2 * big) ** n < 2**62
+    pts = np.array(ints, dtype=np.int64 if exact64 else object)
+    count = math.comb(len(ints), n)
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(len(ints)), n)), np.intp, count * n
+    ).reshape(count, n)
+    # cofactor normal w of each subset's edges: w . x = det(edges + [x])
+    edges = pts[subsets[:, 1:]] - pts[subsets[:, :1]]
+    normals = np.stack(
+        [(-1) ** (n - 1 + k) * _det(np.delete(edges, k, axis=2)) for k in range(n)],
+        axis=1,
+    )
+    spanning = (normals != 0).any(axis=1)
+    normals, first = normals[spanning], pts[subsets[spanning, 0]]
+    lead = normals[np.arange(len(normals)), (normals != 0).argmax(axis=1)]
+    divisor = np.gcd.reduce(normals, axis=1) * np.sign(lead)
+    planes = np.column_stack([normals, (normals * first).sum(axis=1)])
+    planes = planes // divisor[:, None]
+    # sorted rows, each kept where it differs from the one before
+    planes = planes[np.lexsort(planes.T[::-1])]
+    planes = planes[np.r_[True, (planes[1:] != planes[:-1]).any(axis=1)]]
+    values = planes[:, :n] @ pts.T
+    upper = values.max(axis=1) == planes[:, n]
+    lower = values.min(axis=1) == planes[:, n]
+    facets = np.concatenate([planes[upper], -planes[lower]])
+    tight = np.concatenate([values[upper], -values[lower]]) == facets[:, n:]
+    # a point is a vertex when no other point lies on all of its facets
+    incidence = tight.astype(np.int64)
+    shared = incidence.T @ incidence
+    is_vertex = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
+    vertices = [ints[i] for i in np.flatnonzero(is_vertex)]
+    faces = [frozenset(np.flatnonzero(row).tolist()) for row in tight[:, is_vertex]]
+    # the barycentric subdivision: one simplex per flag of faces F, spanned
+    # from the flag's vertex v by the edges |F| (centroid(F) - v)
+    flags = _flags(frozenset(range(len(vertices))), faces)
+    sums = {f: [sum(c) for c in zip(*(vertices[i] for i in f))] for flag in flags for f in flag}
+    simplices = [
+        [[s - len(f) * x for s, x in zip(sums[f], vertices[v])] for f in flag]
+        for *flag, (v,) in flags
+    ]
+    dets = _det(np.array(simplices, dtype=object))
+    sizes = [math.prod(map(len, flag[:-1])) for flag in flags]
+    volume = sum(map(Fraction, map(abs, dets), sizes)) / math.factorial(n)
     return (
         tuple(tuple(Fraction(x, scale) for x in v) for v in vertices),
-        tuple(sorted((nrm, Fraction(b, scale)) for nrm, b in facets)),
+        tuple(sorted((tuple(f[:n]), Fraction(f[n], scale)) for f in facets.tolist())),
         volume / scale**n,
     )
 
@@ -320,8 +334,10 @@ def _degenerate_hull(pts, dim, n):
     the hull in internal coordinates, lifted, plus the affine hull's
     equality pairs."""
     base, basis, inner_pts = _parametrize(pts, dim)
-    # dim 0 (a single point) gives the one vertex () and no facets
-    inner_vertices, inner_facets, _ = _full_hull(inner_pts, dim)
+    if dim == 0:  # a single point: the one vertex () and no facets
+        inner_vertices, inner_facets = ((),), ()
+    else:
+        inner_vertices, inner_facets, _ = _full_hull(inner_pts, dim)
 
     facets = set()
     matrix = [[b[i] for b in basis] for i in range(n)]  # columns span the hull

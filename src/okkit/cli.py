@@ -66,7 +66,8 @@ _CONFIG_KEYS = {
 _LIMITS = {
     "samples": (lambda v: v >= 1, "must be at least 1"),
     "seed": (lambda v: v >= 0, "must be nonnegative"),
-    "spread": (math.isfinite, "must be finite"),
+    # sample radii reach 10**spread, whose cube must stay a finite double
+    "spread": (lambda v: math.isfinite(v) and v <= 100, "must be finite and at most 100"),
 }
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "build_projection",
     "initial_form",
     "build_family",
-    "specialize_fiber",
 ]
 
 TAU = "tau"
@@ -354,21 +353,3 @@ def build_family(rels: RelationSet, p: WeightFunctional) -> FamilyPresentation:
         initial_forms=tuple(initials),
     )
 
-
-# ---------------------------------------------------------------------------
-# fibers
-
-
-def specialize_fiber(fam: FamilyPresentation, t):
-    """Substitute tau = t in every family polynomial, exactly.
-
-    t must be an int or a Fraction, so t = 1 returns the original
-    relations and t = 0 the initial forms, on the nose.
-    """
-    if not isinstance(t, (int, Fraction)):
-        raise TypeError(
-            "specialize_fiber needs an exact t (int or Fraction), got %s"
-            % type(t).__name__
-        )
-    symbol_ring = fam.relation_set.datum.symbol_ring
-    return [_drop_tau(g, symbol_ring, t) for g in fam.family]

@@ -6,8 +6,8 @@ means something.  None of this code is imported by the package.
 """
 
 from fractions import Fraction
-from math import ceil, floor
-from itertools import combinations_with_replacement
+from math import ceil, floor, gcd, lcm
+from itertools import combinations, combinations_with_replacement
 
 
 def brute_semigroup_level(generators, k):
@@ -204,4 +204,95 @@ def dilate(body, k):
         tuple(sorted(tuple(k * x for x in v) for v in body.vertices)),
         tuple(sorted((n, k * b) for n, b in body.facets)),
         body.volume * k**body.ambient_dim,
+    )
+
+
+def substitute_tau(fam, t):
+    """The family's polynomials at tau = t, back in the symbol ring: each
+    term's coefficient times t to its tau exponent (tau is the last
+    variable), summed over the terms that then share a monomial."""
+    from okkit.algebra import Polynomial
+
+    out = []
+    for g in fam.family:
+        terms = {}
+        for e, c in g.terms.items():
+            terms[e[:-1]] = terms.get(e[:-1], 0) + c * Fraction(t) ** e[-1]
+        out.append(Polynomial(fam.relation_set.datum.symbol_ring, terms))
+    return out
+
+
+def _scalar_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _scalar_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def _scalar_cross(rows, n):
+    """Cofactor vector w of n - 1 vectors in R^n: w . x = det(rows + [x])."""
+    return tuple(
+        (-1) ** (n - 1 + k) * _scalar_det([r[:k] + r[k + 1 :] for r in rows])
+        for k in range(n)
+    )
+
+
+def candidate_normal_hull(points, n):
+    """The hull of points spanning R^n, one candidate normal at a time.
+
+    Every n-subset proposes the primitive cofactor normal of its edges; a
+    candidate, oriented either way, is a facet when its tight set has
+    affine rank n - 1 (an exact Fraction rank), and a point is a vertex
+    when the normals of its facets have rank n.  The volume sums the
+    pyramids from the vertex centroid, as the library does.  Returns
+    (vertices, facets, volume) in the library's ``_full_hull`` format.
+    """
+    from okkit._polytope import _parametrize, _rank
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    scale = lcm(*(x.denominator for p in points for x in p))
+    ints = [tuple(int(x * scale) for x in p) for p in points]
+    candidates = set()
+    for subset in combinations(ints, n):
+        normal = _scalar_cross([sub(q, subset[0]) for q in subset[1:]], n)
+        if any(normal):
+            g = gcd(*normal)
+            candidates.add(tuple(x // g for x in normal))
+    facets = set()
+    for normal in candidates:
+        vals = [dot(normal, p) for p in ints]
+        for sign in (1, -1):
+            nrm = tuple(sign * x for x in normal)
+            v = [sign * x for x in vals]
+            b = max(v)
+            tight = [p for p, x in zip(ints, v) if x == b]
+            if len(tight) >= n and _rank([sub(q, tight[0]) for q in tight[1:]]) == n - 1:
+                facets.add((nrm, b))
+    vertices = []
+    for p in ints:
+        through = [nrm for nrm, b in facets if dot(nrm, p) == b]
+        if len(through) >= n and _rank(through) == n:
+            vertices.append(p)
+    vertices.sort()
+    centroid = tuple(Fraction(sum(c), len(vertices)) for c in zip(*vertices))
+    volume = Fraction(0)
+    for normal, offset in facets:
+        face = [v for v in vertices if dot(normal, v) == offset]
+        base, basis, coords = _parametrize(face, n - 1)
+        measure = candidate_normal_hull(coords, n - 1)[2] if n > 1 else 1
+        height = abs(dot(_scalar_cross(basis, n), sub(centroid, base)))
+        volume += height * measure / n
+    return (
+        tuple(tuple(Fraction(x, scale) for x in v) for v in vertices),
+        tuple(sorted((nrm, Fraction(b, scale)) for nrm, b in facets)),
+        volume / scale**n,
     )

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from okkit.degeneration import build_family, build_projection, specialize_fiber
+from okkit.degeneration import build_family, build_projection
 from okkit.embedding import (
     embed_point,
     enumerate_vd_basis,
@@ -42,7 +42,7 @@ from okkit.okounkov import (
     subduct,
 )
 from okkit.okounkov import slice as semigroup_slice
-from oracles import weyl_dimension_gl3
+from oracles import substitute_tau, weyl_dimension_gl3
 from presentations import ALL_DATA, relation_set_for
 
 EPSILON = 0.5
@@ -142,8 +142,8 @@ def test_criterion_04_family_identities():
     started = time.perf_counter()
     for name in MAIN_ENTRIES:
         rels, fam, _ = _pipeline(name)
-        assert tuple(specialize_fiber(fam, 1)) == rels.relations
-        assert tuple(specialize_fiber(fam, 0)) == fam.initial_forms
+        assert tuple(substitute_tau(fam, 1)) == rels.relations
+        assert tuple(substitute_tau(fam, 0)) == fam.initial_forms
         for g in fam.family:
             assert all(e[-1] != 1 for e in g.terms), "linear tau term in %s" % name
             assert all(e[-1] >= 0 for e in g.terms)

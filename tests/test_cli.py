@@ -282,6 +282,74 @@ def test_mutated_entry_ends_with_an_exit_code(tmp_path_factory, field, value):
         assert "Traceback" not in result.output
 
 
+ENTRY_NAMES = [name for name, _ in list_examples()] + ["no-such-entry"]
+SAMPLES = ["1", "2", "0", "-1", "x"]
+# valid values first, so that shrinking heads for a run that gets going
+FLOW_FLAGS = {
+    "--epsilon": ["0.5", "0.9", "0.1", "0", "1", "-1", "nan", "x"],
+    "--delta": ["1e-4", "0.01", "1e-8", "0", "1e-300", "0.6", "x"],
+    "--seed": ["0", "7", str(2**70), "-1", "x"],
+    "--spread": ["0", "1", "3", "-2", "100", "150", "1e308", "-inf", "x"],
+}
+MATRIX_ROWS = st.one_of(
+    st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=4), min_size=1, max_size=2),
+    st.lists(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.sampled_from([10**30, 1.5, True, "x", None])),
+            max_size=4,
+        ),
+        max_size=3,
+    ),
+)
+
+
+def _ends_with_an_exit_code(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), args
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(ENTRY_NAMES),
+    st.sampled_from(SAMPLES),
+    st.fixed_dictionaries(
+        {}, optional={flag: st.sampled_from(texts) for flag, texts in FLOW_FLAGS.items()}
+    ),
+)
+def test_flow_flags_end_with_an_exit_code(entry, samples, flags):
+    args = ["flow", entry, "--samples", samples]
+    for flag, text in flags.items():
+        args += [flag, text]
+    _ends_with_an_exit_code(args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(ENTRY_NAMES),
+    st.sampled_from(SAMPLES),
+    st.one_of(st.none(), st.sampled_from(FLOW_FLAGS["--seed"])),
+    st.one_of(st.none(), st.just("{not json"), st.fixed_dictionaries({"matrix": MATRIX_ROWS})),
+    st.booleans(),
+)
+def test_slice_flags_end_with_an_exit_code(
+    tmp_path_factory, entry, samples, seed, homomorphism, write_json
+):
+    where = tmp_path_factory.mktemp("slice")
+    args = ["slice", entry, "--samples", samples]
+    if seed is not None:
+        args += ["--seed", seed]
+    if homomorphism is not None:
+        hom = where / "hom.json"
+        text = homomorphism if isinstance(homomorphism, str) else json.dumps(homomorphism)
+        hom.write_text(text)
+        args += ["--homomorphism", str(hom)]
+    if write_json:
+        args += ["--json", str(where / "out.json")]
+    _ends_with_an_exit_code(args)
+
+
 class TestBodySvgUnits:
     def test_one_marker_per_vertex(self):
         body = load_example("p1").body
@@ -584,6 +652,7 @@ class TestConfig:
             (["slice", "elliptic-quotient-demo", "--seed", "-1"], None),
             (["flow", "p1", "--spread", "inf"], None),
             (["flow", "p1", "--spread", "nan"], None),
+            (["flow", "elliptic", "--spread", "150"], None),
             (["flow", "p1"], "seed = -1\n"),
             (["slice", "elliptic-quotient-demo"], "seed = -1\n"),
             (["flow", "p1"], "spread = inf\n"),
@@ -591,7 +660,7 @@ class TestConfig:
         ],
         ids=[
             "flag-seed-flow", "flag-seed-slice", "flag-spread-inf", "flag-spread-nan",
-            "config-seed-flow", "config-seed-slice", "config-spread-inf", "config-spread-nan",
+            "flag-spread-huge", "config-seed-flow", "config-seed-slice", "config-spread-inf", "config-spread-nan",
         ],
     )
     def test_out_of_range_setting_is_usage_error(self, runner, tmp_path, args, config):

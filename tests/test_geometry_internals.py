@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from okkit._lattice import (
@@ -15,13 +15,23 @@ from okkit._lattice import (
 )
 from okkit._polytope import (
     HullError,
+    _det,
+    _full_hull,
     _null_space_rows,
     _rank,
     _solve_exact,
     convex_hull,
 )
 
-from oracles import dilate, lattice_contains, lattice_points, qhull_vertices, qhull_volume
+from oracles import (
+    brute_semigroup_level,
+    candidate_normal_hull,
+    dilate,
+    lattice_contains,
+    lattice_points,
+    qhull_vertices,
+    qhull_volume,
+)
 
 
 def frac_det(rows):
@@ -368,3 +378,103 @@ class TestHullProperties:
         # integer inputs are themselves lattice points of the hull
         integral = [p for p in pts if all(x.denominator == 1 for x in p)]
         assert {tuple(map(int, p)) for p in integral} <= set(lattice_points(h))
+
+
+# values of the Gr(2,4) generators 1, a, b, c, d, a*d - b*c in the big cell
+GR24_VALUES = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0)]
+
+
+def level_points(values, k):
+    """The level-k values of the semigroup the values generate at level 1,
+    scaled by 1/k into the body."""
+    level = brute_semigroup_level([(1, v) for v in values], k)
+    return sorted(tuple(Fraction(x, k) for x in v) for v in level)
+
+
+def rescaled(hull, k, n):
+    """A _full_hull triple for the points scaled by k > 0."""
+    vertices, facets, volume = hull
+    return (
+        tuple(tuple(k * x for x in v) for v in vertices),
+        tuple((normal, k * b) for normal, b in facets),
+        volume * k**n,
+    )
+
+
+@st.composite
+def spanning_points(draw):
+    """Distinct rational points spanning R^n, n in 1..4, sorted; half of
+    them on the grid {0, 1, 2}^n, where edge and face points abound."""
+    n = draw(st.integers(1, 4))
+    coordinate = draw(st.sampled_from([rationals(3), st.builds(Fraction, st.integers(0, 2))]))
+    raw = draw(st.lists(st.tuples(*[coordinate] * n), min_size=n + 1, max_size=11 - n))
+    pts = sorted(set(raw))
+    assume(_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == n)
+    return pts, n
+
+
+class TestFullHull:
+    """The batched integer kernel against the one-candidate-at-a-time
+    reference, and exact gates past dimension three."""
+
+    @given(spanning_points())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_candidate_normal_reference(self, case):
+        pts, n = case
+        assert repr(_full_hull(pts, n)) == repr(candidate_normal_hull(pts, n))
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.lists(
+                st.lists(st.lists(st.integers(-50, 50), min_size=k, max_size=k), min_size=k, max_size=k),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_det_is_exact(self, stack):
+        expected = [frac_det(m) for m in stack]
+        assert _det(np.array(stack)).tolist() == expected
+        k = len(stack[0])
+        huge = np.array(stack, dtype=object) * 2**70
+        assert _det(huge).tolist() == [d * 2 ** (70 * k) for d in expected]
+
+    @pytest.mark.parametrize(
+        "small",
+        [
+            [(0, 0), (3, 1), (1, 4), (2, 2)],
+            GL3_VALUES,
+            GR24_VALUES,
+        ],
+    )
+    def test_huge_coordinates_take_exact_integers(self, small):
+        """Past the int64 bound the hull is still the exactly rescaled one:
+        once for coordinates times 2^40, once for denominators whose lcm
+        is about 2^62."""
+        small = sorted({tuple(map(Fraction, p)) for p in small})
+        n = len(small[0])
+        hull = _full_hull(small, n)
+        k = Fraction(2**40)
+        assert _full_hull([tuple(k * x for x in p) for p in small], n) == rescaled(hull, k, n)
+        # an interior point with denominator 2^31 - 1 next to points over 2^31 + 11
+        q, r = 2**31 + 11, 2**31 - 1
+        centre = [sum(c) / len(small) for c in zip(*small)]
+        inner = tuple((x + (p - x) / r) / q for x, p in zip(centre, small[0]))
+        pts = sorted([tuple(x / q for x in p) for p in small] + [inner])
+        assert _full_hull(pts, n) == rescaled(hull, Fraction(1, q), n)
+
+    def test_unit_four_simplex(self):
+        pts = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(-1, 4)]
+        vertices, facets, volume = _full_hull(sorted(pts), 4)
+        assert len(vertices) == 5 and len(facets) == 5
+        assert volume == Fraction(1, 24)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gr24_body(self, k):
+        """Levels 2 and 3 of the Gr(2,4) semigroup (20 and 50 points in
+        R^4) span the body of the generators: degree 2 = 4! volume."""
+        vertices, facets, volume = _full_hull(level_points(GR24_VALUES, k), 4)
+        assert vertices == tuple(sorted(tuple(map(Fraction, v)) for v in GR24_VALUES))
+        assert len(facets) == 6
+        assert volume == Fraction(1, 12)
