@@ -28,11 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 __all__ = ["HullError", "OkounkovBody", "convex_hull"]
+
+# n-subsets turned into hyperplanes at a time, so a hull's working arrays
+# stay bounded however many subsets its points have
+_SUBSETS_PER_BLOCK = 2**14
 
 
 class HullError(Exception):
@@ -235,18 +239,20 @@ def _flags(face, facets):
     ]
 
 
-def _full_hull(points, n):
-    """Sorted vertices, facets and n-volume of the hull of distinct points
-    that span R^n (n >= 1), computed on the points scaled to integers."""
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    ints = sorted(tuple(int(x * scale) for x in p) for p in points)
-    big = max(abs(x) for p in ints for x in p)
-    exact64 = math.factorial(n) * (2 * big) ** n < 2**62
-    pts = np.array(ints, dtype=np.int64 if exact64 else object)
-    count = math.comb(len(ints), n)
-    subsets = np.fromiter(
-        chain.from_iterable(combinations(range(len(ints)), n)), np.intp, count * n
-    ).reshape(count, n)
+def _unique_rows(rows):
+    """The distinct rows, sorted: each kept where it differs from the one
+    before (lexsort, unlike np.unique, also takes object arrays)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _spanned_planes(pts, subsets):
+    """Distinct primitive rows (normal, offset) of the hyperplanes that the
+    given n-subsets of pts span, each normal's first nonzero entry
+    positive."""
+    n = subsets.shape[1]
     # cofactor normal w of each subset's edges: w . x = det(edges + [x])
     edges = pts[subsets[:, 1:]] - pts[subsets[:, :1]]
     normals = np.stack(
@@ -258,10 +264,22 @@ def _full_hull(points, n):
     lead = normals[np.arange(len(normals)), (normals != 0).argmax(axis=1)]
     divisor = np.gcd.reduce(normals, axis=1) * np.sign(lead)
     planes = np.column_stack([normals, (normals * first).sum(axis=1)])
-    planes = planes // divisor[:, None]
-    # sorted rows, each kept where it differs from the one before
-    planes = planes[np.lexsort(planes.T[::-1])]
-    planes = planes[np.r_[True, (planes[1:] != planes[:-1]).any(axis=1)]]
+    return _unique_rows(planes // divisor[:, None])
+
+
+def _full_hull(points, n):
+    """Sorted vertices, facets and n-volume of the hull of distinct points
+    that span R^n (n >= 1), computed on the points scaled to integers."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    ints = sorted(tuple(int(x * scale) for x in p) for p in points)
+    big = max(abs(x) for p in ints for x in p)
+    exact64 = math.factorial(n) * (2 * big) ** n < 2**62
+    pts = np.array(ints, dtype=np.int64 if exact64 else object)
+    indices = chain.from_iterable(combinations(range(len(ints)), n))
+    blocks = []
+    while len(block := np.fromiter(islice(indices, n * _SUBSETS_PER_BLOCK), np.intp)):
+        blocks.append(_spanned_planes(pts, block.reshape(-1, n)))
+    planes = _unique_rows(np.concatenate(blocks))
     values = planes[:, :n] @ pts.T
     upper = values.max(axis=1) == planes[:, n]
     lower = values.min(axis=1) == planes[:, n]

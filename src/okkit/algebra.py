@@ -2,7 +2,11 @@
 order on N x Z^n, and two valuation backends with one-dimensional leaves.
 
 Everything here is immutable after construction, so it can be shared
-freely.  Exact computation stays in rationals; complex doubles appear only
+freely.  Values are exact: coefficients enter and leave as Fractions, and
+the kernels work on integers in between.  A truncated series is a list of
+integer numerators over one common denominator, and a polynomial product
+multiplies integer numerators over each factor's common denominator,
+building one Fraction per output term.  Complex doubles appear only
 through :class:`CompiledPolynomial`, the one numeric evaluator, which
 :func:`evaluate_complex` wraps with input checks.
 
@@ -25,6 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -119,6 +125,13 @@ def _as_rational(c):
     raise TypeError("coefficients must be exact rationals, got %r" % type(c))
 
 
+def _numerators(terms):
+    """(d, [(exponent, integer numerator)]): the coefficients of terms as
+    integers over their least common denominator d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+
+
 class Polynomial:
     """Immutable multivariate (Laurent) polynomial with exact rational
     coefficients, stored as a map exponent tuple -> Fraction.
@@ -180,6 +193,17 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """A polynomial over terms that are already valid: exponent tuples
+        of the ring's length, nonzero Fraction coefficients.  The results
+        of arithmetic on validated polynomials come from here."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "ring", ring)
+        object.__setattr__(f, "terms", terms)
+        object.__setattr__(f, "_hash", None)
+        return f
+
     def _check_ring(self, other):
         if self.ring != other.ring:
             raise DimensionError("polynomials from different rings")
@@ -190,17 +214,21 @@ class Polynomial:
         self._check_ring(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
-            if s == 0:
-                t.pop(e, None)
+            a = t.get(e)
+            if a is None:
+                t[e] = c
+            elif a + c:
+                t[e] = a + c
             else:
-                t[e] = s
-        return Polynomial(self.ring, t)
+                del t[e]
+        return Polynomial._trusted(self.ring, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(
+            self.ring, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,34 +243,40 @@ class Polynomial:
             c = _as_rational(other)
             if c == 0:
                 return Polynomial.zero(self.ring)
-            return Polynomial(
+            return Polynomial._trusted(
                 self.ring, {e: c * v for e, v in self.terms.items()}
             )
         self._check_ring(other)
+        d1, left = _numerators(self.terms)
+        d2, right = _numerators(other.terms)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
+        for e1, a in left:
+            for e2, b in right:
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + a * b
+                if s:
                     out[e] = s
-        return Polynomial(self.ring, out)
+                else:
+                    del out[e]
+        d = d1 * d2
+        return Polynomial._trusted(
+            self.ring, {e: Fraction(s, d) for e, s in out.items()}
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.ring, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Polynomial.constant(self.ring, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -354,78 +388,104 @@ def monomial_valuation(f: Polynomial) -> tuple:
 class _Series:
     """Dense truncated power series in one parameter, exact coefficients.
 
-    coeffs[i] is the coefficient of u^i; everything at order >= trunc is
+    The coefficient of u^i is num[i] / den: a list of trunc integer
+    numerators over one positive common denominator, in lowest terms (den
+    and the numerators share no factor).  Everything at order >= trunc is
     unknown.  Only what the valuation backend needs: ring operations and
-    order-of-vanishing queries.
+    order-of-vanishing queries.  ``_Series(coeffs, trunc)`` takes exact
+    rationals; the operations build their results with :meth:`_make`.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("num", "den", "trunc")
 
     def __init__(self, coeffs: Sequence[Fraction], trunc: int):
-        coeffs = list(coeffs)[:trunc]
-        coeffs += [Fraction(0)] * (trunc - len(coeffs))
-        self.coeffs = [_as_rational(c) for c in coeffs]
+        coeffs = [_as_rational(c) for c in list(coeffs)[:trunc]]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        self.num = num + [0] * (trunc - len(num))
+        self.den = den
         self.trunc = trunc
 
     @classmethod
+    def _make(cls, num, den, trunc):
+        """The series num / den from trunc integers and den > 0, brought to
+        lowest terms."""
+        g = gcd(den, *num)
+        s = object.__new__(cls)
+        s.num = num if g == 1 else [a // g for a in num]
+        s.den = den // g
+        s.trunc = trunc
+        return s
+
+    @classmethod
     def zero(cls, trunc):
-        return cls([], trunc)
+        return cls._make([0] * trunc, 1, trunc)
 
     @classmethod
     def constant(cls, c, trunc):
-        return cls([_as_rational(c)], trunc)
+        return cls([c], trunc)
 
-    @classmethod
-    def parameter(cls, trunc):
-        return cls([Fraction(0), Fraction(1)], trunc)
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions; coeffs[i] belongs to u^i."""
+        return [Fraction(a, self.den) for a in self.num]
+
+    def _combine(self, other, sign):
+        t = min(self.trunc, other.trunc)
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return _Series._make(
+            [a * p + b * q for a, b in zip(self.num[:t], other.num[:t])], den, t
+        )
 
     def __add__(self, other):
-        t = min(self.trunc, other.trunc)
-        return _Series(
-            [a + b for a, b in zip(self.coeffs[:t], other.coeffs[:t])], t
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        t = min(self.trunc, other.trunc)
-        return _Series(
-            [a - b for a, b in zip(self.coeffs[:t], other.coeffs[:t])], t
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         t = min(self.trunc, other.trunc)
-        out = [Fraction(0)] * t
-        for i, a in enumerate(self.coeffs[:t]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: t - i]):
-                if b != 0:
+        out = [0] * t
+        right = [(j, b) for j, b in enumerate(other.num[:t]) if b]
+        for i, a in enumerate(self.num[:t]):
+            if a:
+                for j, b in right:
+                    if i + j >= t:
+                        break
                     out[i + j] += a * b
-        return _Series(out, t)
+        return _Series._make(out, self.den * other.den, t)
 
     def scale(self, c):
         c = _as_rational(c)
-        return _Series([c * a for a in self.coeffs], self.trunc)
+        return _Series._make(
+            [c.numerator * a for a in self.num], c.denominator * self.den, self.trunc
+        )
 
     def __pow__(self, k):
-        result = _Series.constant(1, self.trunc)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return _Series.constant(1, self.trunc) if result is None else result
 
     def order(self):
         """Index of the first nonzero coefficient, or None if all vanish."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, a in enumerate(self.num):
+            if a:
                 return i
         return None
 
     def __eq__(self, other):
         t = min(self.trunc, other.trunc)
-        return self.coeffs[:t] == other.coeffs[:t]
+        if self.den == other.den:
+            return self.num[:t] == other.num[:t]
+        p, q = other.den, self.den
+        return all(a * p == b * q for a, b in zip(self.num[:t], other.num[:t]))
 
 
 class SeriesContext:
@@ -498,12 +558,13 @@ class SeriesContext:
             raise ValueError(
                 "explicit assignments must be polynomials in the parameter"
             )
-        s = _Series.zero(trunc)
-        for e, c in poly.terms.items():
-            if e[0] < trunc:
-                coeffs = [Fraction(0)] * e[0] + [c]
-                s = s + _Series(coeffs, trunc)
-        return s
+        coeffs = [0] * trunc
+        for (k,), c in poly.terms.items():
+            if k < 0:
+                raise EvaluationError("Laurent exponent in a series assignment")
+            if k < trunc:
+                coeffs[k] = c
+        return _Series(coeffs, trunc)
 
     def _substitute(self, poly, table, trunc, powers=None):
         """poly with each variable replaced by its series in table.
@@ -514,7 +575,7 @@ class SeriesContext:
         out = _Series.zero(trunc)
         ring = poly.ring
         for e, c in poly.terms.items():
-            term = _Series.constant(c, trunc)
+            term = None
             for var, k in zip(ring.variables, e):
                 if k == 0:
                     continue
@@ -528,8 +589,10 @@ class SeriesContext:
                     power = powers.get((trunc, var, k))
                     if power is None:
                         power = powers[trunc, var, k] = table[var] ** k
-                term = term * power
-            out = out + term
+                term = power if term is None else term * power
+            out = out + (
+                _Series.constant(c, trunc) if term is None else term.scale(c)
+            )
         return out
 
     def expand(self, poly: Polynomial, trunc: int | None = None) -> _Series:
@@ -554,7 +617,7 @@ class SeriesContext:
             series = self.expand(poly, trunc)
             o = series.order()
             if o is not None:
-                return o, series.coeffs[o]
+                return o, Fraction(series.num[o], series.den)
             if trunc >= self.cap:
                 raise InconclusiveValuationError(
                     "every coefficient vanished to order %d; raise the cap or"

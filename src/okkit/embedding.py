@@ -199,11 +199,19 @@ class ProjectivePoint:
     t: complex
 
 
+_OVERFLOW = "embedded coordinates overflow the float range"
+
+
 def _normalize(z):
     """Unit norm, largest-modulus coordinate rotated to the positive axis."""
-    nrm = math.sqrt(sum(abs(c) ** 2 for c in z))
+    try:
+        nrm = math.sqrt(sum(abs(c) ** 2 for c in z))
+    except OverflowError:
+        raise EmbeddingError(_OVERFLOW) from None
     if nrm == 0:
         raise EmbeddingError("cannot normalize the zero vector")
+    if not math.isfinite(nrm):
+        raise EmbeddingError(_OVERFLOW)
     z = [c / nrm for c in z]
     pivot = max(range(len(z)), key=lambda i: abs(z[i]))
     phase = z[pivot] / abs(z[pivot])
@@ -215,7 +223,10 @@ def _power(base: complex, k: int) -> complex:
         return 1.0 + 0j
     if base == 0 and k < 0:
         raise ZeroDivisionError("0 raised to a negative power")
-    return base**k
+    try:
+        return base**k
+    except OverflowError:
+        raise EmbeddingError(_OVERFLOW) from None
 
 
 def family_residual(fam: FamilyPresentation, symbol_values, t: complex) -> float:
@@ -242,7 +253,8 @@ def embed_point(
     The coordinate at alpha is t^(omega_alpha) prod f_v(x)^alpha_v / h(x)^d.
     The section value h(x) must stay away from zero, and the embedded point
     must satisfy every family polynomial; both are enforced, the former as
-    a re-sample hint and the latter as a hard error.
+    a re-sample hint and the latter as a hard error.  Coordinates past the
+    float range raise EmbeddingError too.
     """
     t = complex(t)
     f_values = [
@@ -358,7 +370,8 @@ def sample_intrinsic(datum: SagbiDatum, count: int, rng, log10_spread: float = 0
     from a complex normal.  With one, the free coordinates are drawn the
     same way and the last variable is solved for with a root chosen by the
     generator, re-drawing when the section or the leading coefficient
-    degenerates.  Deterministic for a fixed generator state.
+    degenerates or a coefficient is not finite.  Deterministic for a fixed
+    generator state.
 
     A positive log10_spread multiplies each free coordinate by a radius
     10**uniform(-s, s).  Normal draws cluster around unit modulus, which
@@ -386,7 +399,7 @@ def sample_intrinsic(datum: SagbiDatum, count: int, rng, log10_spread: float = 0
             coords = [c * r for c, r in zip(coords, radii)]
         if datum.modulus is not None:
             coeffs = _univariate_in_last(datum.modulus, coords)
-            if abs(coeffs[0]) < 1e-12:
+            if abs(coeffs[0]) < 1e-12 or not np.isfinite(coeffs).all():
                 continue
             roots = np.roots(coeffs)
             pick = int(rng.integers(len(roots)))

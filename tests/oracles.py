@@ -296,3 +296,97 @@ def candidate_normal_hull(points, n):
         tuple(sorted((nrm, Fraction(b, scale)) for nrm, b in facets)),
         volume / scale**n,
     )
+
+
+class FractionSeries:
+    """A truncated power series as a dense list of Fractions: the library's
+    series arithmetic written the plain way, one Fraction operation per
+    coefficient pair.  coeffs[i] is the coefficient of u^i."""
+
+    def __init__(self, coeffs, trunc):
+        coeffs = [Fraction(c) for c in list(coeffs)[:trunc]]
+        self.coeffs = coeffs + [Fraction(0)] * (trunc - len(coeffs))
+        self.trunc = trunc
+
+    def __add__(self, other):
+        t = min(self.trunc, other.trunc)
+        return FractionSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], t)
+
+    def __sub__(self, other):
+        t = min(self.trunc, other.trunc)
+        return FractionSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], t)
+
+    def __mul__(self, other):
+        t = min(self.trunc, other.trunc)
+        out = [Fraction(0)] * t
+        for i, a in enumerate(self.coeffs[:t]):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs[: t - i]):
+                if b != 0:
+                    out[i + j] += a * b
+        return FractionSeries(out, t)
+
+    def scale(self, c):
+        return FractionSeries([c * a for a in self.coeffs], self.trunc)
+
+    def __pow__(self, k):
+        result = FractionSeries([1], self.trunc)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def order(self):
+        for i, c in enumerate(self.coeffs):
+            if c != 0:
+                return i
+        return None
+
+    def __eq__(self, other):
+        t = min(self.trunc, other.trunc)
+        return self.coeffs[:t] == other.coeffs[:t]
+
+
+def fraction_sum(f, g):
+    """f + g with Fraction coefficients, through the checked constructor,
+    terms in first-seen order."""
+    from okkit.algebra import Polynomial
+
+    terms = dict(f.terms)
+    for e, c in g.terms.items():
+        s = terms.get(e, Fraction(0)) + c
+        if s == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return Polynomial(f.ring, terms)
+
+
+def fraction_product(f, g):
+    """f * g term by term with Fraction coefficients, through the checked
+    constructor; a monomial whose sum cancels is dropped and, if it comes
+    back, goes to the end, so the term order is the library's."""
+    from okkit.algebra import Polynomial
+
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return Polynomial(f.ring, out)
+
+
+def fraction_power(f, k):
+    """f ** k as k - 1 products, f ** 0 the constant 1."""
+    from okkit.algebra import Polynomial
+
+    if k == 0:
+        return Polynomial.constant(f.ring, 1)
+    result = f
+    for _ in range(k - 1):
+        result = fraction_product(result, f)
+    return result

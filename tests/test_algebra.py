@@ -20,6 +20,7 @@ from okkit.algebra import (
     Ring,
     SeriesContext,
     UndefinedValuationError,
+    _Series,
     compare_composite,
     evaluate_complex,
     format_polynomial,
@@ -27,6 +28,7 @@ from okkit.algebra import (
     parse_polynomial,
     relative_residual,
 )
+from oracles import FractionSeries, fraction_power, fraction_product, fraction_sum
 
 XY = Ring(("x", "y"))
 XY_LAURENT = Ring(("x", "y"), laurent=True)
@@ -196,15 +198,21 @@ def test_series_constant_has_order_zero():
 
 
 def test_series_implicit_branch():
-    # z = x^3 + z^3 solved iteratively: z = u^3 + u^9 + 3u^15 + ...
+    # z = x^3 + z^3 solved iteratively: z = u^3 w with w = 1 + u^6 w^3,
+    # whose coefficients are the Fuss-Catalan numbers C(3k, k) / (2k + 1),
+    # so z = u^3 + u^9 + 3u^15 + 12u^21 + ... and nothing else to order 64
     ctx = elliptic_context()
     ring = Ring(("x", "z"))
     z = parse_polynomial("z", ring)
     assert ctx.lead(z) == (3, 1)
     s = ctx.expand(z)
-    assert s.coeffs[3] == 1
-    assert s.coeffs[9] == 1
-    assert s.coeffs[15] == 3
+    assert s.trunc == 64
+    expected = [0] * 64
+    for k in range(11):
+        expected[6 * k + 3] = math.comb(3 * k, k) // (2 * k + 1)
+    assert expected[3::6][:5] == [1, 1, 3, 12, 55]
+    assert expected[63] == 1430715
+    assert s.coeffs == expected
 
 
 def test_series_valuation_multiplicative():
@@ -260,10 +268,132 @@ def test_series_inconclusive_is_loud():
         ctx.lead(f)
 
 
+def test_series_assignment_refuses_laurent_exponents():
+    # u^-1 has no place in a power series in u
+    laurent_u = Ring(("u",), laurent=True)
+    with pytest.raises(EvaluationError):
+        SeriesContext("u", {"x": parse_polynomial("u + u^-1", laurent_u)})
+
+
 def test_series_zero_input_error():
     ctx = elliptic_context()
     with pytest.raises(UndefinedValuationError):
         ctx.lead(Polynomial.zero(Ring(("x", "z"))))
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction references
+
+# Denominators past 2^64, alone and in any pair: two of them share no
+# factor, so a common denominator is their product.
+BIG_DENOMINATORS = (2**61 - 1, 2**31 - 1, 10**18 + 9, 3**40)
+
+coefficients = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(max_denominator=12).filter(lambda c: abs(c) < 50),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.sampled_from(BIG_DENOMINATORS),
+    ),
+)
+# mostly zeros, as the series of a branch are
+series_coefficients = st.one_of(st.just(Fraction(0)), coefficients)
+
+
+def _same_series(s, ref):
+    assert s.trunc == ref.trunc
+    assert s.coeffs == ref.coeffs
+    assert s.order() == ref.order()
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(series_coefficients, max_size=14),
+    st.lists(series_coefficients, max_size=14),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    coefficients,
+    st.integers(min_value=0, max_value=4),
+)
+def test_series_matches_fraction_reference(a, b, ta, tb, c, k):
+    s, t = _Series(a, ta), _Series(b, tb)
+    ref_s, ref_t = FractionSeries(a, ta), FractionSeries(b, tb)
+    _same_series(s, ref_s)
+    _same_series(s + t, ref_s + ref_t)
+    _same_series(s - t, ref_s - ref_t)
+    _same_series(s * t, ref_s * ref_t)
+    _same_series(s.scale(c), ref_s.scale(c))
+    _same_series(s**k, ref_s**k)
+    assert (s == t) == (ref_s == ref_t)
+    # sums that cancel: back to s exactly, and to zero over denominator 1
+    assert (s + t) - t == s
+    zero = s - s
+    _same_series(zero, FractionSeries([], ta))
+    assert zero.den == 1
+
+
+def test_series_equality_across_denominators():
+    # equal up to the shorter truncation, with different lowest-terms
+    # denominators because the longer one carries a 1/3 past it
+    third = Fraction(1, 3)
+    s = _Series([Fraction(1, 2), 0, third], 3)
+    t = _Series([Fraction(1, 2), 0], 2)
+    assert s.den == 6 and t.den == 2
+    assert s == t and t == s
+    assert not (s == _Series([Fraction(1, 2), 1], 2))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """f and g over XY_LAURENT; g reuses some of f's monomials with the
+    opposite coefficient, so f + g cancels there."""
+    def terms(n):
+        return {
+            (
+                draw(st.integers(min_value=-3, max_value=3)),
+                draw(st.integers(min_value=-3, max_value=3)),
+            ): draw(coefficients)
+            for _ in range(n)
+        }
+
+    f = terms(draw(st.integers(min_value=0, max_value=6)))
+    g = terms(draw(st.integers(min_value=0, max_value=6)))
+    for e, c in f.items():
+        if draw(st.booleans()):
+            g[e] = -c
+    return Polynomial(XY_LAURENT, f), Polynomial(XY_LAURENT, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_pairs(), st.integers(min_value=0, max_value=3))
+def test_polynomial_arithmetic_matches_fraction_reference(pair, k):
+    f, g = pair
+    minus_g = Polynomial(g.ring, {e: -c for e, c in g.terms.items()})
+    for got, ref in (
+        (f + g, fraction_sum(f, g)),
+        (f - g, fraction_sum(f, minus_g)),
+        (-g, minus_g),
+        (f * g, fraction_product(f, g)),
+    ):
+        # the same terms, in the same order
+        assert list(got.terms.items()) == list(ref.terms.items())
+    assert f**k == fraction_power(f, k)
+    # arithmetic stores only what the checked constructor would
+    for h in (f + g, f - g, -g, f * g, f * Fraction(3, 7), f**k):
+        assert h == Polynomial(h.ring, h.terms)
+        assert all(type(c) is Fraction and c != 0 for c in h.terms.values())
+
+
+def test_polynomial_product_past_64_bit_denominators():
+    p, q = BIG_DENOMINATORS[0], BIG_DENOMINATORS[2]
+    assert math.lcm(p, q) > 2**64
+    f = Polynomial(XY, {(1, 0): Fraction(1, p), (0, 1): Fraction(1, q)})
+    g = Polynomial(XY, {(1, 0): Fraction(1, p), (0, 1): Fraction(-1, q)})
+    h = f * g
+    assert list(h.terms.items()) == list(fraction_product(f, g).terms.items())
+    assert h.terms == {(2, 0): Fraction(1, p * p), (0, 2): Fraction(-1, q * q)}
 
 
 # ---------------------------------------------------------------------------

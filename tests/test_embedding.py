@@ -12,6 +12,7 @@ from okkit.embedding import (
     BaseLocusError,
     BasisTooLargeError,
     EmbeddingError,
+    _normalize,
     embed_point,
     enumerate_vd_basis,
     family_residual,
@@ -19,6 +20,7 @@ from okkit.embedding import (
     toric_moment,
     toric_moments,
 )
+from okkit.flow import FlowConfig, run_batch
 from okkit.okounkov import SagbiDatum, SagbiGenerator, okounkov_body
 
 from presentations import ALL_DATA, elliptic_datum, p1_datum, relation_set_for
@@ -327,3 +329,45 @@ class TestFamilyResidual:
     def test_no_relations_means_zero(self):
         datum, fam, basis = pipeline("p1")
         assert family_residual(fam, [123, 456], 0.5) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFarPoints:
+    """Points about 1e150 from the origin end as failed samples, not as
+    exceptions out of run_batch."""
+
+    def test_overflow_is_an_embedding_error(self):
+        datum, fam, basis = pipeline("p1xp1")
+        (x,) = sample_intrinsic(datum, 1, np.random.default_rng(0), log10_spread=150)
+        with pytest.raises(EmbeddingError, match="overflow"):
+            embed_point(x, datum, fam, 0.5, basis)
+        (result,) = run_batch([x], FlowConfig(epsilon=0.5), datum, fam, basis)
+        assert not result.ok
+        assert result.failure == "embedding failed: embedded coordinates overflow the float range"
+
+    def test_non_finite_norm_is_an_embedding_error(self):
+        # a product that overflows to inf raises nothing by itself
+        with pytest.raises(EmbeddingError, match="overflow"):
+            _normalize([complex(math.inf, 0.0), 1j])
+
+    def test_sampler_redraws_non_finite_modulus(self):
+        # the first draw of default_rng(4) puts x near 1e150, where the
+        # cubic's coefficients overflow; the sampler draws again
+        datum, fam, basis = pipeline("elliptic")
+        (x,) = sample_intrinsic(datum, 1, np.random.default_rng(4), log10_spread=150)
+        assert all(np.isfinite(c) for c in x)
+        assert abs(evaluate_complex(datum.modulus, x)) < 1e-8
+        (result,) = run_batch([x], FlowConfig(epsilon=0.5), datum, fam, basis)
+        assert result.index == 0
+
+    def test_finite_draws_are_unchanged(self):
+        pts = sample_intrinsic(
+            elliptic_datum(), 3, np.random.default_rng(4), log10_spread=3
+        )
+        expected = [
+            (-469.42984282050037 - 125.83403555858888j, -125.739627404577 - 469.454524441558j),
+            (-106.32146575306409 - 0.3370412972443715j, -53.45419536627841 + 91.9058595413969j),
+            (0.2727465923352929 - 2.951108408061768j, -2.5112299890162446 - 1.6468032673509965j),
+        ]
+        for got, want in zip(pts, expected):
+            assert np.allclose(got, want, rtol=1e-12, atol=0)

@@ -1,6 +1,8 @@
 """Integer lattice helpers and the exact hull engine."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from okkit._lattice import (
     is_full_lattice,
     lattices_equal,
 )
+from okkit import _polytope
 from okkit._polytope import (
     HullError,
     _det,
@@ -422,6 +425,34 @@ class TestFullHull:
     def test_matches_candidate_normal_reference(self, case):
         pts, n = case
         assert repr(_full_hull(pts, n)) == repr(candidate_normal_hull(pts, n))
+
+    @given(spanning_points(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_block_size_changes_nothing(self, case, block):
+        pts, n = case
+        whole = repr(_full_hull(pts, n))
+        with mock.patch.object(_polytope, "_SUBSETS_PER_BLOCK", block):
+            assert repr(_full_hull(pts, n)) == whole
+
+    def test_blocks_without_a_spanning_subset(self):
+        # the first C(10, 3) subsets are collinear triples, so with blocks
+        # of five subsets the first 24 blocks span no plane at all
+        line = [(Fraction(i), Fraction(0), Fraction(0)) for i in range(10)]
+        pts = line + [(Fraction(20), Fraction(1), Fraction(0)), (Fraction(20), Fraction(0), Fraction(1))]
+        with mock.patch.object(_polytope, "_SUBSETS_PER_BLOCK", 5):
+            assert repr(_full_hull(pts, 3)) == repr(candidate_normal_hull(pts, 3))
+
+    def test_gr24_level3_memory_is_bounded(self):
+        """The 230300 subsets of the level-3 Gr(2,4) points go through in
+        blocks: the whole batch at once peaked at about 70 MB."""
+        pts = level_points(GR24_VALUES, 3)
+        tracemalloc.start()
+        try:
+            _full_hull(pts, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     @given(
         st.integers(1, 3).flatmap(
