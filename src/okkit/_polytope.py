@@ -14,10 +14,16 @@ largest scaled coordinate, so the arrays are int64 below 2^62 and numpy
 object arrays of Python ints, exact at any size, above it.
 
 Degenerate hulls (dimension below the ambient one) are kept in the ambient
-space: the affine hull contributes equality pairs to the facet list, the
-remaining facets are lifted from the hull computed in internal
-coordinates.  The ``volume`` field is always the ambient-dimensional
-measure, hence zero for degenerate hulls.
+space.  One Fraction elimination of the points' differences gives their
+affine dimension, the affine hull's equality pairs and pivot coordinates
+on which the points project one-to-one; the other facets and the vertices
+are those of the projected hull, its normals padded with zeros.  The
+``volume`` field is always the ambient-dimensional measure, hence zero for
+degenerate hulls.
+
+``_vertices`` goes the other way, from inequalities to vertices, with the
+same cofactor kernel: Cramer's rule on every n-subset of rows and one
+matrix product to keep the points that satisfy them all.
 
 Input point order never matters: points are deduplicated and sorted before
 anything else, so equal point sets give byte-identical hulls.
@@ -66,10 +72,6 @@ class OkounkovBody:
         unsatisfiable = (((0,) * ambient_dim, Fraction(-1)),)
         return cls(ambient_dim, -1, (), unsatisfiable, Fraction(0))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def contains(self, point, slack=Fraction(0)) -> bool:
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.ambient_dim:
@@ -114,9 +116,7 @@ def _primitive(vec):
     preserved: outward orientation is meaningful for facet normals."""
     lcm = math.lcm(*(Fraction(x).denominator for x in vec))
     ints = [int(Fraction(x) * lcm) for x in vec]
-    g = math.gcd(*ints)
-    if g == 0:
-        return tuple(ints)
+    g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints)
 
 
@@ -135,6 +135,17 @@ def _det(a):
     return total
 
 
+def _cofactors(a):
+    """Generalised cross products of a stack of k x (k + 1) matrices: the
+    vectors w with w . x = det(a + [x]), so a @ w = 0, and w != 0 exactly
+    when the rows of a are independent."""
+    k = a.shape[-2]
+    return np.stack(
+        [(-1) ** (k + j) * _det(np.delete(a, j, axis=-1)) for j in range(k + 1)],
+        axis=-1,
+    )
+
+
 def _rref(rows):
     """Gauss-Jordan elimination over the rationals, pivots chosen left to
     right.
@@ -147,11 +158,7 @@ def _rref(rows):
     pivots = []
     for col in range(ncols):
         row = len(pivots)
-        piv = None
-        for r in range(row, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
@@ -162,62 +169,6 @@ def _rref(rows):
                 rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
         pivots.append(col)
     return rows, pivots
-
-
-def _rank(rows):
-    return len(_rref(rows)[1])
-
-
-def _solve_exact(matrix, rhs):
-    """One exact solution of matrix @ x = rhs (any rank), or None if the
-    system is inconsistent.  Free variables are set to zero, with pivots
-    chosen left to right, so the answer is deterministic."""
-    n = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = _rref(aug)
-    if pivots and pivots[-1] == n:
-        return None  # a pivot in the right-hand side column
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = reduced[r][n] / reduced[r][col]
-    return tuple(x)
-
-
-def _null_space_rows(matrix):
-    """Primitive integer basis of {w : w @ matrix = 0}."""
-    ncols = len(matrix)
-    reduced, pivots = _rref(zip(*matrix))
-    pivot_set = set(pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        w = [Fraction(0)] * ncols
-        w[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            w[pc] = -reduced[r][free] / reduced[r][pc]
-        out.append(_primitive(w))
-    return out
-
-
-def _parametrize(points, dim):
-    """Affine coordinates of points whose affine hull has dimension dim.
-
-    Returns (base, basis, coords) with points[i] = base + sum_k
-    coords[i][k] * basis[k]; the basis is the first independent run of
-    differences from base, so the answer is deterministic.
-    """
-    base = points[0]
-    basis = []
-    for p in points[1:]:
-        d = _sub(p, base)
-        if len(basis) < dim and _rank(basis + [d]) > len(basis):
-            basis.append(d)
-    matrix = [[b[i] for b in basis] for i in range(len(base))]
-    coords = [_solve_exact(matrix, _sub(p, base)) for p in points]
-    if any(y is None for y in coords):
-        raise HullError("affine parametrization failed")
-    return base, basis, coords
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +203,7 @@ def _spanned_planes(pts, subsets):
     """Distinct primitive rows (normal, offset) of the hyperplanes that the
     given n-subsets of pts span, each normal's first nonzero entry
     positive."""
-    n = subsets.shape[1]
-    # cofactor normal w of each subset's edges: w . x = det(edges + [x])
-    edges = pts[subsets[:, 1:]] - pts[subsets[:, :1]]
-    normals = np.stack(
-        [(-1) ** (n - 1 + k) * _det(np.delete(edges, k, axis=2)) for k in range(n)],
-        axis=1,
-    )
+    normals = _cofactors(pts[subsets[:, 1:]] - pts[subsets[:, :1]])
     spanning = (normals != 0).any(axis=1)
     normals, first = normals[spanning], pts[subsets[spanning, 0]]
     lead = normals[np.arange(len(normals)), (normals != 0).argmax(axis=1)]
@@ -310,21 +255,56 @@ def _full_hull(points, n):
 
 
 # ---------------------------------------------------------------------------
+# vertices of an H-representation
+
+
+def _vertices(rows, n):
+    """Sorted distinct vertices of {x in Q^n : normal . x <= offset for every
+    row (integer normal, rational offset)}, a bounded set or empty.
+
+    By Cramer's rule: each n-subset of rows with a nonzero determinant meets
+    in one point, kept when it satisfies every row.  The rows are scaled to
+    integers one by one; with C the largest scaled entry every number below
+    is at most (n + 1)! C^(n + 1) in absolute value, so the arrays are int64
+    below 2^62 and numpy object arrays of Python ints above it.
+    """
+    scaled = []
+    for normal, offset in rows:
+        offset = Fraction(offset)
+        scaled.append([a * offset.denominator for a in normal] + [offset.numerator])
+    if len(scaled) < n:
+        return []
+    big = max(abs(x) for row in scaled for x in row)
+    exact64 = math.factorial(n + 1) * big ** (n + 1) < 2**62
+    a = np.array(scaled, dtype=np.int64 if exact64 else object)
+    indices = chain.from_iterable(combinations(range(len(a)), n))
+    subsets = np.fromiter(indices, np.intp).reshape(-1, n)
+    # subset rows [N | o] annihilate w, so N x = o at x = w[:n] / -w[n];
+    # with w[n] < 0, a row holds at x exactly when it is <= 0 on w
+    w = _cofactors(a[subsets])
+    w = w[w[:, n] != 0]
+    w = w * -np.sign(w[:, n:])
+    w = w[(a @ w.T <= 0).all(axis=0)]
+    return sorted({tuple(Fraction(x, -row[n]) for x in row[:n]) for row in w.tolist()})
+
+
+# ---------------------------------------------------------------------------
 # public entry point
 
 
-def convex_hull(points, ambient_dim=None) -> OkounkovBody:
+def convex_hull(points) -> OkounkovBody:
     """Exact convex hull of rational points, ambient dimension <= 3.
 
-    Degenerate point sets are handled: the affine hull is encoded as
-    equality pairs in the facet list and the hull itself is computed in
-    internal coordinates, so vertices and facets always describe the same
-    set in the ambient space.
+    One elimination on the points' differences gives the affine dimension.
+    A degenerate point set keeps its affine hull as equality pairs in the
+    facet list, and its other facets and vertices come from the hull of its
+    projection to the pivot coordinates, so vertices and facets always
+    describe the same set in the ambient space.
     """
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
     if not pts:
         raise HullError("no points")
-    n = ambient_dim if ambient_dim is not None else len(pts[0])
+    n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise HullError("inconsistent point dimensions")
     if n > 3:
@@ -334,11 +314,12 @@ def convex_hull(points, ambient_dim=None) -> OkounkovBody:
     if n == 0:
         raise HullError("zero-dimensional ambient space")
 
-    dim = _rank([_sub(p, pts[0]) for p in pts[1:]])
+    reduced, pivots = _rref([_sub(p, pts[0]) for p in pts])
+    dim = len(pivots)
     if dim == n:
         vertices, facets, volume = _full_hull(pts, n)
     else:
-        vertices, facets = _degenerate_hull(pts, dim, n)
+        vertices, facets = _degenerate_hull(pts, reduced, pivots)
         volume = Fraction(0)
     body = OkounkovBody(n, dim, vertices, facets, volume)
     for v in vertices:
@@ -347,35 +328,33 @@ def convex_hull(points, ambient_dim=None) -> OkounkovBody:
     return body
 
 
-def _degenerate_hull(pts, dim, n):
-    """Vertices and facets of points spanning dim < n affine dimensions:
-    the hull in internal coordinates, lifted, plus the affine hull's
-    equality pairs."""
-    base, basis, inner_pts = _parametrize(pts, dim)
-    if dim == 0:  # a single point: the one vertex () and no facets
-        inner_vertices, inner_facets = ((),), ()
-    else:
-        inner_vertices, inner_facets, _ = _full_hull(inner_pts, dim)
+def _degenerate_hull(pts, reduced, pivots):
+    """Vertices and facets of points whose affine hull has dimension
+    len(pivots) < n, given the reduced rows and pivot columns of their
+    differences.
 
+    The affine hull gives one equality pair per free column, its normal the
+    primitive kernel vector of the reduced rows.  Projection to the pivot
+    coordinates is one-to-one on the affine hull: the projected hull's
+    vertices map back by lookup and its facet normals by zero padding.
+    """
+    n = len(pts[0])
     facets = set()
-    matrix = [[b[i] for b in basis] for i in range(n)]  # columns span the hull
-    for w in _null_space_rows(matrix):
-        b = _dot(w, base)
-        facets.add((w, b))
-        facets.add((tuple(-x for x in w), -b))
-    # lift inner facets: an ambient normal nu with basis^T nu = a restricts
-    # to the inner functional a on the affine hull
-    for a, b_off in inner_facets:
-        nu = _solve_exact(basis, a)
-        if nu is None:
-            raise HullError("facet lift failed")
-        prim = _primitive(nu)
-        scale = next(Fraction(x) / y for x, y in zip(prim, nu) if y != 0)
-        facets.add((prim, scale * (b_off + _dot(nu, base))))
-    lifted_vertices = tuple(
-        sorted(
-            tuple(base[i] + _dot(y, [b[i] for b in basis]) for i in range(n))
-            for y in inner_vertices
-        )
-    )
-    return lifted_vertices, tuple(sorted(facets))
+    for free in (c for c in range(n) if c not in pivots):
+        w = [Fraction(0)] * n
+        w[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            w[col] = -row[free] / row[col]
+        w = _primitive(w)
+        b = _dot(w, pts[0])
+        facets.update([(w, b), (tuple(-x for x in w), -b)])
+    if not pivots:  # a single point
+        return (pts[0],), tuple(sorted(facets))
+    lift = {tuple(p[i] for i in pivots): p for p in pts}
+    inner_vertices, inner_facets, _ = _full_hull(list(lift), len(pivots))
+    for a, b in inner_facets:
+        normal = [0] * n
+        for col, x in zip(pivots, a):
+            normal[col] = x
+        facets.add((tuple(normal), b))
+    return tuple(sorted(lift[v] for v in inner_vertices)), tuple(sorted(facets))

@@ -24,13 +24,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _lattice
-from ._polytope import OkounkovBody, _null_space_rows, _solve_exact, convex_hull
+from ._polytope import OkounkovBody, _vertices, convex_hull
 from .algebra import (
     BiDegree,
     Polynomial,
@@ -662,47 +661,14 @@ def _minimal_generators(elements):
 
 
 def _sliced_body(body: OkounkovBody, grading: GradingHomomorphism) -> OkounkovBody:
-    """Intersect the body with {v : grading(1, v) = 0}, exactly."""
-    n = body.ambient_dim
-    m = grading.codomain_dim
-    A = [list(row[1:]) for row in grading.matrix]
-    rhs = [-row[0] for row in grading.matrix]
-    particular = _solve_exact(A, rhs)
-    if particular is None:
-        return OkounkovBody.empty(n)
-    # W spans {v : A v = 0}
-    At = [[A[i][j] for i in range(m)] for j in range(n)]
-    W = _null_space_rows(At)
-    d = len(W)
-    if d == 0:
-        if body.contains(particular):
-            return convex_hull([particular], n)
-        return OkounkovBody.empty(n)
-    # inequalities in the y chart: (normal . W_j) y_j <= offset - normal . v0
-    rows = []
-    for normal, offset in body.facets:
-        coeffs = tuple(sum(Fraction(a) * w for a, w in zip(normal, wrow)) for wrow in W)
-        rows.append((coeffs, offset - sum(Fraction(a) * p for a, p in zip(normal, particular))))
-    candidates = set()
-    for subset in combinations(range(len(rows)), d):
-        mat = [list(rows[i][0]) for i in subset]
-        vec = [rows[i][1] for i in subset]
-        y = _solve_exact(mat, vec)
-        if y is None:
-            continue
-        if all(
-            sum(c * yi for c, yi in zip(coeffs, y)) <= off for coeffs, off in rows
-        ):
-            candidates.add(y)
-    if not candidates:
-        return OkounkovBody.empty(n)
-    points = [
-        tuple(
-            p + sum(y[j] * W[j][i] for j in range(d)) for i, p in enumerate(particular)
-        )
-        for y in sorted(candidates)
-    ]
-    return convex_hull(points, n)
+    """Intersect the body with {v : grading(1, v) = 0}, exactly: the hull of
+    the vertices of the body's facets together with each grading row as a
+    pair of opposite inequalities."""
+    rows = list(body.facets)
+    for g0, *g in grading.matrix:
+        rows += [(g, -g0), ([-x for x in g], g0)]
+    points = _vertices(rows, body.ambient_dim)
+    return convex_hull(points) if points else OkounkovBody.empty(body.ambient_dim)
 
 
 def slice(
@@ -714,7 +680,9 @@ def slice(
     """Semigroup and body cut down to the kernel of a grading map.
 
     The sliced body is the exact polytope intersection of the level-1
-    affine slice with the kernel.  The sliced semigroup is found by
+    affine slice with the kernel: the hull of the vertices of the body's
+    inequalities and the kernel's equations (empty, of dim -1, when they
+    have none).  The sliced semigroup is found by
     enumerating semigroup elements up to level `bound` (default: lcm of
     the generator levels times n+1) and keeping the kernel elements, then
     dropping decomposable ones.  Completeness of that generator list is

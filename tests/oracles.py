@@ -241,6 +241,148 @@ def _scalar_cross(rows, n):
     )
 
 
+def _rank(rows):
+    from okkit._polytope import _rref
+
+    return len(_rref(rows)[1])
+
+
+def _solve_exact(matrix, rhs):
+    """One exact solution of matrix @ x = rhs (any rank), or None if the
+    system is inconsistent.  Free variables are set to zero, with pivots
+    chosen left to right, so the answer is deterministic."""
+    from okkit._polytope import _rref
+
+    n = len(matrix[0]) if matrix else 0
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    reduced, pivots = _rref(aug)
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in the right-hand side column
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = reduced[r][n] / reduced[r][col]
+    return tuple(x)
+
+
+def _null_space_rows(matrix):
+    """Primitive integer basis of {w : w @ matrix = 0}."""
+    from okkit._polytope import _primitive, _rref
+
+    ncols = len(matrix)
+    reduced, pivots = _rref(zip(*matrix))
+    pivot_set = set(pivots)
+    out = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        w = [Fraction(0)] * ncols
+        w[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            w[pc] = -reduced[r][free] / reduced[r][pc]
+        out.append(_primitive(w))
+    return out
+
+
+def _parametrize(points, dim):
+    """Affine coordinates of points whose affine hull has dimension dim.
+
+    Returns (base, basis, coords) with points[i] = base + sum_k
+    coords[i][k] * basis[k]; the basis is the first independent run of
+    differences from base, so the answer is deterministic.
+    """
+    base = points[0]
+    basis = []
+    for p in points[1:]:
+        d = tuple(x - y for x, y in zip(p, base))
+        if len(basis) < dim and _rank(basis + [d]) > len(basis):
+            basis.append(d)
+    matrix = [[b[i] for b in basis] for i in range(len(base))]
+    coords = [_solve_exact(matrix, tuple(x - y for x, y in zip(p, base))) for p in points]
+    assert all(y is not None for y in coords), "affine parametrization failed"
+    return base, basis, coords
+
+
+def parametrized_hull(points):
+    """The hull as ``convex_hull`` once built it: a rank for the affine
+    dimension, and a degenerate set parametrized by a basis of its
+    differences, hulled in those coordinates, and each inner facet lifted
+    back by its own exact solve plus the affine hull's equality pairs."""
+    from okkit._polytope import OkounkovBody, _full_hull, _primitive
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    n = len(pts[0])
+    dim = _rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]])
+    if dim == n:
+        return OkounkovBody(n, dim, *_full_hull(pts, n))
+    base, basis, inner_pts = _parametrize(pts, dim)
+    if dim == 0:  # a single point: the one vertex () and no facets
+        inner_vertices, inner_facets = ((),), ()
+    else:
+        inner_vertices, inner_facets, _ = _full_hull(inner_pts, dim)
+    facets = set()
+    matrix = [[b[i] for b in basis] for i in range(n)]  # columns span the hull
+    for w in _null_space_rows(matrix):
+        b = dot(w, base)
+        facets.add((w, b))
+        facets.add((tuple(-x for x in w), -b))
+    for a, b_off in inner_facets:
+        nu = _solve_exact(basis, a)
+        prim = _primitive(nu)
+        scale = next(Fraction(x) / y for x, y in zip(prim, nu) if y != 0)
+        facets.add((prim, scale * (b_off + dot(nu, base))))
+    vertices = tuple(
+        sorted(
+            tuple(base[i] + dot(y, [b[i] for b in basis]) for i in range(n))
+            for y in inner_vertices
+        )
+    )
+    return OkounkovBody(n, dim, vertices, tuple(sorted(facets)), Fraction(0))
+
+
+def chart_sliced_body(body, grading):
+    """The slice as ``okounkov._sliced_body`` once built it: a particular
+    solution of the grading equations, a kernel chart, one exact solve per
+    d-subset of the facets in chart coordinates, and the hull of the
+    feasible solutions."""
+    from okkit._polytope import OkounkovBody
+
+    n = body.ambient_dim
+    m = grading.codomain_dim
+    A = [list(row[1:]) for row in grading.matrix]
+    rhs = [-row[0] for row in grading.matrix]
+    particular = _solve_exact(A, rhs)
+    if particular is None:
+        return OkounkovBody.empty(n)
+    At = [[A[i][j] for i in range(m)] for j in range(n)]
+    W = _null_space_rows(At)
+    d = len(W)
+    if d == 0:
+        if body.contains(particular):
+            return parametrized_hull([particular])
+        return OkounkovBody.empty(n)
+    rows = []
+    for normal, offset in body.facets:
+        coeffs = tuple(sum(Fraction(a) * w for a, w in zip(normal, wrow)) for wrow in W)
+        rows.append((coeffs, offset - sum(Fraction(a) * p for a, p in zip(normal, particular))))
+    candidates = set()
+    for subset in combinations(range(len(rows)), d):
+        y = _solve_exact([list(rows[i][0]) for i in subset], [rows[i][1] for i in subset])
+        if y is None:
+            continue
+        if all(sum(c * yi for c, yi in zip(coeffs, y)) <= off for coeffs, off in rows):
+            candidates.add(y)
+    if not candidates:
+        return OkounkovBody.empty(n)
+    points = [
+        tuple(p + sum(y[j] * W[j][i] for j in range(d)) for i, p in enumerate(particular))
+        for y in sorted(candidates)
+    ]
+    return parametrized_hull(points)
+
+
 def candidate_normal_hull(points, n):
     """The hull of points spanning R^n, one candidate normal at a time.
 
@@ -251,8 +393,6 @@ def candidate_normal_hull(points, n):
     pyramids from the vertex centroid, as the library does.  Returns
     (vertices, facets, volume) in the library's ``_full_hull`` format.
     """
-    from okkit._polytope import _parametrize, _rank
-
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 

@@ -18,20 +18,24 @@ from okkit._lattice import (
 from okkit import _polytope
 from okkit._polytope import (
     HullError,
+    OkounkovBody,
     _det,
     _full_hull,
-    _null_space_rows,
-    _rank,
-    _solve_exact,
+    _rref,
+    _vertices,
     convex_hull,
 )
 
 from oracles import (
+    _null_space_rows,
+    _rank,
+    _solve_exact,
     brute_semigroup_level,
     candidate_normal_hull,
     dilate,
     lattice_contains,
     lattice_points,
+    parametrized_hull,
     qhull_vertices,
     qhull_volume,
 )
@@ -135,6 +139,20 @@ class TestKernel:
 
 
 class TestElimination:
+    """The library's one elimination, and the reference copies of the
+    rank, solve and kernel routines built on it."""
+
+    @given(int_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_rref_rank_and_pivot_columns(self, a):
+        reduced, pivots = _rref(a)
+        assert len(pivots) == np.linalg.matrix_rank(np.array(a, dtype=float))
+        assert pivots == sorted(set(pivots))
+        for r, col in enumerate(pivots):
+            assert reduced[r][col] != 0
+            assert all(row[col] == 0 for i, row in enumerate(reduced) if i != r)
+        assert all(not any(row) for row in reduced[len(pivots):])
+
     @given(int_matrices, st.data())
     @settings(max_examples=150, deadline=None)
     def test_rank_solve_and_left_kernel_agree(self, a, data):
@@ -509,3 +527,95 @@ class TestFullHull:
         assert vertices == tuple(sorted(tuple(map(Fraction, v)) for v in GR24_VALUES))
         assert len(facets) == 6
         assert volume == Fraction(1, 12)
+
+
+@st.composite
+def degenerate_points(draw):
+    """Distinct rational points in R^n, n in 1..3, whose affine hull has a
+    drawn dimension d < n: a base point plus combinations of d rational
+    directions."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, n - 1))
+    base = draw(st.tuples(*[rationals(4)] * n))
+    directions = draw(st.lists(st.tuples(*[rationals(3)] * n), min_size=d, max_size=d))
+    coefficients = st.lists(rationals(3), min_size=d, max_size=d)
+    points = [base] + [
+        tuple(b + sum(c * v[i] for c, v in zip(cs, directions)) for i, b in enumerate(base))
+        for cs in draw(st.lists(coefficients, min_size=d, max_size=8))
+    ]
+    assume(_rank([[a - b for a, b in zip(p, base)] for p in points]) == d)
+    return points, d
+
+
+class TestDegenerateHullReference:
+    """Degenerate hulls from the pivot-coordinate projection against the
+    old parametrize-and-lift construction, kept in tests/oracles.py."""
+
+    @given(degenerate_points())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_parametrized_reference(self, case):
+        pts, d = case
+        h = convex_hull(pts)
+        assert h.dim == d
+        assert repr(h) == repr(parametrized_hull(pts))
+
+    def test_huge_coordinates_match_reference(self):
+        """Coordinates near 2^60 over 2^31 - 1 scale past every int64
+        bound, so the projected hull runs on Python ints."""
+        r = 2**31 - 1
+        base = (Fraction(2**60, r), Fraction(-(2**59)), Fraction(3, r))
+        u, v = (Fraction(2**58 + 1), Fraction(5, r), Fraction(-7)), (Fraction(1), Fraction(2**57, r), Fraction(0))
+        pts = [
+            tuple(b + i * x + j * y for b, x, y in zip(base, u, v))
+            for i, j in [(0, 0), (1, 0), (0, 1), (1, 1), (Fraction(1, 3), Fraction(1, 3)), (2, -1)]
+        ]
+        h = convex_hull(pts)
+        assert h.dim == 2 and len(h.vertices) == 4
+        assert repr(h) == repr(parametrized_hull(pts))
+
+    def test_sixteen_coplanar_points_take_one_elimination(self):
+        pts = [(i, j, i + j) for i in range(4) for j in range(4)]
+        with mock.patch.object(_polytope, "_rref", wraps=_polytope._rref) as rref:
+            h = convex_hull(pts)
+        assert rref.call_count == 1
+        assert repr(h) == repr(parametrized_hull(pts))
+
+
+def cube_points(n):
+    return [tuple(Fraction((i >> k) & 1) for k in range(n)) for i in range(2**n)]
+
+
+class TestVertices:
+    """Positive controls for the inequality-to-vertex routine."""
+
+    def test_unit_cube(self):
+        cube = convex_hull(cube_points(3))
+        assert len(cube.facets) == 6
+        assert _vertices(cube.facets, 3) == sorted(cube_points(3))
+
+    def test_pyramid_apex_appears_once(self):
+        base = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)]
+        pyramid = convex_hull(base + [(1, 1, 1)])
+        apex = (Fraction(1), Fraction(1), Fraction(1))
+        tight = [b for normal, b in pyramid.facets if sum(a * x for a, x in zip(normal, apex)) == b]
+        assert len(tight) == 4
+        assert _vertices(pyramid.facets, 3) == list(pyramid.vertices)
+
+    def test_infeasible_rows(self):
+        assert _vertices([((1,), 0), ((-1,), -1)], 1) == []
+        for n in (1, 2, 3):
+            assert _vertices(OkounkovBody.empty(n).facets, n) == []
+
+    def test_degenerate_body(self):
+        square = convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        assert _vertices(square.facets, 3) == list(square.vertices)
+
+    def test_huge_rows_take_exact_integers(self):
+        """Rows scaled by 2^70 and offsets over 2^31 - 1 give the exactly
+        rescaled vertices on Python ints."""
+        cube = convex_hull(cube_points(3))
+        k = Fraction(2**70, 2**31 - 1)
+        rows = [(tuple(2**70 * a for a in normal), 2**70 * b) for normal, b in cube.facets]
+        big = [(normal, k * b) for normal, b in cube.facets]
+        assert _vertices(rows, 3) == sorted(cube_points(3))
+        assert _vertices(big, 3) == [tuple(k * x for x in v) for v in sorted(cube_points(3))]

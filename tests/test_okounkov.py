@@ -1,6 +1,7 @@
 """Value semigroups, subduction, bodies, degree checks, and slicing."""
 
 import gc
+import math
 import random
 import warnings
 import weakref
@@ -28,11 +29,12 @@ from okkit.okounkov import (
     semigroup_hilbert,
     subduct,
 )
+from okkit._polytope import convex_hull
 from okkit.catalog import load_example
-from okkit.okounkov import _decompose, _level_table
+from okkit.okounkov import _decompose, _level_table, _sliced_body
 from okkit.okounkov import slice as semigroup_slice
 
-from oracles import brute_semigroup_level, dfs_decompose
+from oracles import brute_semigroup_level, chart_sliced_body, dfs_decompose
 from presentations import (
     ALL_DATA,
     elliptic_datum,
@@ -444,7 +446,7 @@ class TestBodies:
 
     def test_empty_body_contains_nothing(self):
         body = OkounkovBody.empty(2)
-        assert body.is_empty
+        assert body.dim == -1
         assert not body.contains((0, 0))
 
 
@@ -511,7 +513,7 @@ class TestSlicing:
             warnings.simplefilter("error")
             S2, body2 = semigroup_slice(S, body, grading)
         assert S2.generators == ()
-        assert body2.is_empty
+        assert body2.dim == -1
 
     def test_slice_invariants(self, elliptic):
         S = elliptic.semigroup()
@@ -548,3 +550,85 @@ class TestSlicing:
         rows = grading.kernel_lattice()
         assert len(rows) == 1
         assert tuple(rows[0]) in {(1, 1), (-1, -1)}
+
+
+BUNDLED_BODIES = {name: load_example(name).body for name in ("p1", "p1xp1", "elliptic", "gl3-flag")}
+
+
+def small_rationals(bound):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 3))
+
+
+@st.composite
+def bodies(draw):
+    """A bundled body, or the hull of a few rational points (of any affine
+    dimension) in R^1..R^3."""
+    if draw(st.booleans()):
+        return BUNDLED_BODIES[draw(st.sampled_from(sorted(BUNDLED_BODIES)))]
+    n = draw(st.integers(1, 3))
+    return convex_hull(draw(st.lists(st.tuples(*[small_rationals(3)] * n), min_size=1, max_size=7)))
+
+
+@st.composite
+def gradings(draw, body):
+    """One or two integer rows (g0, g) on (1, v).  Each row's hyperplane
+    passes through the centroid q of some of the body's vertices, or is
+    moved off it by one: g0 = -s g . q + shift with s clearing g . q."""
+    n = body.ambient_dim
+    some = draw(st.lists(st.sampled_from(body.vertices), min_size=1, max_size=4))
+    q = [sum(c) / len(some) for c in zip(*some)]
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        value = sum(a * x for a, x in zip(g, q))
+        shift = draw(st.sampled_from([0, 0, 0, 1, -1]))
+        rows.append((shift - value.numerator, *(value.denominator * a for a in g)))
+    return GradingHomomorphism(tuple(rows))
+
+
+class TestSlicedBodyReference:
+    """The slice as the hull of an H-representation's vertices, against the
+    old particular-solution-and-chart construction in tests/oracles.py."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_chart_reference(self, data):
+        body = data.draw(bodies())
+        grading = data.draw(gradings(body))
+        assert repr(_sliced_body(body, grading)) == repr(chart_sliced_body(body, grading))
+
+    def test_huge_body_matches_chart_reference(self):
+        """A body near 2^60 over 2^31 - 1 scales its rows past the int64
+        bound, so the vertices are found on Python ints."""
+        r = 2**31 - 1
+        body = convex_hull(
+            [(Fraction(2**60 + i, r), Fraction(j * 2**40), Fraction(k, r)) for i, j, k in
+             [(0, 0, 0), (r, 0, 0), (0, 1, 0), (0, 0, 1), (r, 1, 1)]]
+        )
+        x = math.ceil(min(v[0] for v in body.vertices))
+        for matrix in [((-x, 1, 0, 0),), ((-x, 1, 0, 0), (0, 0, 1, -(2**40)))]:
+            grading = GradingHomomorphism(matrix)
+            sliced = _sliced_body(body, grading)
+            assert sliced.dim == 3 - len(matrix)
+            assert repr(sliced) == repr(chart_sliced_body(body, grading))
+
+    def test_gl3_slice_through_one_vertex(self, gl3):
+        body = okounkov_body(gl3.semigroup())
+        # y <= 2 on the Gelfand-Tsetlin body, with equality at (0, 2, 0) only
+        grading = GradingHomomorphism(((-2, 0, 1, 0),))
+        sliced = _sliced_body(body, grading)
+        assert sliced.dim == 0
+        assert sliced.vertices == ((Fraction(0), Fraction(2), Fraction(0)),)
+        assert repr(sliced) == repr(chart_sliced_body(body, grading))
+
+    def test_gl3_slices_of_each_dimension(self, gl3):
+        body = okounkov_body(gl3.semigroup())
+        for matrix, dim in [
+            (((-1, 0, 1, 0),), 2),
+            (((-1, 0, 1, 0), (0, 1, 0, -1)), 1),
+            (((-3, 0, 1, 0),), -1),
+        ]:
+            grading = GradingHomomorphism(matrix)
+            sliced = _sliced_body(body, grading)
+            assert sliced.dim == dim
+            assert repr(sliced) == repr(chart_sliced_body(body, grading))
