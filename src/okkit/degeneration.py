@@ -23,7 +23,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import BiDegree, Polynomial, Ring, format_polynomial
+from .algebra import (
+    BiDegree,
+    CompiledPolynomial,
+    Polynomial,
+    Ring,
+    format_polynomial,
+)
 from .okounkov import SagbiDatum
 
 __all__ = [
@@ -276,6 +282,21 @@ class FamilyPresentation:
     def family_ring(self) -> Ring:
         return Ring(self.relation_set.datum.symbol_ring.variables + (TAU,))
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """The family relations and all their partial derivatives (relation
+        by relation, each by the symbols and then tau), each compiled as one
+        stacked system, once per presentation; the arrays are read-only."""
+        nv = self.family_ring.nvars
+        relations = CompiledPolynomial.stack(self.family, nv)
+        partials = CompiledPolynomial.stack(
+            [_differentiate(g, v) for g in self.family for v in range(nv)], nv
+        )
+        for system in (relations, partials):
+            for array in (system.exps, system.coeffs, system.magnitudes):
+                array.setflags(write=False)
+        return relations, partials
+
     def to_json_dict(self) -> dict:
         return {
             "variables": list(self.relation_set.variables),
@@ -285,6 +306,18 @@ class FamilyPresentation:
             "family": [format_polynomial(g) for g in self.family],
             "initial_forms": [format_polynomial(g) for g in self.initial_forms],
         }
+
+
+def _differentiate(poly: Polynomial, v: int) -> Polynomial:
+    terms = {}
+    for exps, c in poly.terms.items():
+        k = exps[v]
+        if k == 0:
+            continue
+        e = list(exps)
+        e[v] = k - 1
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c * k
+    return Polynomial(poly.ring, terms)
 
 
 def _drop_tau(poly: Polynomial, target: Ring, t) -> Polynomial:

@@ -23,19 +23,26 @@ There is one integration path, and it is batched: a round is a fixed
 number of numpy calls over the states, with Python loops over states
 only where something fails.  The field is closed form and complex, as
 the tangent space is.  For one relation it is explicit in the Jacobian
-row, with nothing to solve.  Otherwise an SVD per state gives the kernel
-K of the chart Jacobian, the metric restricted to it is a Hermitian M in
-closed form, and V = -K c / Re(g^H c) for g the conjugated t row of K,
-c = M^-1 g.  The integrator is a lockstep Dormand-Prince 5(4): each
+row, with nothing to solve.  Otherwise a Dormand-Prince step takes one
+SVD per state, at its first stage: its singular values run the rank
+checks and the ill-conditioning warning once per step, and its leading
+left singular vectors give a row basis S that compresses the chart
+Jacobian J to the expected rank r.  Every stage of the step, the first
+included, then projects e_t onto the kernel of A = S J in the metric H
+in closed form, with one r x r solve.  Each stage also checks that J
+stays in the row space of A (else its rank exceeds r) and that the
+compressed system is not singular to working precision (else its rank
+is below r).  The integrator is a lockstep Dormand-Prince 5(4): each
 state keeps its own chart, step size, counters and failure; the last
 stage's field is reused as the next step's first when the state did not
-move after it; the retraction takes one batched minimum-norm
-Gauss-Newton step per iteration; one pass over the accepted states
-records their samples, toric moments included.  ``flow_to`` is a batch
-of one, ``run_batch`` integrates all its trajectories together, and the
-Poisson bracket (once per point) and the symplectic transport flow their
-perturbed starts as one batch each.  Every batched call works state by
-state, so a state's result does not depend on the batch around it.
+move after it (the SVD still runs there, for S); the retraction takes
+one batched minimum-norm Gauss-Newton step per iteration; one pass over
+the accepted states records their samples, toric moments included.
+``flow_to`` is a batch of one, ``run_batch`` integrates all its
+trajectories together, and the Poisson bracket (once per point) and the
+symplectic transport flow their perturbed starts as one batch each.
+Every batched call works state by state, so a state's result does not
+depend on the batch around it.
 
 The fiber frame is Kaehler-orthonormal in pairs e, i e, so the Kaehler
 form restricted to it is the standard J and a Poisson bracket is a
@@ -54,7 +61,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from okkit.algebra import CompiledPolynomial, Polynomial, relative_residual
+from okkit.algebra import relative_residual
 from okkit.degeneration import FamilyPresentation
 from okkit.embedding import (
     BaseLocusError,
@@ -318,27 +325,16 @@ class EvalResult:
 # compiled family evaluation
 
 
-def _differentiate(poly: Polynomial, v: int) -> Polynomial:
-    terms = {}
-    for exps, c in poly.terms.items():
-        k = exps[v]
-        if k == 0:
-            continue
-        e = list(exps)
-        e[v] = k - 1
-        terms[tuple(e)] = terms.get(tuple(e), 0) + c * k
-    return Polynomial(poly.ring, terms)
-
-
 class _Model:
     """Compiled relations and Jacobian of one embedded family.
 
     The relations form one stacked system, and so do all their partial
-    derivatives (relation by relation, each by the symbols and then tau).
-    Per chart the partials' exponents are kept over the chart
-    coordinates, so the complex Jacobians at a batch of chart states are
-    read straight off the real layout: one vector-matrix product per
-    state, and a gather of each state's chart columns.
+    derivatives (relation by relation, each by the symbols and then tau),
+    both compiled once per family presentation.  Per chart the partials'
+    exponents are kept over the chart coordinates, so the complex
+    Jacobians at a batch of chart states are read straight off the real
+    layout: one vector-matrix product per state, and a gather of each
+    state's chart columns.
     """
 
     def __init__(self, fam: FamilyPresentation, basis: VdBasis):
@@ -355,10 +351,7 @@ class _Model:
         self.n_w = self.nsym - 1
         nv = self.nsym + 1  # symbols plus tau
         self.n_rel = len(fam.family)
-        self.relations = CompiledPolynomial.stack(fam.family, nv)
-        partials = CompiledPolynomial.stack(
-            [_differentiate(g, v) for g in fam.family for v in range(nv)], nv
-        )
+        self.relations, partials = fam._compiled
         # Full-coordinate column of each chart coordinate, per chart: the
         # symbols other than the pivot in basis order, then tau.
         self.columns = np.array(
@@ -387,6 +380,10 @@ class _Model:
         self.m = dim_x + 1
         if self.m > self.nsym:
             raise FlowError("family dimension exceeds ambient chart")
+        # the expected Jacobian rank, the same with or without the t column
+        self.rank = self.n_w + 1 - self.m
+        # no relations, or one of rank one: the field needs no SVD
+        self.closed_form = self.n_rel == 0 or (self.n_rel == 1 and self.rank == 1)
 
     def points(self, charts: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Full complex coordinates (symbols, then t) of real chart states."""
@@ -459,8 +456,29 @@ def ambient_symplectic(cp: ChartPoint) -> np.ndarray:
 
 def _flag(errors: list, mask: np.ndarray, error: Exception) -> None:
     """Give error to every masked state that has none yet."""
+    if not mask.any():
+        return
     for b in np.flatnonzero(mask):
         errors[b] = errors[b] or error
+
+
+def _finite(Y: np.ndarray, errors: list) -> np.ndarray:
+    """Y, with every state that has a non-finite coordinate flagged in
+    errors and set to zero, so that it runs along harmlessly."""
+    Y = np.ascontiguousarray(Y)
+    if not np.isfinite(Y).all():
+        finite = np.isfinite(Y).all(axis=1)
+        _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
+        Y = np.where(finite[:, None], Y, 0.0)
+    return Y
+
+
+def _rank_below(r_exp: int) -> SingularPointError:
+    return SingularPointError("family Jacobian has rank below %d at this point" % r_exp)
+
+
+def _rank_exceeds(r_exp: int) -> SingularPointError:
+    return SingularPointError("family Jacobian rank exceeds the expected %d" % r_exp)
 
 
 def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
@@ -475,9 +493,7 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
         low = weakest <= 1e-10 * np.maximum(1.0, smax)
         ill = smax > CONDITION_LIMIT * weakest
         if low.any() or ill.any():
-            _flag(errors, low, SingularPointError(
-                "family Jacobian has rank below %d at this point" % r_exp
-            ))
+            _flag(errors, low, _rank_below(r_exp))
             for b in np.flatnonzero(~low & ill):
                 warnings.warn(
                     "tangent extraction is ill conditioned (ratio %.3g)"
@@ -488,13 +504,12 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
     if sigma.shape[1] > r_exp:
         high = sigma[:, r_exp] > 1e-6 * np.maximum(smax, 1e-300)
         if high.any():
-            _flag(errors, high, SingularPointError(
-                "family Jacobian rank exceeds the expected %d" % r_exp
-            ))
+            _flag(errors, high, _rank_exceeds(r_exp))
 
 
 def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool):
-    """Tangent spaces of the family at a batch of real chart states.
+    """Tangent spaces of the family at a batch of real chart states, for
+    the orthonormal frames of ``_frame``; the flow field does not use them.
 
     The kernel K of the chart Jacobian is spanned by trailing right
     singular vectors, so K^H, with orthonormal rows, is a slice of the
@@ -504,24 +519,18 @@ def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool)
     when fiber_only drops the t column).  The real Gram matrix of the
     realified kernel (columns v, i v) is the realification of M, and its
     Cholesky factor that of L = chol(M), so the pivots are L's diagonal.
-    Returns K^H, M, L and per state an exception or None: a state whose
+    Returns K^H, L and per state an exception or None: a state whose
     Jacobian rank is off, or whose L has a pivot below 1e-12, gets a
     SingularPointError and harmless placeholder values.
     """
     n = len(charts)
     errors = [None] * n
-    Y = np.ascontiguousarray(Y)
-    if not np.isfinite(Y).all():
-        finite = np.isfinite(Y).all(axis=1)
-        _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
-        Y = np.where(finite[:, None], Y, 0.0)
+    Y = _finite(Y, errors)
     n_w = model.n_w
-    # the expected rank, the same with or without the t column
-    r_exp = n_w + 1 - model.m
     if model.n_rel:
         _, sigma, Vh = np.linalg.svd(model.jacobian(charts, Y, fiber_only))
-        _rank_checks(sigma, r_exp, errors)
-        KH = Vh[:, r_exp:]
+        _rank_checks(sigma, model.rank, errors)
+        KH = Vh[:, model.rank :]
     else:
         n_cols = n_w + (0 if fiber_only else 1)
         KH = np.broadcast_to(np.eye(n_cols, dtype=complex), (n, n_cols, n_cols))
@@ -545,12 +554,12 @@ def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool)
             try:
                 L[b] = np.linalg.cholesky(M[b])
             except np.linalg.LinAlgError:
-                L[b] = M[b] = np.eye(M.shape[-1])
+                L[b] = np.eye(M.shape[-1])
                 errors[b] = errors[b] or SingularPointError(degenerate)
     pivots = L[:, diag, diag].real
     if not (pivots >= 1e-12).all():
         _flag(errors, pivots.min(axis=1) < 1e-12, SingularPointError(degenerate))
-    return KH, M, L, errors
+    return KH, L, errors
 
 
 def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
@@ -564,50 +573,113 @@ def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
     return critical
 
 
-def _field(model: _Model, charts: np.ndarray, Y: np.ndarray):
+def _row_basis(model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list):
+    """Row bases S of the family Jacobians at a batch of finite chart
+    states, or None where the field is closed form and needs none.
+
+    One SVD per state.  Its singular values run the rank checks, flagging
+    states in errors and warning about ill-conditioned ones, and S, the
+    conjugate transpose of the leading ``model.rank`` left singular
+    vectors, compresses the Jacobian to that many rows with the same row
+    space.  The row space moves with the point, but over one
+    Dormand-Prince step S J keeps full rank, so the S of a step's first
+    stage serves all seven.
+    """
+    if model.closed_form:
+        return None
+    U, sigma, _ = np.linalg.svd(model.jacobian(charts, Y, fiber_only=False))
+    _rank_checks(sigma, model.rank, errors)
+    return U[:, :, : model.rank].conj().transpose(0, 2, 1)
+
+
+def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None):
     """The flow field at a batch of states, and per state an exception or None.
 
-    With g the conjugated t row of K and c = M^-1 g, the metric projection
-    of e_{Re t} is K c, of squared norm Re(g^H c), so V = -K c / Re(g^H c)
-    as a real chart vector, its Re t entry -1 to within one ulp (numpy
-    divides a complex by a real as a product with the reciprocal).  For
-    one relation of rank one, with row j = (j_w, j_t), one = 1 + |w|^2 and
-    H_w^-1 = one (I + w w^H), that V is u = H_w^-1 j_w^H, s_w = Re(j_w u)
-    = one (|j_w|^2 + |j_w w|^2), nsq = s_w / (s_w + |j_t|^2), V_w = u j_t
-    / s_w and V_t = -1 exactly; |j| is the one singular value to check.
+    V = -P e_t / |P e_t|^2, for P the H-orthogonal projection onto the
+    kernel of the chart Jacobian J (H the metric of ``ambient_metric``),
+    so that Re t falls at unit speed.
+
+    Multi-relation families (the kernel path) take S from ``_row_basis``,
+    the row basis of the Dormand-Prince step's first stage, whose SVD
+    runs the rank checks and the ill-conditioning warning once per step;
+    when S is None it is taken at Y itself, those checks included.  With
+    A = S J, r x (n_w + 1), and H^-1 = one (I + w w^H) on the w block and
+    1 on t (one = 1 + |w|^2), X = H^-1 A^H and G = A X; one solve gives
+    G [y | Z] = [A e_t | A], then v = e_t - X y = P e_t, |P e_t|^2 =
+    Re v_t, and V = -v / Re v_t, its Re t entry -1 to within one ulp
+    (numpy divides a complex by a real as a product with the reciprocal).
+    Two checks run at every stage: Z X, in exact arithmetic the identity,
+    must be within 1e-6 of it, else G is singular to working precision
+    and the rank below r; and ||J - (J X) Z||_F <= 1e-6 ||J||_F, else J
+    leaves the row space of A and its rank exceeds r.
+
+    For one relation of rank one, with row j = (j_w, j_t), that V is
+    u = H_w^-1 j_w^H, s_w = Re(j_w u) = one (|j_w|^2 + |j_w w|^2), nsq =
+    s_w / (s_w + |j_t|^2), V_w = u j_t / s_w and V_t = -1 exactly; |j| is
+    the one singular value to check.  With no relations V = -e_t.
     """
-    if model.n_rel != 1 or model.nsym != model.m + 1:
-        KH, M, _, errors = _tangent(model, charts, Y, fiber_only=False)
-        c = np.linalg.solve(M, KH[:, :, model.n_w, None])
-        # the t entry of K c is g^H c
-        Kc = (KH.conj().transpose(0, 2, 1) @ c)[:, :, 0]
-        nsq = Kc[:, model.n_w].real
-        critical = _critical(nsq, errors)
-        if critical.any():
-            nsq = np.where(critical, 1.0, nsq)
-        return (Kc / -nsq[:, None]).view(float), errors
-    n_w = model.n_w
-    errors = [None] * len(charts)
-    Y = np.ascontiguousarray(Y)
-    if not np.isfinite(Y).all():
-        finite = np.isfinite(Y).all(axis=1)
-        _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
-        Y = np.where(finite[:, None], Y, 0.0)
-    j = model.jacobian(charts, Y, fiber_only=False)[:, 0]
-    jw, jt, w = j[:, :n_w], j[:, n_w], Y.view(complex)[:, :n_w]
+    n, n_w = len(charts), model.n_w
+    errors = [None] * n
+    Y = _finite(Y, errors)
+    if not model.n_rel:
+        V = np.zeros((n, 2 * n_w + 2))
+        V[:, 2 * n_w] = 1.0
+        return -V, errors
+    J = model.jacobian(charts, Y, fiber_only=False)
+    w = Y.view(complex)[:, :n_w]
     one = 1.0 + np.add.reduce(Y[:, : 2 * n_w] ** 2, axis=1)
-    p = np.add.reduce(jw * w, axis=1)
-    jw_sq = np.add.reduce(jw.real**2 + jw.imag**2, axis=1)
-    jt_sq = jt.real**2 + jt.imag**2
-    _rank_checks(np.sqrt(jw_sq + jt_sq)[:, None], 1, errors)
-    s_w = one * (jw_sq + (p.real**2 + p.imag**2))
-    total = s_w + jt_sq
-    bad = _critical(s_w / np.where(total > 0, total, 1.0), errors)
-    V = np.empty((len(charts), n_w + 1), dtype=complex)
-    u = one[:, None] * (jw.conj() + w * p.conj()[:, None])
-    V[:, :n_w] = u * (jt / np.where(bad, 1.0, s_w))[:, None]
-    V[:, n_w] = -1.0
-    return V.view(float), errors
+    if model.closed_form:
+        j = J[:, 0]
+        jw, jt = j[:, :n_w], j[:, n_w]
+        p = np.add.reduce(jw * w, axis=1)
+        jw_sq = np.add.reduce(jw.real**2 + jw.imag**2, axis=1)
+        jt_sq = jt.real**2 + jt.imag**2
+        _rank_checks(np.sqrt(jw_sq + jt_sq)[:, None], 1, errors)
+        s_w = one * (jw_sq + (p.real**2 + p.imag**2))
+        total = s_w + jt_sq
+        bad = _critical(s_w / np.where(total > 0, total, 1.0), errors)
+        V = np.empty((n, n_w + 1), dtype=complex)
+        u = one[:, None] * (jw.conj() + w * p.conj()[:, None])
+        V[:, :n_w] = u * (jt / np.where(bad, 1.0, s_w))[:, None]
+        V[:, n_w] = -1.0
+        return V.view(float), errors
+    r = model.rank
+    if S is None:
+        S = _row_basis(model, charts, Y, errors)
+    A = S @ J
+    X = A.conj().transpose(0, 2, 1).copy()
+    Xw = X[:, :n_w]
+    Xw += w[:, :, None] * (w.conj()[:, None, :] @ Xw)
+    Xw *= one[:, None, None]
+    G = A @ X
+    if any(errors):
+        G[[e is not None for e in errors]] = np.eye(r)
+    rhs = np.concatenate((A[:, :, n_w:], A), axis=2)
+    try:
+        sol = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        # a state whose G is exactly singular keeps Z = 0, which fails
+        # the identity test below
+        sol = np.zeros_like(rhs)
+        for b in range(n):
+            try:
+                sol[b] = np.linalg.solve(G[b], rhs[b])
+            except np.linalg.LinAlgError:
+                pass
+    y, Z = sol[:, :, :1], sol[:, :, 1:]
+    off = np.abs((Z @ X - np.eye(r)).reshape(n, -1).view(float))
+    _flag(errors, ~(off.max(axis=1, initial=0.0) <= 1e-6), _rank_below(r))
+    R = (J - (J @ X) @ Z).reshape(n, -1).view(float)
+    R_sq = np.add.reduce(R * R, axis=1)
+    Jf = J.reshape(n, -1).view(float)
+    _flag(errors, ~(R_sq <= 1e-12 * np.add.reduce(Jf * Jf, axis=1)), _rank_exceeds(r))
+    v = -(X @ y)[:, :, 0]
+    v[:, n_w] += 1.0
+    nsq = v[:, n_w].real
+    critical = _critical(nsq, errors)
+    if critical.any():
+        nsq = np.where(critical, 1.0, nsq)
+    return (v / -nsq[:, None]).view(float), errors
 
 
 def _single(cp: ChartPoint):
@@ -615,7 +687,7 @@ def _single(cp: ChartPoint):
 
 
 def _frame(model: _Model, cp: ChartPoint, fiber_only: bool) -> np.ndarray:
-    KH, _, L, errors = _tangent(model, *_single(cp), fiber_only)
+    KH, L, errors = _tangent(model, *_single(cp), fiber_only)
     if errors[0] is not None:
         raise errors[0]
     # K L^-H, whose Hermitian conjugate is L^-1 K^H
@@ -657,7 +729,8 @@ def gradient_hamiltonian(
 
     Normalized so the derivative of Re t along V is -1: exactly -1 (and
     Im t entry 0) for one relation, else within one ulp of -1, as _field
-    divides by minus the Re t entry itself.
+    divides by minus the Re t entry itself.  A multi-relation family
+    takes its row basis from the SVD at cp itself.
     """
     V, errors = _field(_Model(fam, basis), *_single(cp))
     if errors[0] is not None:
@@ -855,7 +928,8 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                 continue
 
         # Stages.  A state whose field fails is dropped after the round;
-        # until then it runs along on placeholder values.
+        # until then it runs along on placeholder values.  The row basis
+        # of stage 0 serves every stage, so a reused stage 0 still needs it.
         ch = charts[act]
         hh = h_eff[:, None]
         sums = np.zeros((8,) + y.shape)
@@ -864,19 +938,22 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
         # seven evaluations, less a reused stage 0 and any stage after a failure
         evals[act] += 7 - reuse
         for i in range(7):
-            if i == 0 and np.count_nonzero(reuse):
+            if i == 0:
+                errors = [None] * len(act)
+                S = _row_basis(model, ch, y, errors)
                 V = carried[act]
                 rows = np.flatnonzero(~reuse)
                 if rows.size:
-                    V[rows], errors = _field(model, ch[rows], y[rows])
-                else:
-                    errors = []
+                    V[rows], found = _field(
+                        model, ch[rows], y[rows], None if S is None else S[rows]
+                    )
+                    if any(found):
+                        for j, exc in zip(rows, found):
+                            errors[j] = errors[j] or exc
             else:
-                rows = None
-                V, errors = _field(model, ch, y if i == 0 else y + hh * sums[i - 1])
+                V, errors = _field(model, ch, y + hh * sums[i - 1], S)
             if any(errors):
-                for j, exc in enumerate(errors):
-                    r = j if rows is None else rows[j]
+                for r, exc in enumerate(errors):
                     if exc is not None and not dead[r]:
                         dead[r] = True
                         evals[act[r]] -= 6 - i

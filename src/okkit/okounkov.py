@@ -660,6 +660,17 @@ def _minimal_generators(elements):
     return tuple(out)
 
 
+def _saturation(rows, width: int) -> list:
+    """A basis of the integer points of the rational span of the rows (of
+    length width): the integer kernel of the integer kernel of their
+    transpose.  Its length is the rank of the rows."""
+
+    def transpose(matrix):
+        return [list(c) for c in zip(*matrix)] if matrix else [[] for _ in range(width)]
+
+    return _lattice.integer_kernel(transpose(_lattice.integer_kernel(transpose(rows))))
+
+
 def _sliced_body(body: OkounkovBody, grading: GradingHomomorphism) -> OkounkovBody:
     """Intersect the body with {v : grading(1, v) = 0}, exactly: the hull of
     the vertices of the body's facets together with each grading row as a
@@ -686,10 +697,12 @@ def slice(
     enumerating semigroup elements up to level `bound` (default: lcm of
     the generator levels times n+1) and keeping the kernel elements, then
     dropping decomposable ones.  Completeness of that generator list is
-    checked against the saturated kernel lattice, and for full-dimensional
-    sliced bodies also against Hilbert growth; failures are reported with
-    a SliceCompletenessWarning, never silently.  A matrix entry or a
-    level's grading image beyond int64 raises OverflowError.
+    checked by rank, which must be that of the cone over the sliced body
+    (its dimension plus one), by lattice, which must equal its own
+    saturation, and for full-dimensional sliced bodies also against
+    Hilbert growth; failures are reported with a SliceCompletenessWarning,
+    never silently.  A matrix entry or a level's grading image beyond
+    int64 raises OverflowError.
     """
     n = S.value_dim if S.generators else body.ambient_dim
     if grading.domain_dim != n + 1:
@@ -721,9 +734,11 @@ def slice(
     gens = _minimal_generators(kept)
     sliced_semigroup = ValueSemigroup(gens)
 
-    kernel_rows = grading.kernel_lattice()
     generated_rows = [g.as_tuple() for g in gens]
-    complete = _lattice.lattices_equal(generated_rows, kernel_rows)
+    saturated = _saturation(generated_rows, n + 1)
+    complete = len(saturated) == sliced.dim + 1 and _lattice.lattices_equal(
+        generated_rows, saturated
+    )
     if complete and sliced.dim == n and n >= 1:
         # growth cross-check against the sliced body itself: the Hilbert
         # leading coefficient of an incomplete generator list undershoots

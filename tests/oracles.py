@@ -530,3 +530,33 @@ def fraction_power(f, k):
     for _ in range(k - 1):
         result = fraction_product(result, f)
     return result
+
+
+def kernel_field(J, Y, rank):
+    """The flow field through each state's own SVD kernel, the way every
+    Dormand-Prince stage once computed it.
+
+    J holds complex chart Jacobians, shape (states, relations, n_w + 1),
+    with columns the chart coordinates w and then t; Y the real chart
+    states (Re w_0, Im w_0, ..., Re t, Im t); rank the expected Jacobian
+    rank.  Per state the kernel K is spanned by the trailing right
+    singular vectors, H is the Fubini-Study metric (I - w w^H / one) / one
+    on w, one = 1 + |w|^2, and 1 on t; c solves (K^H H K) c = K^H H e_t,
+    and V = -K c / Re (K c)_t, as a real chart vector.
+    """
+    import numpy as np
+
+    out = []
+    for Jb, y in zip(J, Y):
+        w = np.ascontiguousarray(y, dtype=float).view(complex)[:-1]
+        n_w = len(w)
+        one = 1.0 + float(np.vdot(w, w).real)
+        H = np.eye(n_w + 1, dtype=complex)
+        H[:n_w, :n_w] = (np.eye(n_w) - np.outer(w, w.conj()) / one) / one
+        K = np.linalg.svd(Jb)[2][rank:].conj().T
+        e_t = np.zeros(n_w + 1)
+        e_t[-1] = 1.0
+        c = np.linalg.solve(K.conj().T @ H @ K, K.conj().T @ H @ e_t)
+        Kc = K @ c
+        out.append((Kc / -Kc[-1].real).view(float))
+    return np.array(out)

@@ -561,9 +561,10 @@ class TestSlice:
         assert "Traceback" not in result.output
 
     def test_incomplete_slice_warns_in_one_line(self, tmp_path):
-        # a real process, so a raw Python warning would reach its stderr
+        # a real process, so a raw Python warning would reach its stderr;
+        # u = k / 3 has its first kernel element at level 3, past bound 2
         hom = tmp_path / "steep.json"
-        hom.write_text('{"matrix": [[-2, 1]]}')
+        hom.write_text('{"matrix": [[-1, 3]]}')
         env = dict(os.environ, PYTHONPATH=str(Path(okkit.__file__).parents[1]))
         result = subprocess.run(
             [sys.executable, "-m", "okkit.cli", "slice", "p1", "--homomorphism", str(hom)],

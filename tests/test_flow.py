@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import okkit.flow as flow
+from okkit.algebra import CompiledPolynomial
 from okkit.catalog import load_example
-from okkit.degeneration import build_family, build_projection
+from okkit.degeneration import _differentiate, build_family, build_projection
 from okkit.embedding import (
     embed_point,
     enumerate_vd_basis,
@@ -44,6 +45,7 @@ from okkit.flow import (
     trajectory_csv,
 )
 
+from oracles import kernel_field
 from presentations import relation_set_for
 
 
@@ -297,13 +299,38 @@ def catalog_model(name):
     return flow._Model(fam, enumerate_vd_basis(entry.datum, fam)), entry.datum
 
 
-def _kernel_field(model, charts, Y):
-    """V = -K c / Re(g^H c) through the SVD kernel and a solve."""
-    KH, M, _, errors = flow._tangent(model, charts, Y, fiber_only=False)
-    assert not any(errors)
-    c = np.linalg.solve(M, KH[:, :, model.n_w, None])
-    Kc = (KH.conj().transpose(0, 2, 1) @ c)[:, :, 0]
-    return (Kc / -Kc[:, model.n_w, None].real).view(float)
+class TestModel:
+    def test_family_compiled_once(self, monkeypatch):
+        model, _ = catalog_model("gl3-flag")
+        fam = model.fam
+        relations, partials = fam._compiled
+        nv = fam.family_ring.nvars
+        fresh = CompiledPolynomial.stack(fam.family, nv)
+        fresh_partials = CompiledPolynomial.stack(
+            [_differentiate(g, v) for g in fam.family for v in range(nv)], nv
+        )
+        assert partials.coeffs.shape[1] == 81  # 9 relations, 8 symbols and tau
+        for held, made in ((relations, fresh), (partials, fresh_partials)):
+            for name in ("exps", "coeffs", "magnitudes"):
+                array = getattr(held, name)
+                assert array.tobytes() == getattr(made, name).tobytes()
+                assert array.dtype == getattr(made, name).dtype
+                assert not array.flags.writeable
+        assert model.relations is relations
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the family was compiled again")
+
+        monkeypatch.setattr(CompiledPolynomial, "stack", refuse)
+        again = flow._Model(fam, model.basis)
+        assert again.relations is relations
+        assert again.partial_coeffs is partials.coeffs
+
+
+def reference_field(model, charts, Y):
+    """The field through each state's own SVD kernel (tests/oracles.py)."""
+    J = model.jacobian(charts, Y, fiber_only=False)
+    return kernel_field(J, Y, model.rank)
 
 
 def _one_relation_states(model, datum, seed):
@@ -343,7 +370,7 @@ class TestOneRelationField:
         assert len(set(charts.tolist())) > 1
         V, errors = flow._field(model, charts, Y)
         assert errors == [None] * len(Y)
-        expected = _kernel_field(model, charts, Y)
+        expected = reference_field(model, charts, Y)
         scale = np.abs(expected).max(axis=1)
         assert (np.abs(V - expected).max(axis=1) <= 1e-12 * scale).all()
         assert (V[:, -2] == -1.0).all() and (V[:, -1] == 0.0).all()
@@ -403,6 +430,176 @@ class TestOneRelationField:
         assert errors == [None] * len(Y) and np.isfinite(V).all()
         J = model.jacobian(charts, Y, fiber_only=True)
         assert np.isfinite(flow._min_norm_step(J, np.ones((len(Y), 1)))).all()
+
+
+def _kernel_states(model, datum, seed):
+    """gl3-flag chart states: embedded starts at t = 0.5 and 0.65 (log10
+    spread 0, 1 and 2), two of each kind and every one with a second chart
+    whose pivot holds at least CHART_SHARE of the largest coordinate; the
+    retracted central-difference starts of a bracket around two of them;
+    and each of these in every such chart."""
+
+    def charts_of(cp):
+        z = np.abs(cp.full_coords())
+        return [c for c in range(model.nsym) if z[c] >= flow.CHART_SHARE * z.max()]
+
+    rng = np.random.default_rng(seed)
+    cps = []
+    for spread in (0.0, 1.0, 2.0):
+        for t in (0.5, 0.65):
+            drawn = []
+            for x in sample_intrinsic(datum, 20, rng, log10_spread=spread):
+                pt = embed_point(x, datum, model.fam, t, model.basis)
+                drawn.append(ChartPoint.from_projective(pt))
+            cps += drawn[:2] + [cp for cp in drawn[2:] if len(charts_of(cp)) > 1]
+    for cp in cps[1:3]:
+        E = flow._frame(model, cp, fiber_only=True)
+        shifts = [
+            cp.as_real() + sign * FD_STEP * E[:, k]
+            for k in range(E.shape[1])
+            for sign in (1.0, -1.0)
+        ]
+        starts, errors = flow._shifted_starts(model, cp, np.array(shifts), 1e-10)
+        assert errors == [None] * len(starts)
+        cps += starts
+    cps += [cp.to_chart(c) for cp in list(cps) for c in charts_of(cp) if c != cp.chart]
+    charts = np.array([cp.chart for cp in cps], dtype=np.intp)
+    return charts, np.array([cp.as_real() for cp in cps])
+
+
+def _stage_points(model, charts, Y, S, h):
+    """The seven Dormand-Prince stage points of one step of size h from Y,
+    every stage's field taken with the row basis S of the first, and the
+    field and errors at each."""
+    k = []
+    for i in range(7):
+        point = Y + h * sum(a * V for a, V in zip(flow._DP_A[i], k))
+        V, errors = flow._field(model, charts, point, S)
+        k.append(V)
+        yield point, V, errors
+
+
+class TestKernelField:
+    """The multi-relation field: one SVD per step, a compressed solve per
+    stage, against the per-stage SVD kernel of tests/oracles.py."""
+
+    def test_matches_per_stage_svd_reference(self):
+        model, datum = catalog_model("gl3-flag")
+        assert not model.closed_form and model.rank == 4
+        charts, Y = _kernel_states(model, datum, 41)
+        assert len(set(charts.tolist())) > 1
+        errors = [None] * len(Y)
+        S = flow._row_basis(model, charts, Y, errors)
+        assert errors == [None] * len(Y)
+        checked = flagged = 0
+        for h in (0.05, 0.125, 0.25):
+            for point, V, errors in _stage_points(model, charts, Y, S, h):
+                J = model.jacobian(charts, point, fiber_only=False)
+                expected = kernel_field(J, point, model.rank)
+                sigma = np.linalg.svd(J, compute_uv=False)
+                scale = np.abs(expected).max(axis=1)
+                for b, error in enumerate(errors):
+                    if error is None:
+                        assert np.abs(V[b] - expected[b]).max() <= 1e-12 * scale[b]
+                        checked += 1
+                    else:
+                        # a stage point off the family: the per-stage SVD
+                        # sees a fifth singular value too
+                        assert str(error) == "family Jacobian rank exceeds the expected 4"
+                        assert sigma[b, 4] > 1e-7 * sigma[b, 0]
+                        flagged += 1
+        assert flagged < 0.2 * (checked + flagged)
+
+    def test_state_bits_do_not_depend_on_batch(self):
+        model, datum = catalog_model("gl3-flag")
+        charts, Y = _kernel_states(model, datum, 43)
+        charts, Y = charts[:30], Y[:30]
+        S = flow._row_basis(model, charts, Y, [None] * len(Y))
+        stages = list(_stage_points(model, charts, Y, S, 0.125))
+        for b in range(len(Y)):
+            alone = flow._row_basis(model, charts[b : b + 1], Y[b : b + 1], [None])
+            assert alone[0].tobytes() == S[b].tobytes()
+            for point, V, _ in stages[::3]:
+                mine, _ = flow._field(model, charts[b : b + 1], point[b : b + 1], alone)
+                assert mine[0].tobytes() == V[b].tobytes()
+
+    def test_singular_compressed_system_reports_rank_below(self):
+        model, datum = catalog_model("gl3-flag")
+        charts, Y = _kernel_states(model, datum, 47)
+        charts, Y = charts[:3], Y[:3]
+        S = flow._row_basis(model, charts, Y, [None] * 3)
+        S[0, 2] = 0.0  # G exactly singular: LAPACK reports it
+        S[1, 3] = (S[1, 0] + S[1, 1]) / math.sqrt(2.0)  # singular to rounding
+        V, errors = flow._field(model, charts, Y, S)
+        for error in errors[:2]:
+            assert type(error) is SingularPointError
+            assert str(error) == "family Jacobian has rank below 4 at this point"
+        assert errors[2] is None and np.isfinite(V).all()
+        alone, _ = flow._field(model, charts[2:], Y[2:], S[2:])
+        assert alone[0].tobytes() == V[2].tobytes()
+
+    def test_one_svd_per_step_and_no_cholesky(self, gl3, monkeypatch):
+        datum, fam, basis = gl3
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(31))[0]
+        cp = embedded_chart_point(gl3, x, t=cfg.epsilon)
+        n_cols = basis.size  # the chart coordinates and t
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            # the retraction's fiber Jacobians have one column fewer
+            if a.shape[-1] == n_cols:
+                calls.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the flow field ran a Cholesky factorization")
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        res = flow_to(cp, 0.3, cfg, fam, basis)
+        assert res.ok and res.steps > 1
+        assert calls == [1] * (res.steps + res.rejected)
+        assert res.field_evals > 2 * len(calls)
+
+
+# Outcomes (ok, failure, steps of each leg, the second None where the
+# first failed) of sample_intrinsic(gl3-flag, 8, default_rng(1),
+# log10_spread) at epsilon 0.8, as the per-stage SVD field gave them
+# before the one-SVD-per-step path; every failure is a stage point off
+# the family.
+EXCEEDS = "family Jacobian rank exceeds the expected 4"
+GL3_EPSILON_08 = {
+    0.0: [(False, EXCEEDS, 0, None)] * 8,
+    1.0: [
+        (True, None, 16, 5),
+        (False, EXCEEDS, 0, None),
+        (True, None, 14, 5),
+        (True, None, 9, 5),
+        (False, EXCEEDS, 0, None),
+        (True, None, 13, 5),
+        (False, EXCEEDS, 0, None),
+        (False, EXCEEDS, 0, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("spread", sorted(GL3_EPSILON_08))
+def test_gl3_epsilon_08_outcomes_unchanged(gl3, spread):
+    datum, fam, basis = gl3
+    xs = sample_intrinsic(datum, 8, np.random.default_rng(1), log10_spread=spread)
+    results = run_batch(xs, FlowConfig(epsilon=0.8), datum, fam, basis)
+    outcomes = [
+        (
+            r.ok,
+            r.failure,
+            r.flow.steps,
+            r.continuation.steps if r.continuation else None,
+        )
+        for r in results
+    ]
+    assert outcomes == GL3_EPSILON_08[spread]
 
 
 class TestFlowTo:

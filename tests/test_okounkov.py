@@ -533,6 +533,31 @@ class TestSlicing:
         with pytest.warns(SliceCompletenessWarning):
             semigroup_slice(S, body, grading, bound=1)
 
+    def test_point_slice_of_gl3_is_complete(self, gl3):
+        # y = 2 meets the body only at (0, 2, 0): a 0-dimensional slice of a
+        # rank-3 kernel, generated by (1, (0, 2, 0)) alone
+        S = gl3.semigroup()
+        grading = GradingHomomorphism(((-2, 0, 1, 0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S2, body2 = semigroup_slice(S, okounkov_body(S), grading)
+        assert S2.generators == (BiDegree(1, (0, 2, 0)),)
+        assert body2.dim == 0
+
+    def test_lower_dimensional_slice_with_small_bound_warns(self, gl3):
+        # x = 1/2, y = 3/2 is the point (1/2, 3/2, 0) of the body, whose
+        # first semigroup element sits at level 2
+        S = gl3.semigroup()
+        body = okounkov_body(S)
+        grading = GradingHomomorphism(((-1, 2, 0, 0), (-3, 0, 2, 0)))
+        with pytest.warns(SliceCompletenessWarning):
+            S2, body2 = semigroup_slice(S, body, grading, bound=1)
+        assert S2.generators == () and body2.dim == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S2, _ = semigroup_slice(S, body, grading)
+        assert S2.generators == (BiDegree(2, (1, 3, 0)),)
+
     def test_grading_images_beyond_int64_raise(self, elliptic):
         S = elliptic.semigroup()
         grading = GradingHomomorphism(((2**62, 2**62),))
