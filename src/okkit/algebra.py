@@ -3,10 +3,12 @@ order on N x Z^n, and two valuation backends with one-dimensional leaves.
 
 Everything here is immutable after construction, so it can be shared
 freely.  Values are exact: coefficients enter and leave as Fractions, and
-the kernels work on integers in between.  A truncated series is a list of
-integer numerators over one common denominator, and a polynomial product
-multiplies integer numerators over each factor's common denominator,
-building one Fraction per output term.  Complex doubles appear only
+the kernels work on integers in between.  A polynomial is a map from
+exponent tuples to integer numerators over one common denominator, and a
+truncated series a list of integer numerators over one; arithmetic runs
+on the numerators and brings each result to lowest terms with one gcd.
+A polynomial's ``terms``, its coefficients as Fractions, is a read-only
+view built on first access and cached.  Complex doubles appear only
 through :class:`CompiledPolynomial`, the one numeric evaluator, which
 :func:`evaluate_complex` wraps with input checks.
 
@@ -31,13 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "Rational",
-    "ExponentVector",
     "Ring",
     "Polynomial",
     "BiDegree",
@@ -59,9 +61,6 @@ __all__ = [
 
 # Rational numbers are stdlib Fractions: always reduced, denominator > 0.
 Rational = Fraction
-
-# An exponent vector is a plain tuple of ints of the ring's variable count.
-ExponentVector = tuple
 
 
 class AlgebraError(Exception):
@@ -125,22 +124,26 @@ def _as_rational(c):
     raise TypeError("coefficients must be exact rationals, got %r" % type(c))
 
 
-def _numerators(terms):
-    """(d, [(exponent, integer numerator)]): the coefficients of terms as
-    integers over their least common denominator d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+_set = object.__setattr__
 
 
 class Polynomial:
     """Immutable multivariate (Laurent) polynomial with exact rational
-    coefficients, stored as a map exponent tuple -> Fraction.
+    coefficients.
+
+    Stored as integer numerators over one positive common denominator, in
+    lowest terms: a map exponent tuple -> nonzero int and a denominator
+    that shares no factor with all of them (1 for the zero polynomial), so
+    equal polynomials store equal data.  Arithmetic works on the
+    numerators and normalizes each result with one gcd.  :attr:`terms`,
+    the map exponent tuple -> Fraction, is a read-only view built on first
+    access and cached.
 
     No zero coefficients are stored.  Negative exponents are rejected unless
     the ring's Laurent flag is set.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Fraction]):
         clean = {}
@@ -159,28 +162,64 @@ class Polynomial:
                 clean[e] = clean.get(e, Fraction(0)) + c
                 if clean[e] == 0:
                     del clean[e]
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so this is already in lowest terms
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._fill(ring, num, den, MappingProxyType(clean))
+
+    def _fill(self, ring, num, den, terms):
+        _set(self, "ring", ring)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        _set(self, "_terms", terms)
+        _set(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _make(cls, ring, num, den):
+        """The polynomial num / den from a dict of nonzero integer
+        numerators keyed by valid exponent tuples of the ring, and den > 0,
+        brought to lowest terms.  The results of arithmetic come from here;
+        num is kept, not copied."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: a // g for e, a in num.items()}
+                den //= g
+        f = object.__new__(cls)
+        f._fill(ring, num, den, None)
+        return f
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only map exponent tuple -> nonzero Fraction coefficient."""
+        t = self._terms
+        if t is None:
+            d = self._den
+            t = MappingProxyType({e: Fraction(a, d) for e, a in self._num.items()})
+            _set(self, "_terms", t)
+        return t
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, {})
+        return cls._make(ring, {}, 1)
 
     @classmethod
     def constant(cls, ring, c):
-        return cls(ring, {(0,) * ring.nvars: _as_rational(c)})
+        c = _as_rational(c)
+        num = {(0,) * ring.nvars: c.numerator} if c else {}
+        return cls._make(ring, num, c.denominator)
 
     @classmethod
     def variable(cls, ring, name):
         e = [0] * ring.nvars
         e[ring.index(name)] = 1
-        return cls(ring, {tuple(e): Fraction(1)})
+        return cls._make(ring, {tuple(e): 1}, 1)
 
     @classmethod
     def monomial(cls, ring, exponents, coeff=1):
@@ -189,51 +228,50 @@ class Polynomial:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     # -- arithmetic --------------------------------------------------------
 
-    @classmethod
-    def _trusted(cls, ring, terms):
-        """A polynomial over terms that are already valid: exponent tuples
-        of the ring's length, nonzero Fraction coefficients.  The results
-        of arithmetic on validated polynomials come from here."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "ring", ring)
-        object.__setattr__(f, "terms", terms)
-        object.__setattr__(f, "_hash", None)
-        return f
-
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise DimensionError("polynomials from different rings")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other on numerators over the lcm of the two
+        denominators; other's new monomials follow self's, in their order."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         self._check_ring(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, t, q = d1, dict(self._num), sign
+        else:
+            den = lcm(d1, d2)
+            p, q = den // d1, sign * (den // d2)
+            t = {e: a * p for e, a in self._num.items()}
+        for e, b in other._num.items():
+            b *= q
             a = t.get(e)
             if a is None:
-                t[e] = c
-            elif a + c:
-                t[e] = a + c
+                t[e] = b
+            elif a + b:
+                t[e] = a + b
             else:
                 del t[e]
-        return Polynomial._trusted(self.ring, t)
+        return Polynomial._make(self.ring, t, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(
-            self.ring, {e: -c for e, c in self.terms.items()}
+        return Polynomial._make(
+            self.ring, {e: -a for e, a in self._num.items()}, self._den
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -243,14 +281,16 @@ class Polynomial:
             c = _as_rational(other)
             if c == 0:
                 return Polynomial.zero(self.ring)
-            return Polynomial._trusted(
-                self.ring, {e: c * v for e, v in self.terms.items()}
+            a = c.numerator
+            return Polynomial._make(
+                self.ring,
+                {e: a * v for e, v in self._num.items()},
+                c.denominator * self._den,
             )
         self._check_ring(other)
-        d1, left = _numerators(self.terms)
-        d2, right = _numerators(other.terms)
+        right = list(other._num.items())
         out = {}
-        for e1, a in left:
+        for e1, a in self._num.items():
             for e2, b in right:
                 e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + a * b
@@ -258,10 +298,7 @@ class Polynomial:
                     out[e] = s
                 else:
                     del out[e]
-        d = d1 * d2
-        return Polynomial._trusted(
-            self.ring, {e: Fraction(s, d) for e, s in out.items()}
-        )
+        return Polynomial._make(self.ring, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -281,20 +318,24 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring == other.ring
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def __repr__(self):
         return "Polynomial(%s)" % format_polynomial(self)
 
     def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._num.get(tuple(exponents), 0), self._den)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +419,7 @@ def monomial_valuation(f: Polynomial) -> tuple:
     """
     if f.is_zero():
         raise UndefinedValuationError("the zero polynomial has no valuation")
-    return min(f.terms)
+    return min(f._num)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +608,15 @@ class SeriesContext:
         return _Series(coeffs, trunc)
 
     def _substitute(self, poly, table, trunc, powers=None):
-        """poly with each variable replaced by its series in table.
+        """poly with each variable replaced by its series in table, summed
+        over its integer numerators and divided by its denominator once.
 
         powers caches table[var] ** k under (trunc, var, k); pass it only
         for a finished table, since the fixed-point sweep changes its own.
         """
         out = _Series.zero(trunc)
         ring = poly.ring
-        for e, c in poly.terms.items():
+        for e, c in poly._num.items():
             term = None
             for var, k in zip(ring.variables, e):
                 if k == 0:
@@ -593,7 +635,7 @@ class SeriesContext:
             out = out + (
                 _Series.constant(c, trunc) if term is None else term.scale(c)
             )
-        return out
+        return out if poly._den == 1 else _Series._make(out.num, out.den * poly._den, trunc)
 
     def expand(self, poly: Polynomial, trunc: int | None = None) -> _Series:
         """Expand an ambient polynomial to a truncated series."""

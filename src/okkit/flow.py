@@ -454,10 +454,12 @@ def ambient_symplectic(cp: ChartPoint) -> np.ndarray:
     return _realify(-1j * _fubini_study(cp))
 
 
-def _flag(errors: list, mask: np.ndarray, error: Exception) -> None:
-    """Give error to every masked state that has none yet."""
+def _flag(errors: list, mask: np.ndarray, make, *args) -> None:
+    """Give the exception make(*args) to every masked state that has none
+    yet, building it only when some state is masked."""
     if not mask.any():
         return
+    error = make(*args)
     for b in np.flatnonzero(mask):
         errors[b] = errors[b] or error
 
@@ -468,7 +470,7 @@ def _finite(Y: np.ndarray, errors: list) -> np.ndarray:
     Y = np.ascontiguousarray(Y)
     if not np.isfinite(Y).all():
         finite = np.isfinite(Y).all(axis=1)
-        _flag(errors, ~finite, FlowError("chart coordinates are not finite"))
+        _flag(errors, ~finite, FlowError, "chart coordinates are not finite")
         Y = np.where(finite[:, None], Y, 0.0)
     return Y
 
@@ -493,7 +495,7 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
         low = weakest <= 1e-10 * np.maximum(1.0, smax)
         ill = smax > CONDITION_LIMIT * weakest
         if low.any() or ill.any():
-            _flag(errors, low, _rank_below(r_exp))
+            _flag(errors, low, _rank_below, r_exp)
             for b in np.flatnonzero(~low & ill):
                 warnings.warn(
                     "tangent extraction is ill conditioned (ratio %.3g)"
@@ -503,8 +505,7 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
                 )
     if sigma.shape[1] > r_exp:
         high = sigma[:, r_exp] > 1e-6 * np.maximum(smax, 1e-300)
-        if high.any():
-            _flag(errors, high, _rank_exceeds(r_exp))
+        _flag(errors, high, _rank_exceeds, r_exp)
 
 
 def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool):
@@ -558,7 +559,7 @@ def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool)
                 errors[b] = errors[b] or SingularPointError(degenerate)
     pivots = L[:, diag, diag].real
     if not (pivots >= 1e-12).all():
-        _flag(errors, pivots.min(axis=1) < 1e-12, SingularPointError(degenerate))
+        _flag(errors, pivots.min(axis=1) < 1e-12, SingularPointError, degenerate)
     return KH, L, errors
 
 
@@ -574,8 +575,10 @@ def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
 
 
 def _row_basis(model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list):
-    """Row bases S of the family Jacobians at a batch of finite chart
-    states, or None where the field is closed form and needs none.
+    """Row bases S of the family Jacobians J at a batch of finite chart
+    states, returned with J so that ``_field`` at the same states need not
+    build it again; (None, None) where the field is closed form and needs
+    no S.
 
     One SVD per state.  Its singular values run the rank checks, flagging
     states in errors and warning about ill-conditioned ones, and S, the
@@ -586,13 +589,14 @@ def _row_basis(model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list):
     stage serves all seven.
     """
     if model.closed_form:
-        return None
-    U, sigma, _ = np.linalg.svd(model.jacobian(charts, Y, fiber_only=False))
+        return None, None
+    J = model.jacobian(charts, Y, fiber_only=False)
+    U, sigma, _ = np.linalg.svd(J)
     _rank_checks(sigma, model.rank, errors)
-    return U[:, :, : model.rank].conj().transpose(0, 2, 1)
+    return U[:, :, : model.rank].conj().transpose(0, 2, 1), J
 
 
-def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None):
+def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None):
     """The flow field at a batch of states, and per state an exception or None.
 
     V = -P e_t / |P e_t|^2, for P the H-orthogonal projection onto the
@@ -602,7 +606,8 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None):
     Multi-relation families (the kernel path) take S from ``_row_basis``,
     the row basis of the Dormand-Prince step's first stage, whose SVD
     runs the rank checks and the ill-conditioning warning once per step;
-    when S is None it is taken at Y itself, those checks included.  With
+    when S is None it is taken at Y itself, those checks included.  J,
+    when given, is the chart Jacobian at Y that ``_row_basis`` built.  With
     A = S J, r x (n_w + 1), and H^-1 = one (I + w w^H) on the w block and
     1 on t (one = 1 + |w|^2), X = H^-1 A^H and G = A X; one solve gives
     G [y | Z] = [A e_t | A], then v = e_t - X y = P e_t, |P e_t|^2 =
@@ -625,7 +630,10 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None):
         V = np.zeros((n, 2 * n_w + 2))
         V[:, 2 * n_w] = 1.0
         return -V, errors
-    J = model.jacobian(charts, Y, fiber_only=False)
+    if S is None and not model.closed_form:
+        S, J = _row_basis(model, charts, Y, errors)
+    elif J is None:
+        J = model.jacobian(charts, Y, fiber_only=False)
     w = Y.view(complex)[:, :n_w]
     one = 1.0 + np.add.reduce(Y[:, : 2 * n_w] ** 2, axis=1)
     if model.closed_form:
@@ -644,8 +652,6 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None):
         V[:, n_w] = -1.0
         return V.view(float), errors
     r = model.rank
-    if S is None:
-        S = _row_basis(model, charts, Y, errors)
     A = S @ J
     X = A.conj().transpose(0, 2, 1).copy()
     Xw = X[:, :n_w]
@@ -668,11 +674,11 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None):
                 pass
     y, Z = sol[:, :, :1], sol[:, :, 1:]
     off = np.abs((Z @ X - np.eye(r)).reshape(n, -1).view(float))
-    _flag(errors, ~(off.max(axis=1, initial=0.0) <= 1e-6), _rank_below(r))
+    _flag(errors, ~(off.max(axis=1, initial=0.0) <= 1e-6), _rank_below, r)
     R = (J - (J @ X) @ Z).reshape(n, -1).view(float)
     R_sq = np.add.reduce(R * R, axis=1)
     Jf = J.reshape(n, -1).view(float)
-    _flag(errors, ~(R_sq <= 1e-12 * np.add.reduce(Jf * Jf, axis=1)), _rank_exceeds(r))
+    _flag(errors, ~(R_sq <= 1e-12 * np.add.reduce(Jf * Jf, axis=1)), _rank_exceeds, r)
     v = -(X @ y)[:, :, 0]
     v[:, n_w] += 1.0
     nsq = v[:, n_w].real
@@ -940,12 +946,14 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
         for i in range(7):
             if i == 0:
                 errors = [None] * len(act)
-                S = _row_basis(model, ch, y, errors)
+                S, J = _row_basis(model, ch, y, errors)
                 V = carried[act]
                 rows = np.flatnonzero(~reuse)
                 if rows.size:
-                    V[rows], found = _field(
-                        model, ch[rows], y[rows], None if S is None else S[rows]
+                    V[rows], found = (
+                        _field(model, ch[rows], y[rows])
+                        if S is None
+                        else _field(model, ch[rows], y[rows], S[rows], J[rows])
                     )
                     if any(found):
                         for j, exc in zip(rows, found):

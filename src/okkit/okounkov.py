@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, ge, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -105,31 +106,47 @@ def reduce_modulo(f: Polynomial, modulus: Polynomial | None) -> Polynomial:
     The relation's lexicographically largest term is used as the rewriting
     head, so the result is the normal form in the quotient ring and the
     zero test on classes is exact.  With modulus None this is the identity.
+
+    The rewriting runs on f's integer numerators, largest reducible term
+    first.  A step replaces the term a x^e by -(a / h) x^(e - head) times
+    the tail, h the head's numerator; every other numerator and the
+    denominator are first scaled by |h|, so the quotient stays integral
+    and a relation with head coefficient +-1 never scales.
     """
     if modulus is None:
         return f
     if modulus.is_zero():
         raise ValueError("zero modulus")
-    head = max(modulus.terms)
-    head_coeff = modulus.terms[head]
-    tail = Polynomial(
-        modulus.ring, {e: c for e, c in modulus.terms.items() if e != head}
-    )
-    result = f
-    while True:
-        reducible = [
-            e
-            for e in result.terms
-            if all(a >= b for a, b in zip(e, head))
-        ]
-        if not reducible:
-            return result
+    f._check_ring(modulus)
+    head = max(modulus._num)
+    h = modulus._num[head]
+    scale, sign = abs(h), (1 if h > 0 else -1)
+    tail = [(e, sign * c) for e, c in modulus._num.items() if e != head]
+    num, den = f._num, f._den
+    reducible = {e for e in num if all(map(ge, e, head))}
+    if not reducible:
+        return f
+    num = dict(num)
+    while reducible:
         e = max(reducible)
-        shift = tuple(a - b for a, b in zip(e, head))
-        c = result.terms[e] / head_coeff
-        # kill the term, replace it by the rewritten tail
-        result = result - Polynomial.monomial(result.ring, e, result.terms[e])
-        result = result - Polynomial.monomial(result.ring, shift, c) * tail
+        reducible.remove(e)
+        a = num.pop(e)
+        if scale != 1:
+            for x in num:
+                num[x] *= scale
+            den *= scale
+        shift = tuple(map(sub, e, head))
+        for et, c in tail:
+            x = tuple(map(add, shift, et))
+            s = num.get(x, 0) - a * c
+            if s:
+                num[x] = s
+                if all(map(ge, x, head)):
+                    reducible.add(x)
+            else:
+                del num[x]
+                reducible.discard(x)
+    return Polynomial._make(f.ring, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +310,9 @@ class SagbiDatum:
             raise UndefinedValuationError("the zero class has no value")
         if self.backend == MONOMIAL_BACKEND:
             u = monomial_valuation(g)
-            return u, g.terms[u]
+            return u, g.coefficient(u)
         order, coefficient = self.series_context.lead(g)
         return (order,), coefficient
-
-    def value_of(self, f: Polynomial) -> tuple:
-        return self.lead(f)[0]
 
     def substitute(self, expression: Polynomial) -> Polynomial:
         """Replace each symbol x_ij by its representative, then reduce.
@@ -415,10 +429,14 @@ def _trivial_level(n: int, count: int) -> _Level:
 
 def _next_level(gens: tuple, levels: list) -> _Level:
     """Level k = len(levels): the union over generators g, in order, of
-    level k - g.level shifted by g.value, deduplicated by one np.unique
-    over the level's mixed-radix keys, which keeps each key's first block
-    and so its earliest generator.  Raises OverflowError when a generator
-    value or the level's key range does not fit int64."""
+    level k - g.level shifted by g.value.  Each source level's rows are
+    keyed once, as (rows - lo) @ place on their own lower bounds lo, and
+    a generator's block of keys is that base plus the generator's own
+    offset.  One stable argsort of all blocks keeps each key's first
+    block, and so its earliest generator; the kept rows are the keys'
+    mixed-radix digits plus the level's lower bounds.  Raises
+    OverflowError when a generator value or the level's key range does
+    not fit int64."""
     k = len(levels)
     n = levels[0].rows.shape[1]
     blocks = [
@@ -438,12 +456,30 @@ def _next_level(gens: tuple, levels: list) -> _Level:
             " spans %s" % (k, spans)
         )
     place = tuple(math.prod(spans[j + 1:]) for j in range(n))
-    rows = np.concatenate([b.rows + np.array(v, dtype=np.int64) for _, b, v in blocks])
-    index_type = np.min_scalar_type(len(gens))
-    generator = np.concatenate([np.full(len(b.rows), i, index_type) for i, b, _ in blocks])
-    keys = (rows - np.array(lo, dtype=np.int64)) @ np.array(place, dtype=np.int64)
-    keys, kept = np.unique(keys, return_index=True)
-    return _frozen_level(rows[kept], lo, hi, place, keys, generator[kept])
+    bases = {}
+    keys = []
+    for _, b, v in blocks:
+        base = bases.get(id(b))
+        if base is None:
+            # column by column: a row-wise broadcast over n columns is slower
+            base = bases[id(b)] = np.zeros(len(b.rows), dtype=np.int64)
+            for j in range(n):
+                base += (b.rows[:, j] - b.lo[j]) * place[j]
+        # b.lo + v - lo lies in [0, span - b's span), so no key leaves [0, 2^63)
+        keys.append(base + sum((a + x - c) * p for a, x, c, p in zip(b.lo, v, lo, place)))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    ids = np.array([i for i, _, _ in blocks], dtype=np.min_scalar_type(len(gens)))
+    first = np.repeat(ids, [len(b.rows) for _, b, _ in blocks])[order[new]]
+    rows = np.empty((len(keys), n), dtype=np.int64)
+    for j in range(n):
+        rows[:, j] = keys // place[j] % spans[j] + lo[j]
+    return _frozen_level(rows, lo, hi, place, keys, first)
 
 
 def _level_table(S: ValueSemigroup, k: int) -> _Level:
@@ -533,7 +569,9 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
                 product = product * gen.representative**c
                 product_lead *= lead**c
         lam = coefficient / product_lead
-        expression = expression + Polynomial.monomial(symbol_ring, alpha, lam)
+        expression = expression + Polynomial._make(
+            symbol_ring, {alpha: lam.numerator}, lam.denominator
+        )
         g = datum.reduce(g - lam * product)
         chain.append(step)
     raise NotInSemigroupError(
@@ -630,14 +668,6 @@ class GradingHomomorphism:
         if len(vec) != self.domain_dim:
             raise ValueError("element dimension mismatch")
         return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.matrix)
-
-    def kernel_lattice(self) -> list:
-        """Basis rows of the saturated integer kernel in Z^(n+1)."""
-        transpose = [
-            [self.matrix[i][j] for i in range(self.codomain_dim)]
-            for j in range(self.domain_dim)
-        ]
-        return _lattice.integer_kernel(transpose)
 
 
 def _minimal_generators(elements):

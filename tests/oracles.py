@@ -532,6 +532,39 @@ def fraction_power(f, k):
     return result
 
 
+def fraction_reduce_modulo(f, modulus):
+    """Remainder of f under division by a single relation, one Fraction
+    term at a time through the library's arithmetic: the largest reducible
+    term e (e >= head entrywise, head the relation's lex-largest term) is
+    removed and c x^(e - head) times the relation's tail subtracted, c its
+    coefficient over the head's, until no term is reducible."""
+    from okkit.algebra import Polynomial
+
+    if modulus is None:
+        return f
+    if modulus.is_zero():
+        raise ValueError("zero modulus")
+    head = max(modulus.terms)
+    head_coeff = modulus.terms[head]
+    tail = Polynomial(
+        modulus.ring, {e: c for e, c in modulus.terms.items() if e != head}
+    )
+    result = f
+    while True:
+        reducible = [
+            e
+            for e in result.terms
+            if all(a >= b for a, b in zip(e, head))
+        ]
+        if not reducible:
+            return result
+        e = max(reducible)
+        shift = tuple(a - b for a, b in zip(e, head))
+        c = result.terms[e] / head_coeff
+        result = result - Polynomial.monomial(result.ring, e, result.terms[e])
+        result = result - Polynomial.monomial(result.ring, shift, c) * tail
+
+
 def kernel_field(J, Y, rank):
     """The flow field through each state's own SVD kernel, the way every
     Dormand-Prince stage once computed it.

@@ -380,10 +380,16 @@ def test_polynomial_arithmetic_matches_fraction_reference(pair, k):
         # the same terms, in the same order
         assert list(got.terms.items()) == list(ref.terms.items())
     assert f**k == fraction_power(f, k)
-    # arithmetic stores only what the checked constructor would
+    # arithmetic stores only what the checked constructor would; terms is
+    # one cached read-only view, and the hash is that of ring and terms
     for h in (f + g, f - g, -g, f * g, f * Fraction(3, 7), f**k):
-        assert h == Polynomial(h.ring, h.terms)
+        checked = Polynomial(h.ring, h.terms)
+        assert h == checked and hash(h) == hash(checked)
+        assert hash(h) == hash((h.ring, frozenset(h.terms.items())))
         assert all(type(c) is Fraction and c != 0 for c in h.terms.values())
+        assert h.terms is h.terms
+        with pytest.raises(TypeError):
+            h.terms[(0, 0)] = Fraction(1)
 
 
 def test_polynomial_product_past_64_bit_denominators():

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, canonical output, config files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -681,3 +682,59 @@ class TestConfig:
         result = runner.invoke(main, ["--config", str(cfg), "flow", "p1"])
         assert result.exit_code == 2
         assert "unknown key 'threads'" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of the exact layer
+
+# The grading each entry is sliced by (None: the entry's own).
+GOLDEN_GRADINGS = {
+    "p1": [[-1, 2]],
+    "p1xp1": [[-1, 1, 1]],
+    "elliptic": [[-3, 1]],
+    "elliptic-quotient-demo": None,
+    "gl3-flag": [[-2, 1, 1, 1]],
+}
+
+# SHA-256 of the canonical JSON file each command writes with --json,
+# recorded before the exact layer moved to integer numerators, so that a
+# one-byte change in an exact output fails here.  A slice document is
+# hashed without its commutation_residual, a float from the embedding
+# that exit code 0 already bounds.
+GOLDEN_SHA256 = {
+    ('body', 'elliptic'): "5cdc5b6cc7873a0625244cfbdf6d1f6f48ac3aa17d06f561865ba0bbb24db437",
+    ('body', 'elliptic-quotient-demo'): "5c479592aa90b47917151877300e6f57beb7f9da8eb5863d6deaa0bdf773df91",
+    ('body', 'gl3-flag'): "e50772da8a01e00e7678c95bf172b380a1a99918a683a127171a7d0af118ebcd",
+    ('body', 'p1'): "460661ebe94eabdf7056392bcf31674e349b4b2dc049d95c0ee148a593ce6e61",
+    ('body', 'p1xp1'): "717a6e3f2907d248b6aab581f61f128b381d6d2380fe48294221fbd695a939cf",
+    ('degenerate', 'elliptic'): "9e4ecb422e9c9a8fb0ee84d0d025ab496078293847ed664756fb4d0662eb9113",
+    ('degenerate', 'elliptic-quotient-demo'): "d782cf1614a94ac365ce43049c7a13ceb965d20ed61f113c349c3050d7e6dcc5",
+    ('degenerate', 'gl3-flag'): "d01d688b772febf03038cd6247368d417eb9a7885c9bf3b88881754120f9a83b",
+    ('degenerate', 'p1'): "bb098e33d32ae141c832d664898f0cb1a628ee08b1c65c39ba6e4766ce89b716",
+    ('degenerate', 'p1xp1'): "9a50d9333517076af132ac1fc636c5263f1a7f79c5dc84f31d615cb495d43da7",
+    ('slice', 'elliptic'): "045cc8e4f8a104d788011d5e24a7ca2aa08e8f02f039881bc2d8d31007b13459",
+    ('slice', 'elliptic-quotient-demo'): "5e9d9bb48daadb54088b053ef0225d7e49b324199da3d684a652f8bf5c9880bd",
+    ('slice', 'gl3-flag'): "a654f73ae3360a74d653572cff16652087e6261c8e343db1c11d87df13f3d6ce",
+    ('slice', 'p1'): "293180a1f59560460908d00959d8bf3f12518255f23bdb05fc0d8722e12e122c",
+    ('slice', 'p1xp1'): "b97cf105c83ed903279d323b7844c32e2952d4e0f76c9c00afc5c052d48cfdfa",
+}
+
+
+@pytest.mark.parametrize("command, entry", sorted(GOLDEN_SHA256))
+def test_exact_outputs_match_golden_hashes(runner, tmp_path, command, entry):
+    target = tmp_path / "out.json"
+    args = [command, entry, "--json", str(target)]
+    if command == "slice":
+        args += ["--samples", "5"]
+        if GOLDEN_GRADINGS[entry] is not None:
+            hom = tmp_path / "grading.json"
+            hom.write_text(json.dumps({"matrix": GOLDEN_GRADINGS[entry]}))
+            args += ["--homomorphism", str(hom)]
+    result = invoke(runner, *args)
+    assert result.exit_code == 0 and not result.stderr
+    text = target.read_text(encoding="utf-8")
+    if command == "slice":
+        doc = json.loads(text)
+        del doc["commutation_residual"]
+        text = canonical_json(doc) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256[command, entry]

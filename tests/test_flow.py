@@ -489,7 +489,7 @@ class TestKernelField:
         charts, Y = _kernel_states(model, datum, 41)
         assert len(set(charts.tolist())) > 1
         errors = [None] * len(Y)
-        S = flow._row_basis(model, charts, Y, errors)
+        S, _ = flow._row_basis(model, charts, Y, errors)
         assert errors == [None] * len(Y)
         checked = flagged = 0
         for h in (0.05, 0.125, 0.25):
@@ -514,10 +514,10 @@ class TestKernelField:
         model, datum = catalog_model("gl3-flag")
         charts, Y = _kernel_states(model, datum, 43)
         charts, Y = charts[:30], Y[:30]
-        S = flow._row_basis(model, charts, Y, [None] * len(Y))
+        S, _ = flow._row_basis(model, charts, Y, [None] * len(Y))
         stages = list(_stage_points(model, charts, Y, S, 0.125))
         for b in range(len(Y)):
-            alone = flow._row_basis(model, charts[b : b + 1], Y[b : b + 1], [None])
+            alone, _ = flow._row_basis(model, charts[b : b + 1], Y[b : b + 1], [None])
             assert alone[0].tobytes() == S[b].tobytes()
             for point, V, _ in stages[::3]:
                 mine, _ = flow._field(model, charts[b : b + 1], point[b : b + 1], alone)
@@ -527,7 +527,7 @@ class TestKernelField:
         model, datum = catalog_model("gl3-flag")
         charts, Y = _kernel_states(model, datum, 47)
         charts, Y = charts[:3], Y[:3]
-        S = flow._row_basis(model, charts, Y, [None] * 3)
+        S, _ = flow._row_basis(model, charts, Y, [None] * 3)
         S[0, 2] = 0.0  # G exactly singular: LAPACK reports it
         S[1, 3] = (S[1, 0] + S[1, 1]) / math.sqrt(2.0)  # singular to rounding
         V, errors = flow._field(model, charts, Y, S)
@@ -562,6 +562,26 @@ class TestKernelField:
         assert res.ok and res.steps > 1
         assert calls == [1] * (res.steps + res.rejected)
         assert res.field_evals > 2 * len(calls)
+
+    def test_one_jacobian_per_stage(self, gl3, monkeypatch):
+        # stage 0 takes the field from the Jacobian its row basis was
+        # built from, so a step builds the full Jacobian seven times
+        datum, fam, basis = gl3
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(31))[0]
+        cp = embedded_chart_point(gl3, x, t=cfg.epsilon)
+        full = []
+        jacobian = flow._Model.jacobian
+
+        def counted(self, charts, Y, fiber_only):
+            if not fiber_only:
+                full.append(len(charts))
+            return jacobian(self, charts, Y, fiber_only)
+
+        monkeypatch.setattr(flow._Model, "jacobian", counted)
+        res = flow_to(cp, 0.3, cfg, fam, basis)
+        assert res.ok and res.steps > 1
+        assert full == [1] * 7 * (res.steps + res.rejected)
 
 
 # Outcomes (ok, failure, steps of each leg, the second None where the
