@@ -237,8 +237,7 @@ def family_residual(fam: FamilyPresentation, symbol_values, t: complex) -> float
     Relations whose every term vanishes contribute zero.
     """
     zvec = np.array([complex(v) for v in symbol_values] + [complex(t)])
-    system = CompiledPolynomial.stack(fam.family, len(zvec))
-    return relative_residual(system, zvec)
+    return relative_residual(fam._compiled[0], zvec)
 
 
 def embed_point(
@@ -260,7 +259,8 @@ def embed_point(
     f_values = [
         evaluate_complex(g.representative, x) for g in datum.generators
     ]
-    h = evaluate_complex(datum.section.representative, x)
+    section = datum.section
+    h = next(f for g, f in zip(datum.generators, f_values) if g is section)
     if abs(h) <= BASE_LOCUS_TOLERANCE:
         raise BaseLocusError(
             "section vanishes at this point (|h| = %.3e); re-sample" % abs(h)

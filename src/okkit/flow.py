@@ -44,9 +44,14 @@ symplectic transport flow their perturbed starts as one batch each.
 Every batched call works state by state, so a state's result does not
 depend on the batch around it.
 
-The fiber frame is Kaehler-orthonormal in pairs e, i e, so the Kaehler
-form restricted to it is the standard J and a Poisson bracket is a
-closed-form pairing of two differentials, with nothing to solve.
+Tangent frames come from one single-point routine: one SVD of the chart
+Jacobian, and the Cholesky factor of the Fubini-Study matrix on its
+kernel.  A point whose pivot holds less than CHART_SHARE of the largest
+modulus, the integrator's rule for switching charts, gets the frame of
+its dominant chart, pushed forward to its own.  The fiber frame is
+Kaehler-orthonormal in pairs e, i e, so the Kaehler form restricted to
+it is the standard J and a Poisson bracket is a closed-form pairing of
+two differentials, with nothing to solve.
 
 Failures are never silent.  flow_to returns a FlowResult whose ``ok``
 flag is False and whose ``failure`` string says what happened; the
@@ -360,21 +365,13 @@ class _Model:
         ).reshape(self.nsym, self.nsym)
         # Per chart, the partials' exponents of the chart coordinates (the
         # pivot is 1, so its powers drop out), and the entries of the
-        # flattened partials that make up the chart Jacobian, with and
-        # without the t column.
+        # flattened partials that make up the chart Jacobian.
         self.chart_exps = partials.exps[:, self.columns].transpose(1, 0, 2)
         self.partial_coeffs = partials.coeffs
         offsets = nv * np.arange(self.n_rel)[:, None]
-        self.jacobian_entries = {
-            fiber_only: np.array(
-                [
-                    (offsets + cols[: self.n_w if fiber_only else None]).ravel()
-                    for cols in self.columns
-                ],
-                dtype=np.intp,
-            )
-            for fiber_only in (False, True)
-        }
+        self.jacobian_entries = np.array(
+            [(offsets + cols).ravel() for cols in self.columns], dtype=np.intp
+        )
         dim_x = datum.ring.nvars - (1 if datum.modulus is not None else 0)
         # complex dimension of the tangent space of the total family
         self.m = dim_x + 1
@@ -403,15 +400,14 @@ class _Model:
         """Complex Jacobians at real chart states, shape (batch, relations, columns).
 
         Columns follow the chart layout: the non-pivot symbols in basis
-        order, then t unless fiber_only is set.
+        order, then t; fiber_only slices off the t column.
         """
         w = np.ascontiguousarray(Y).view(complex)[:, None, :]
         monomials = (w ** self.chart_exps[charts]).prod(axis=-1)
         full = (monomials[:, None, :] @ self.partial_coeffs)[:, 0]
-        entries = self.jacobian_entries[fiber_only][charts]
-        return full[np.arange(len(charts))[:, None], entries].reshape(
-            len(charts), self.n_rel, -1
-        )
+        J = full[np.arange(len(charts))[:, None], self.jacobian_entries[charts]]
+        J = J.reshape(len(charts), self.n_rel, self.nsym)
+        return J[:, :, : self.n_w] if fiber_only else J
 
 
 # ---------------------------------------------------------------------------
@@ -506,61 +502,6 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
     if sigma.shape[1] > r_exp:
         high = sigma[:, r_exp] > 1e-6 * np.maximum(smax, 1e-300)
         _flag(errors, high, _rank_exceeds, r_exp)
-
-
-def _tangent(model: _Model, charts: np.ndarray, Y: np.ndarray, fiber_only: bool):
-    """Tangent spaces of the family at a batch of real chart states, for
-    the orthonormal frames of ``_frame``; the flow field does not use them.
-
-    The kernel K of the chart Jacobian is spanned by trailing right
-    singular vectors, so K^H, with orthonormal rows, is a slice of the
-    SVD's Vh.  With w the chart coordinates, one = 1 + |w|^2, a = K_w^H w
-    and g = K^H e_t, the metric H of ``ambient_metric`` restricts to
-    M = K^H H K = I / one + (1 - 1/one) g g^H - a a^H / one^2 (no g term
-    when fiber_only drops the t column).  The real Gram matrix of the
-    realified kernel (columns v, i v) is the realification of M, and its
-    Cholesky factor that of L = chol(M), so the pivots are L's diagonal.
-    Returns K^H, L and per state an exception or None: a state whose
-    Jacobian rank is off, or whose L has a pivot below 1e-12, gets a
-    SingularPointError and harmless placeholder values.
-    """
-    n = len(charts)
-    errors = [None] * n
-    Y = _finite(Y, errors)
-    n_w = model.n_w
-    if model.n_rel:
-        _, sigma, Vh = np.linalg.svd(model.jacobian(charts, Y, fiber_only))
-        _rank_checks(sigma, model.rank, errors)
-        KH = Vh[:, model.rank :]
-    else:
-        n_cols = n_w + (0 if fiber_only else 1)
-        KH = np.broadcast_to(np.eye(n_cols, dtype=complex), (n, n_cols, n_cols))
-    w = Y[:, : 2 * n_w]
-    inv = 1.0 / (1.0 + np.add.reduce(w * w, axis=1))
-    a = KH[:, :, :n_w] @ Y.view(complex)[:, :n_w, None]
-    M = a * (a.conj().transpose(0, 2, 1) * -(inv * inv)[:, None, None])
-    if not fiber_only:
-        g = KH[:, :, n_w, None]
-        M += g * (g.conj().transpose(0, 2, 1) * (1.0 - inv)[:, None, None])
-    diag = np.arange(M.shape[-1])
-    M[:, diag, diag] += inv[:, None]
-    if any(errors):
-        M[[e is not None for e in errors]] = np.eye(len(diag))
-    degenerate = "tangent vectors degenerate during orthonormalization"
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        L = np.empty_like(M)
-        for b in range(n):
-            try:
-                L[b] = np.linalg.cholesky(M[b])
-            except np.linalg.LinAlgError:
-                L[b] = np.eye(M.shape[-1])
-                errors[b] = errors[b] or SingularPointError(degenerate)
-    pivots = L[:, diag, diag].real
-    if not (pivots >= 1e-12).all():
-        _flag(errors, pivots.min(axis=1) < 1e-12, SingularPointError, degenerate)
-    return KH, L, errors
 
 
 def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
@@ -693,11 +634,46 @@ def _single(cp: ChartPoint):
 
 
 def _frame(model: _Model, cp: ChartPoint, fiber_only: bool) -> np.ndarray:
-    KH, L, errors = _tangent(model, *_single(cp), fiber_only)
-    if errors[0] is not None:
-        raise errors[0]
+    """The real orthonormal frame of ``tangent_frame``, built in cp's
+    dominant chart when cp's pivot holds less than CHART_SHARE of the
+    largest coordinate modulus, and pushed forward to cp's chart.
+
+    One SVD of the chart Jacobian gives its singular values, for the rank
+    checks, and the kernel K, whose conjugate transpose is the trailing
+    rows of Vh.  With H the metric of ``ambient_metric`` (its w block when
+    fiber_only drops t), M = K^H H K has Cholesky factor L, and E = K L^-H
+    is H-orthonormal; an L pivot below 1e-12 counts as degenerate.
+    """
+    if not np.isfinite(cp.as_real()).all():
+        raise FlowError("chart coordinates are not finite")
+    z = np.array(cp.full_coords())
+    pivot = int(np.argmax(np.abs(z)))
+    at = cp.to_chart(pivot) if 1.0 / abs(z[pivot]) < CHART_SHARE else cp
+    if model.n_rel:
+        _, sigma, Vh = np.linalg.svd(model.jacobian(*_single(at), fiber_only)[0])
+        errors = [None]
+        _rank_checks(sigma[None], model.rank, errors)
+        if errors[0] is not None:
+            raise errors[0]
+        KH = Vh[model.rank :]
+    else:
+        KH = np.eye(model.n_w + (0 if fiber_only else 1), dtype=complex)
+    H = _fubini_study(at)[: KH.shape[1], : KH.shape[1]]
+    degenerate = "tangent vectors degenerate during orthonormalization"
+    try:
+        L = np.linalg.cholesky(KH @ H @ KH.conj().T)
+    except np.linalg.LinAlgError:
+        raise SingularPointError(degenerate) from None
+    if not (L.diagonal().real >= 1e-12).all():
+        raise SingularPointError(degenerate)
     # K L^-H, whose Hermitian conjugate is L^-1 K^H
-    E = np.linalg.solve(L[0], KH[0]).conj().T
+    E = np.linalg.solve(L, KH).conj().T
+    if at is not cp:
+        # dw = (dz - w dz_c) / z_c, for dz and z_c in at's chart, w cp's
+        # full coordinates and c cp's chart; the t row does not change
+        dz = np.insert(E[: model.n_w], pivot, 0.0, axis=0)
+        dw = (dz - z[:, None] * dz[cp.chart]) / at.full_coords()[cp.chart]
+        E[: model.n_w] = np.delete(dw, cp.chart, axis=0)
     frame = np.zeros((2 * model.n_w + 2, 2 * E.shape[1]))
     frame[: 2 * E.shape[0]] = _realify(E)
     return frame
@@ -716,12 +692,15 @@ def tangent_frame(
     family Jacobian and L the Cholesky factor of K^H H K, each complex
     column e giving the real columns e and i e.  It equals the
     Gram-Schmidt frame of the realified kernel columns v, i v in their
-    order.  By default the frame spans
-    the tangent space of the total family, dimension 2 (dim X + 1); with
-    fiber_only the t direction is dropped from the constraints and the
-    frame spans the fiber tangent space.
+    order.  By default the frame spans the tangent space of the total
+    family, dimension 2 (dim X + 1); with fiber_only the t direction is
+    dropped from the constraints and the frame spans the fiber tangent
+    space.  When cp's pivot holds less than CHART_SHARE of the largest
+    coordinate modulus, the frame is built in the dominant chart and
+    pushed forward to cp's, where it would otherwise lose accuracy.
 
-    Raises SingularPointError when the Jacobian rank is off, and emits
+    Raises FlowError when cp is not finite, SingularPointError when the
+    Jacobian rank is off or the frame degenerates, and emits
     IllConditionedWarning when the structural singular values spread by
     more than a factor of 1e8.
     """

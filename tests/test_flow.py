@@ -3,6 +3,7 @@
 import copy
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,6 +237,75 @@ class TestTangentFrame:
         J = np.kron(np.eye(E.shape[1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_allclose(E.T @ ambient_symplectic(cp) @ E, J, atol=1e-12)
 
+    def test_non_finite_point_is_refused_first(self, elliptic):
+        # the finiteness check comes before the chart-share rule
+        _, fam, basis = elliptic
+        for w in ((math.nan, 0.5), (1e-9, math.inf)):
+            with pytest.raises(FlowError, match="^chart coordinates are not finite$"):
+                tangent_frame(ChartPoint(2, w, 0.5), fam, basis, fiber_only=True)
+
+    def test_small_pivot_chart_frames(self, gl3):
+        # A chart whose pivot holds less than CHART_SHARE of the largest
+        # modulus builds the frame in the dominant chart and pushes it
+        # forward.  Built in place, these frames were 6.6e-6 off
+        # orthonormal at pivot shares 1e-6..1e-3, and every state below
+        # 1e-6 raised SingularPointError.
+        datum, fam, basis = gl3
+        model = flow._Model(fam, basis)
+        worst = {True: 0.0, False: 0.0}
+        counts = {True: 0, False: 0}
+        rng = np.random.default_rng(5)
+        for x in sample_intrinsic(datum, 20, rng, log10_spread=2.0):
+            home = embedded_chart_point(gl3, x)
+            z = np.abs(home.full_coords())
+            for c in np.flatnonzero(z < 1e-3 * z.max()):
+                cp = home.to_chart(int(c))
+                E = tangent_frame(cp, fam, basis, fiber_only=True)
+                tiny = bool(z[c] < 1e-6 * z.max())
+                counts[tiny] += 1
+                worst[tiny] = max(worst[tiny], _exact_gram_error(cp, E))
+                # the complex columns span the fiber Jacobian's kernel
+                J = model.jacobian(*flow._single(cp), fiber_only=True)[0]
+                K = E[:-2:2, 0::2] + 1j * E[1:-2:2, 0::2]
+                scale = np.linalg.norm(J, axis=1)[:, None] * np.linalg.norm(K, axis=0)
+                assert (np.abs(J @ K) <= 1e-10 * scale).all()
+        assert counts == {True: 99, False: 18}
+        assert worst[True] < 1e-6 and worst[False] < 1e-12
+
+
+def _exact_gram_error(cp, E):
+    """Largest entry of E^T G E - I in exact rational arithmetic, G the
+    product metric at cp and E a real frame of pairs e, i e.
+
+    E^T G E is the realification of C = E_c^H H E_c, for E_c the complex
+    columns and H = (I - w w^H / one) / one on the chart coordinates w
+    (one = 1 + |w|^2) and 1 on t, so C's entries are the ones to check.
+    """
+
+    def hdot(u, v):
+        """u^H v for vectors of (re, im) pairs."""
+        return (
+            sum(a * c + b * d for (a, b), (c, d) in zip(u, v)),
+            sum(a * d - b * c for (a, b), (c, d) in zip(u, v)),
+        )
+
+    w = [(Fraction(v.real), Fraction(v.imag)) for v in cp.w]
+    one = 1 + hdot(w, w)[0]
+    n_w = len(w)
+    cols = [
+        [(Fraction(E[2 * r, q]), Fraction(E[2 * r + 1, q])) for r in range(n_w + 1)]
+        for q in range(0, E.shape[1], 2)
+    ]
+    worst = Fraction(0)
+    for i, u in enumerate(cols):
+        for j, v in enumerate(cols):
+            uv, tt = hdot(u[:n_w], v[:n_w]), hdot(u[n_w:], v[n_w:])
+            cross = hdot([hdot(w, u[:n_w])], [hdot(w, v[:n_w])])
+            re = (uv[0] - cross[0] / one) / one + tt[0] - (i == j)
+            im = (uv[1] - cross[1] / one) / one + tt[1]
+            worst = max(worst, abs(re), abs(im))
+    return float(worst)
+
 
 def _root(x):
     """A point on the plane cubic fiber over first coordinate x."""
@@ -325,6 +395,27 @@ class TestModel:
         again = flow._Model(fam, model.basis)
         assert again.relations is relations
         assert again.partial_coeffs is partials.coeffs
+
+    @pytest.mark.parametrize(
+        "name", ["p1", "p1xp1", "elliptic", "elliptic-quotient-demo", "gl3-flag"]
+    )
+    def test_fiber_jacobian_is_column_slice(self, name):
+        # in every chart of every bundled entry
+        model, datum = catalog_model(name)
+        rng = np.random.default_rng(17)
+        cps = []
+        for x in sample_intrinsic(datum, 3, rng, log10_spread=1.0):
+            home = ChartPoint.from_projective(
+                embed_point(x, datum, model.fam, 0.5, model.basis)
+            )
+            cps += [home.to_chart(c) for c in range(model.nsym)]
+        charts = np.array([cp.chart for cp in cps], dtype=np.intp)
+        Y = np.array([cp.as_real() for cp in cps])
+        full = model.jacobian(charts, Y, fiber_only=False)
+        fiber = model.jacobian(charts, Y, fiber_only=True)
+        assert full.shape == (len(cps), model.n_rel, model.n_w + 1)
+        assert fiber.shape == full[:, :, : model.n_w].shape
+        assert fiber.tobytes() == full[:, :, : model.n_w].tobytes()
 
 
 def reference_field(model, charts, Y):
