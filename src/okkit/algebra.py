@@ -8,7 +8,10 @@ exponent tuples to integer numerators over one common denominator, and a
 truncated series a list of integer numerators over one; arithmetic runs
 on the numerators and brings each result to lowest terms with one gcd.
 A polynomial's ``terms``, its coefficients as Fractions, is a read-only
-view built on first access and cached.  Complex doubles appear only
+view built on first access and cached.  :func:`substitute` is the one
+exact evaluator: it puts polynomials or truncated series in place of a
+polynomial's variables, and serves series expansion, subduction checks
+and the family's specializations alike.  Complex doubles appear only
 through :class:`CompiledPolynomial`, the one numeric evaluator, which
 :func:`evaluate_complex` wraps with input checks.
 
@@ -51,6 +54,7 @@ __all__ = [
     "EvaluationError",
     "ParseError",
     "CompiledPolynomial",
+    "substitute",
     "compare_composite",
     "monomial_valuation",
     "evaluate_complex",
@@ -125,6 +129,21 @@ def _as_rational(c):
 
 
 _set = object.__setattr__
+
+
+def _power(base, k):
+    """base ** k by repeated squaring, or None for k = 0, where the caller
+    supplies its own unit."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 class Polynomial:
@@ -303,17 +322,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Polynomial.constant(self.ring, 1) if result is None else result
+        p = _power(self, k)
+        return Polynomial.constant(self.ring, 1) if p is None else p
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -486,6 +496,12 @@ class _Series:
         return self._combine(other, -1)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _as_rational(other)
+            a = c.numerator
+            return _Series._make(
+                [a * b for b in self.num], c.denominator * self.den, self.trunc
+            )
         t = min(self.trunc, other.trunc)
         out = [0] * t
         right = [(j, b) for j, b in enumerate(other.num[:t]) if b]
@@ -497,22 +513,9 @@ class _Series:
                     out[i + j] += a * b
         return _Series._make(out, self.den * other.den, t)
 
-    def scale(self, c):
-        c = _as_rational(c)
-        return _Series._make(
-            [c.numerator * a for a in self.num], c.denominator * self.den, self.trunc
-        )
-
     def __pow__(self, k):
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return _Series.constant(1, self.trunc) if result is None else result
+        p = _power(self, k)
+        return _Series.constant(1, self.trunc) if p is None else p
 
     def order(self):
         """Index of the first nonzero coefficient, or None if all vanish."""
@@ -529,6 +532,37 @@ class _Series:
         return all(a * p == b * q for a, b in zip(self.num[:t], other.num[:t]))
 
 
+def substitute(poly: Polynomial, images: Sequence, one, powers=None):
+    """poly with images[i] in place of its variable i, exactly.
+
+    The images are Polynomials or truncated series of one ring, whose unit
+    is one.  The sum runs over poly's integer numerators and is divided by
+    its denominator once.  powers caches images[i] ** k under (i, k), for
+    one call unless the caller passes a dict for images it keeps fixed.  A
+    negative exponent raises EvaluationError.
+    """
+    if powers is None:
+        powers = {}
+    out = None
+    for e, a in poly._num.items():
+        term = one
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            if k < 0:
+                raise EvaluationError("Laurent exponent under a substitution")
+            power = powers.get((i, k))
+            if power is None:
+                power = powers[i, k] = images[i] ** k
+            term = power if term is one else term * power
+        if a != 1:
+            term = term * a
+        out = term if out is None else out + term
+    if out is None:
+        return one * 0
+    return out if poly._den == 1 else out * Fraction(1, poly._den)
+
+
 class SeriesContext:
     """Local expansion data for the series valuation backend.
 
@@ -542,6 +576,9 @@ class SeriesContext:
     ``truncation`` is the working order; when :meth:`lead` finds only zero
     coefficients the context escalates by doubling up to ``cap`` and
     recomputes, then gives up loudly.
+
+    The sweeps and :meth:`expand` both call :func:`substitute`; only
+    :meth:`expand` keeps powers across calls, since a sweep changes its table.
     """
 
     def __init__(
@@ -562,7 +599,7 @@ class SeriesContext:
         self.truncation = truncation
         self.cap = cap
         self._tables = {}  # truncation order -> {var: _Series}
-        self._powers = {}  # (truncation order, var, k) -> table[var] ** k
+        self._powers = {}  # (truncation order, ring variables) -> power cache
         self._table(truncation)
 
     # -- series construction ------------------------------------------------
@@ -576,10 +613,11 @@ class SeriesContext:
         # solve implicit variables by fixed-point iteration
         for var in self.implicit:
             table[var] = _Series.zero(trunc)
+        one = _Series.constant(1, trunc)
         for _ in range(trunc + 2):
             changed = False
             for var, rhs in self.implicit.items():
-                new = self._substitute(rhs, table, trunc)
+                new = substitute(rhs, [table[v] for v in rhs.ring.variables], one)
                 if not (new == table[var]):
                     table[var] = new
                     changed = True
@@ -607,40 +645,13 @@ class SeriesContext:
                 coeffs[k] = c
         return _Series(coeffs, trunc)
 
-    def _substitute(self, poly, table, trunc, powers=None):
-        """poly with each variable replaced by its series in table, summed
-        over its integer numerators and divided by its denominator once.
-
-        powers caches table[var] ** k under (trunc, var, k); pass it only
-        for a finished table, since the fixed-point sweep changes its own.
-        """
-        out = _Series.zero(trunc)
-        ring = poly.ring
-        for e, c in poly._num.items():
-            term = None
-            for var, k in zip(ring.variables, e):
-                if k == 0:
-                    continue
-                if k < 0:
-                    raise EvaluationError(
-                        "Laurent exponent under a series substitution"
-                    )
-                if powers is None:
-                    power = table[var] ** k
-                else:
-                    power = powers.get((trunc, var, k))
-                    if power is None:
-                        power = powers[trunc, var, k] = table[var] ** k
-                term = power if term is None else term * power
-            out = out + (
-                _Series.constant(c, trunc) if term is None else term.scale(c)
-            )
-        return out if poly._den == 1 else _Series._make(out.num, out.den * poly._den, trunc)
-
     def expand(self, poly: Polynomial, trunc: int | None = None) -> _Series:
         """Expand an ambient polynomial to a truncated series."""
         trunc = trunc or self.truncation
-        return self._substitute(poly, self._table(trunc), trunc, self._powers)
+        table, variables = self._table(trunc), poly.ring.variables
+        images = [table[v] for v in variables]
+        powers = self._powers.setdefault((trunc, variables), {})
+        return substitute(poly, images, _Series.constant(1, trunc), powers)
 
     def lead(self, poly: Polynomial) -> tuple:
         """Leading term (order, coefficient) of a nonzero polynomial.

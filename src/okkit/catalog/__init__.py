@@ -239,6 +239,16 @@ def _format_vertices(vertices) -> str:
     ) + "}"
 
 
+def _mismatch(problems: list, label: str, stored, derived, fmt):
+    """Record "label: file says ..., derivation gives ..." when the stored
+    and derived lists differ as sorted lists."""
+    if sorted(stored) != sorted(derived):
+        problems.append(
+            "%s: file says %s, derivation gives %s"
+            % (label, fmt(stored), fmt(derived))
+        )
+
+
 def _verify_expectations(doc: dict, datum: SagbiDatum, where: str):
     expected = _need(doc, "expected", dict, where)
     semigroup = datum.semigroup()
@@ -251,22 +261,16 @@ def _verify_expectations(doc: dict, datum: SagbiDatum, where: str):
         _need(expected, "semigroup_generators", list, where), n,
         "semigroup_generators", where,
     )
-    if sorted(want_gens) != sorted(semigroup.generators):
-        problems.append(
-            "semigroup generators: file says %s, derivation gives %s"
-            % (
-                _format_bidegrees(want_gens),
-                _format_bidegrees(semigroup.generators),
-            )
-        )
+    _mismatch(
+        problems, "semigroup generators", want_gens, semigroup.generators,
+        _format_bidegrees,
+    )
     want_vertices = _parse_vertices(
         _need(expected, "body_vertices", list, where), n, "body_vertices", where
     )
-    if sorted(want_vertices) != sorted(body.vertices):
-        problems.append(
-            "body vertices: file says %s, derivation gives %s"
-            % (_format_vertices(want_vertices), _format_vertices(body.vertices))
-        )
+    _mismatch(
+        problems, "body vertices", want_vertices, body.vertices, _format_vertices
+    )
     want_degree = _need(expected, "degree", int, where)
     if Fraction(want_degree) != degree:
         problems.append(
@@ -296,25 +300,17 @@ def _verify_grading(doc: dict, semigroup, body, where: str):
     want_gens = _parse_bidegrees(
         _need(block, "sliced_generators", list, where), n, "sliced_generators", where
     )
-    if sorted(want_gens) != sorted(sliced_semigroup.generators):
-        problems.append(
-            "sliced generators: file says %s, derivation gives %s"
-            % (
-                _format_bidegrees(want_gens),
-                _format_bidegrees(sliced_semigroup.generators),
-            )
-        )
+    _mismatch(
+        problems, "sliced generators", want_gens, sliced_semigroup.generators,
+        _format_bidegrees,
+    )
     want_vertices = _parse_vertices(
         _need(block, "sliced_vertices", list, where), n, "sliced_vertices", where
     )
-    if sorted(want_vertices) != sorted(sliced_body.vertices):
-        problems.append(
-            "sliced vertices: file says %s, derivation gives %s"
-            % (
-                _format_vertices(want_vertices),
-                _format_vertices(sliced_body.vertices),
-            )
-        )
+    _mismatch(
+        problems, "sliced vertices", want_vertices, sliced_body.vertices,
+        _format_vertices,
+    )
     return grading, sliced_semigroup, sliced_body, problems
 
 

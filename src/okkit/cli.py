@@ -31,6 +31,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from okkit.algebra import Polynomial
 from okkit.catalog import CatalogEntry, CatalogError, list_examples, load_entry_file, load_example
 from okkit.catalog import _need, _parse_matrix
 from okkit.degeneration import DegenerationError, build_family, build_projection
@@ -438,10 +439,7 @@ def _check_rows(entry: CatalogEntry):
             level = int(
                 sum(int(a) * g.level for a, g in zip(alpha, datum.generators))
             )
-            f = None
-            for a, g in zip(alpha, datum.generators):
-                for _ in range(int(a)):
-                    f = g.representative if f is None else f * g.representative
+            f = datum.substitute(Polynomial.monomial(datum.symbol_ring, alpha))
             expression, _ = subduct(f, level, datum)
             if datum.substitute(expression) != datum.reduce(f):
                 raise NotInSemigroupError("subduction residual is nonzero")

@@ -19,7 +19,6 @@ a wrong global orientation cannot fail silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -29,6 +28,7 @@ from .algebra import (
     Polynomial,
     Ring,
     format_polynomial,
+    substitute,
 )
 from .okounkov import SagbiDatum
 
@@ -320,18 +320,6 @@ def _differentiate(poly: Polynomial, v: int) -> Polynomial:
     return Polynomial(poly.ring, terms)
 
 
-def _drop_tau(poly: Polynomial, target: Ring, t) -> Polynomial:
-    """Exact substitution tau = t (t rational), back into the symbol ring."""
-    t = Fraction(t)
-    out = {}
-    for e, c in poly.terms.items():
-        base, q = e[:-1], e[-1]
-        scaled = c * t**q
-        if scaled:
-            out[base] = out.get(base, Fraction(0)) + scaled
-    return Polynomial(target, out)
-
-
 def build_family(rels: RelationSet, p: WeightFunctional) -> FamilyPresentation:
     """Rescale the relations into the flat family over the tau-line.
 
@@ -344,6 +332,8 @@ def build_family(rels: RelationSet, p: WeightFunctional) -> FamilyPresentation:
     p.verify(rels.relations)
     symbol_ring = rels.datum.symbol_ring
     fam_ring = Ring(symbol_ring.variables + (TAU,))
+    one = Polynomial.constant(symbol_ring, 1)
+    symbols = [Polynomial.variable(symbol_ring, v) for v in symbol_ring.variables]
     levels = []
     family = []
     initials = []
@@ -366,11 +356,11 @@ def build_family(rels: RelationSet, p: WeightFunctional) -> FamilyPresentation:
             terms[e + (gap,)] = c
         curve = Polynomial(fam_ring, terms)
         init = initial_form(g, p)
-        if _drop_tau(curve, symbol_ring, 1) != g:
+        if substitute(curve, symbols + [one], one) != g:
             raise FamilyConstructionError(
                 "relation %d: specializing tau = 1 does not recover it" % idx
             )
-        if _drop_tau(curve, symbol_ring, 0) != init:
+        if substitute(curve, symbols + [Polynomial.zero(symbol_ring)], one) != init:
             raise FamilyConstructionError(
                 "relation %d: specializing tau = 0 misses the initial form" % idx
             )

@@ -122,8 +122,11 @@ CHART_SHARE = 0.3
 # Central-difference step for derivatives of F along the fiber frame.
 FD_STEP = 1e-5
 
-# Smallest cutoff delta a FlowConfig accepts.  At the default alpha = 0.5
-# the continuation leg from delta to delta/2 starts with a damped step of
+# Lojasiewicz damping exponent: a step is scaled by min(1, Re t ** ALPHA).
+ALPHA = 0.5
+
+# Smallest cutoff delta a FlowConfig accepts.  At ALPHA = 0.5 the
+# continuation leg from delta to delta/2 starts with a damped step of
 # delta^1.5 / 8, which must stay above the 1e-14 step-size floor.
 DELTA_MIN = 1e-8
 
@@ -221,7 +224,6 @@ class FlowConfig:
     rtol, atol      embedded RK error control
     retraction_tol  relative family residual accepted after retraction
     max_steps       accepted-step budget per trajectory
-    alpha           Lojasiewicz damping exponent, step *= min(1, Re t^alpha)
     seed            recorded with results; sampling outside this module
                     derives per-sample seeds from it
     """
@@ -232,7 +234,6 @@ class FlowConfig:
     atol: float = 1e-12
     retraction_tol: float = 1e-10
     max_steps: int = 10000
-    alpha: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -251,8 +252,6 @@ class FlowConfig:
                 raise ValueError("%s must be positive" % name)
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
 
     def to_json_dict(self):
         return {
@@ -262,7 +261,7 @@ class FlowConfig:
             "atol": self.atol,
             "retraction_tol": self.retraction_tol,
             "max_steps": self.max_steps,
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "seed": self.seed,
         }
 
@@ -898,7 +897,7 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             if not act.size:
                 continue
         y = Y[act]
-        damp = np.minimum(1.0, np.maximum(y[:, slot], 1e-300) ** cfg.alpha)
+        damp = np.minimum(1.0, np.maximum(y[:, slot], 1e-300) ** ALPHA)
         remaining = s_end[act] - s[act]
         want = h[act] * damp
         # the step that would leave less than a relative sliver lands exactly
@@ -1048,7 +1047,7 @@ def flow_to(
     A batch of one on the lockstep integrator that ``run_batch`` uses, so
     a point flowed alone and inside a batch give identical results.
     Embedded Dormand-Prince 5(4) with adaptive steps, first-same-as-last
-    reuse of the field, Lojasiewicz damping by min(1, Re t ** alpha),
+    reuse of the field, Lojasiewicz damping by min(1, Re t ** ALPHA),
     Gauss-Newton retraction after every accepted step, and chart
     switching when the pivot loses dominance.  The last step lands
     exactly on Re t = target.  Records a sample per accepted step.

@@ -38,6 +38,7 @@ from .algebra import (
     SeriesContext,
     UndefinedValuationError,
     monomial_valuation,
+    substitute,
 )
 
 __all__ = [
@@ -315,20 +316,16 @@ class SagbiDatum:
         return (order,), coefficient
 
     def substitute(self, expression: Polynomial) -> Polynomial:
-        """Replace each symbol x_ij by its representative, then reduce.
+        """Replace each symbol x_ij by its representative through
+        :func:`~okkit.algebra.substitute`, then reduce.
 
         expression lives in symbol_ring; the result lives in the chart ring.
         """
         if expression.ring != self.symbol_ring:
             raise PresentationError("expression is not over the symbol ring")
-        out = Polynomial.zero(self.ring)
-        for e, c in sorted(expression.terms.items()):
-            term = Polynomial.constant(self.ring, c)
-            for g, k in zip(self.generators, e):
-                if k:
-                    term = term * g.representative**k
-            out = out + term
-        return self.reduce(out)
+        one = Polynomial.constant(self.ring, 1)
+        images = [g.representative for g in self.generators]
+        return self.reduce(substitute(expression, images, one))
 
 
 # ---------------------------------------------------------------------------

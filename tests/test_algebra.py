@@ -27,6 +27,7 @@ from okkit.algebra import (
     monomial_valuation,
     parse_polynomial,
     relative_residual,
+    substitute,
 )
 from oracles import FractionSeries, fraction_power, fraction_product, fraction_sum
 
@@ -114,6 +115,10 @@ def test_poly_pow_matches_repeated_mul():
     f = random_polynomial(rng, XY, max_deg=3, max_terms=3)
     assert f ** 3 == f * f * f
     assert f ** 0 == Polynomial.constant(XY, 1)
+    with pytest.raises(ValueError):
+        f ** -1
+    with pytest.raises(ValueError):
+        _Series([1, 1], 4) ** -1
 
 
 def test_laurent_guard():
@@ -244,18 +249,37 @@ def test_series_lead_escalates_past_first_truncation():
 
 
 def test_series_cached_powers_change_no_expansion():
-    # expand keeps table[var] ** k per truncation; every expansion must
-    # equal the uncached substitution, at the working order and after an
-    # escalation to a second table
+    # expand keeps the powers of each table per truncation and ring
+    # variables; every expansion must equal a substitution with a fresh
+    # cache, at the working order and after an escalation to a second table
     ctx = elliptic_context(truncation=8)
     ring = Ring(("x", "z"))
     rng = random.Random(97)
     for _ in range(10):
         f = random_polynomial(rng, ring, max_deg=5)
         for trunc in (8, 16):
-            plain = ctx._substitute(f, ctx._table(trunc), trunc)
+            table = ctx._table(trunc)
+            images = [table["x"], table["z"]]
+            plain = substitute(f, images, _Series.constant(1, trunc))
             assert ctx.expand(f, trunc).coeffs == plain.coeffs
-    assert {key[0] for key in ctx._powers} == {8, 16}
+    assert set(ctx._powers) == {(8, ("x", "z")), (16, ("x", "z"))}
+    assert all(len(key) == 2 for cache in ctx._powers.values() for key in cache)
+
+
+def test_substitution_refuses_laurent_exponents():
+    # u^-1 cannot be expanded as a power series, nor the inverse of a
+    # polynomial image written as a polynomial
+    ctx = elliptic_context(truncation=8)
+    f = parse_polynomial("x^-1*z + 1", Ring(("x", "z"), laurent=True))
+    with pytest.raises(EvaluationError):
+        ctx.expand(f)
+    with pytest.raises(EvaluationError):
+        ctx.lead(f)
+    x, y = Polynomial.variable(XY, "x"), Polynomial.variable(XY, "y")
+    one = Polynomial.constant(XY, 1)
+    g = parse_polynomial("x*y^-2", XY_LAURENT)
+    with pytest.raises(EvaluationError):
+        substitute(g, [x + y, y], one)
 
 
 def test_series_inconclusive_is_loud():
@@ -324,7 +348,7 @@ def test_series_matches_fraction_reference(a, b, ta, tb, c, k):
     _same_series(s + t, ref_s + ref_t)
     _same_series(s - t, ref_s - ref_t)
     _same_series(s * t, ref_s * ref_t)
-    _same_series(s.scale(c), ref_s.scale(c))
+    _same_series(s * c, ref_s.scale(c))
     _same_series(s**k, ref_s**k)
     assert (s == t) == (ref_s == ref_t)
     # sums that cancel: back to s exactly, and to zero over denominator 1
@@ -400,6 +424,63 @@ def test_polynomial_product_past_64_bit_denominators():
     h = f * g
     assert list(h.terms.items()) == list(fraction_product(f, g).terms.items())
     assert h.terms == {(2, 0): Fraction(1, p * p), (0, 2): Fraction(-1, q * q)}
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial over XY with a constant term, divided by 2..12 so that
+    its denominator is rarely 1, and polynomial and series images for x
+    and y."""
+    terms = {
+        (
+            draw(st.integers(min_value=0, max_value=3)),
+            draw(st.integers(min_value=0, max_value=3)),
+        ): draw(coefficients)
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    }
+    terms[(0, 0)] = draw(coefficients) or Fraction(1)
+    f = Polynomial(XY, terms) * Fraction(1, draw(st.integers(2, 12)))
+    polys = [
+        Polynomial(
+            XY_LAURENT,
+            {
+                (
+                    draw(st.integers(min_value=-2, max_value=2)),
+                    draw(st.integers(min_value=-2, max_value=2)),
+                ): draw(coefficients)
+                for _ in range(draw(st.integers(min_value=0, max_value=3)))
+            },
+        )
+        for _ in range(2)
+    ]
+    trunc = draw(st.integers(min_value=1, max_value=10))
+    series = [draw(st.lists(series_coefficients, max_size=trunc)) for _ in range(2)]
+    return f, polys, trunc, series
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions())
+def test_substitute_matches_fraction_reference(case):
+    f, polys, trunc, series = case
+    # polynomial images, against products and sums term by term
+    one = Polynomial.constant(XY_LAURENT, 1)
+    ref = Polynomial.zero(XY_LAURENT)
+    for e, c in f.terms.items():
+        term = one * c
+        for image, k in zip(polys, e):
+            term = fraction_product(term, fraction_power(image, k))
+        ref = fraction_sum(ref, term)
+    assert substitute(f, polys, one) == ref
+    # series images, against the dense Fraction series
+    got = substitute(f, [_Series(s, trunc) for s in series], _Series([1], trunc))
+    ref_images = [FractionSeries(s, trunc) for s in series]
+    ref = FractionSeries([], trunc)
+    for e, c in f.terms.items():
+        term = FractionSeries([c], trunc)
+        for image, k in zip(ref_images, e):
+            term = term * image**k
+        ref = ref + term
+    _same_series(got, ref)
 
 
 # ---------------------------------------------------------------------------

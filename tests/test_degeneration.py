@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from okkit.algebra import BiDegree, Polynomial, Ring, evaluate_complex, parse_polynomial
+from okkit import degeneration
 from okkit.degeneration import (
+    FamilyConstructionError,
     FamilyPresentation,
     InconsistentProjectionError,
     NoProjectionError,
@@ -276,6 +278,38 @@ class TestBuildFamily:
         rels = relation_set_for("elliptic")
         with pytest.raises(NoProjectionError):
             build_family(rels, WeightFunctional((14, 2), rels.tags))
+
+    def test_lift_that_drifts_from_the_relation_is_caught(self, monkeypatch):
+        # a family polynomial whose coefficients are not the relation's
+        # must fail the tau = 1 specialization
+        class Doubled(Polynomial):
+            def __init__(self, ring, terms):
+                super().__init__(ring, {e: 2 * c for e, c in terms.items()})
+
+        rels = relation_set_for("elliptic")
+        p = build_projection(rels)
+        monkeypatch.setattr(degeneration, "Polynomial", Doubled)
+        with pytest.raises(
+            FamilyConstructionError,
+            match=r"^relation 1: specializing tau = 1 does not recover it$",
+        ):
+            build_family(rels, p)
+
+    @pytest.mark.parametrize("mutant", ["initial_form", "weight_of"])
+    def test_wrong_initial_form_is_caught(self, monkeypatch, mutant):
+        # the tau = 0 fiber must be the initial form: an initial form that
+        # keeps every monomial, or tau-exponents all zero, both miss it
+        rels = relation_set_for("elliptic")
+        p = build_projection(rels)
+        if mutant == "initial_form":
+            monkeypatch.setattr(degeneration, "initial_form", lambda g, p: g)
+        else:
+            monkeypatch.setattr(WeightFunctional, "weight_of", lambda self, e: 0)
+        with pytest.raises(
+            FamilyConstructionError,
+            match=r"^relation 1: specializing tau = 0 misses the initial form$",
+        ):
+            build_family(rels, p)
 
     def test_json_round_trip_shape(self):
         rels = relation_set_for("elliptic")

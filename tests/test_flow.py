@@ -143,8 +143,6 @@ class TestFlowConfig:
             {"rtol": 0.0},
             {"retraction_tol": -1.0},
             {"max_steps": 0},
-            {"alpha": 0.0},
-            {"alpha": 1.0},
         ],
     )
     def test_bad_parameters_rejected(self, kw):
