@@ -309,15 +309,16 @@ class FamilyPresentation:
 
 
 def _differentiate(poly: Polynomial, v: int) -> Polynomial:
-    terms = {}
-    for exps, c in poly.terms.items():
+    # lowering exponent v by one keeps distinct monomials distinct, so the
+    # numerators need no merging, only the final gcd of _make
+    num = {}
+    for exps, a in poly._num.items():
         k = exps[v]
-        if k == 0:
-            continue
-        e = list(exps)
-        e[v] = k - 1
-        terms[tuple(e)] = terms.get(tuple(e), 0) + c * k
-    return Polynomial(poly.ring, terms)
+        if k:
+            e = list(exps)
+            e[v] = k - 1
+            num[tuple(e)] = a * k
+    return Polynomial._make(poly.ring, num, poly._den)
 
 
 def build_family(rels: RelationSet, p: WeightFunctional) -> FamilyPresentation:

@@ -125,9 +125,10 @@ FD_STEP = 1e-5
 # Lojasiewicz damping exponent: a step is scaled by min(1, Re t ** ALPHA).
 ALPHA = 0.5
 
-# Smallest cutoff delta a FlowConfig accepts.  At ALPHA = 0.5 the
-# continuation leg from delta to delta/2 starts with a damped step of
-# delta^1.5 / 8, which must stay above the 1e-14 step-size floor.
+# Smallest cutoff delta a FlowConfig accepts.  The continuation leg from
+# delta to delta/2 first tries the whole leg, delta/2, as one damped step,
+# and a rejection shrinks a step by at most 5x; at 1e-8 eight rejections
+# in a row still stay above the 1e-14 step-size floor.
 DELTA_MIN = 1e-8
 
 # A leg takes its last step when less than this share of its length would
@@ -220,7 +221,10 @@ class FlowConfig:
     """Numerical parameters of one flow computation.
 
     epsilon, delta  start and terminal values of Re t;
-                    DELTA_MIN = 1e-8 <= delta < epsilon < 1
+                    DELTA_MIN = 1e-8 <= delta < epsilon < 1.  Each leg's
+                    first step is sized after damping (see ``flow_to``);
+                    for epsilon - delta < 0.2 it is larger than a damped
+                    quarter of the leg, the size earlier versions used
     rtol, atol      embedded RK error control
     retraction_tol  relative family residual accepted after retraction
     max_steps       accepted-step budget per trajectory
@@ -337,8 +341,8 @@ class _Model:
     both compiled once per family presentation.  Per chart the partials'
     exponents are kept over the chart coordinates, so the complex
     Jacobians at a batch of chart states are read straight off the real
-    layout: one vector-matrix product per state, and a gather of each
-    state's chart columns.
+    layout: one vector-matrix product per state with its chart's table of
+    Jacobian coefficients.
     """
 
     def __init__(self, fam: FamilyPresentation, basis: VdBasis):
@@ -363,13 +367,12 @@ class _Model:
             dtype=np.intp,
         ).reshape(self.nsym, self.nsym)
         # Per chart, the partials' exponents of the chart coordinates (the
-        # pivot is 1, so its powers drop out), and the entries of the
-        # flattened partials that make up the chart Jacobian.
+        # pivot is 1, so its powers drop out), and the coefficient columns
+        # of the partials that make up the chart Jacobian, row by row.
         self.chart_exps = partials.exps[:, self.columns].transpose(1, 0, 2)
-        self.partial_coeffs = partials.coeffs
         offsets = nv * np.arange(self.n_rel)[:, None]
-        self.jacobian_entries = np.array(
-            [(offsets + cols).ravel() for cols in self.columns], dtype=np.intp
+        self.jacobian_coeffs = np.stack(
+            [partials.coeffs[:, (offsets + cols).ravel()] for cols in self.columns]
         )
         dim_x = datum.ring.nvars - (1 if datum.modulus is not None else 0)
         # complex dimension of the tangent space of the total family
@@ -403,8 +406,7 @@ class _Model:
         """
         w = np.ascontiguousarray(Y).view(complex)[:, None, :]
         monomials = (w ** self.chart_exps[charts]).prod(axis=-1)
-        full = (monomials[:, None, :] @ self.partial_coeffs)[:, 0]
-        J = full[np.arange(len(charts))[:, None], self.jacobian_entries[charts]]
+        J = (monomials[:, None, :] @ self.jacobian_coeffs[charts])[:, 0]
         J = J.reshape(len(charts), self.n_rel, self.nsym)
         return J[:, :, : self.n_w] if fiber_only else J
 
@@ -811,6 +813,11 @@ _DP_WEIGHTS = np.array(
 ).T[:, :, None, None]
 
 
+def _damping(re_t: np.ndarray) -> np.ndarray:
+    """The Lojasiewicz factor min(1, Re t ** ALPHA) that scales each step."""
+    return np.minimum(1.0, np.maximum(re_t, 1e-300) ** ALPHA)
+
+
 def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     """Flow a batch of starts down to Re t = target, in lockstep; a start
     with Re t <= target or |Im t| > IM_PI_TOLERANCE raises ValueError.
@@ -842,7 +849,8 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     start_re = Y[:, slot].copy()
     s_end = start_re - target
     s = np.zeros(n)
-    h = np.minimum(0.05, s_end / 4)
+    # the first damped step is 0.05 damped, or the whole leg if shorter
+    h = np.minimum(0.05, s_end / _damping(start_re))
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
@@ -897,9 +905,8 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             if not act.size:
                 continue
         y = Y[act]
-        damp = np.minimum(1.0, np.maximum(y[:, slot], 1e-300) ** ALPHA)
         remaining = s_end[act] - s[act]
-        want = h[act] * damp
+        want = h[act] * _damping(y[:, slot])
         # the step that would leave less than a relative sliver lands exactly
         final = want >= remaining - LEG_TOLERANCE * s_end[act]
         h_eff = np.where(final, remaining, want)
@@ -1049,8 +1056,11 @@ def flow_to(
     Embedded Dormand-Prince 5(4) with adaptive steps, first-same-as-last
     reuse of the field, Lojasiewicz damping by min(1, Re t ** ALPHA),
     Gauss-Newton retraction after every accepted step, and chart
-    switching when the pivot loses dominance.  The last step lands
-    exactly on Re t = target.  Records a sample per accepted step.
+    switching when the pivot loses dominance.  The first step is chosen
+    in damped units: it covers min(0.05 min(1, Re t ** ALPHA), the whole
+    leg), and the error test accepts or rejects it like any other.  The
+    last step lands exactly on Re t = target.  Records a sample per
+    accepted step.
     After each step |Im t| and the deviation of Re t from linear decay
     are checked; any violation, as well as singular or critical points,
     retraction failure, step underflow and budget exhaustion, produces
@@ -1356,6 +1366,7 @@ def trajectory_csv(results) -> str:
     header = ["sample_id", "s", "t_re", "t_im", "chart", "residual", "Impi", "ReLinErr"]
     header += ["F_%d" % (k + 1) for k in range(n)]
     lines = [",".join(header)]
+    template = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g" + ",%.17g" * n
     for r in results:
         legs = [leg for leg in (r.flow, r.continuation) if leg is not None]
         offset = 0.0
@@ -1363,18 +1374,10 @@ def trajectory_csv(results) -> str:
             for sample in leg.samples:
                 if leg_no > 0 and sample.s == 0.0:
                     continue  # the continuation starts where the first leg ended
-                row = [
-                    "%d" % r.index,
-                    "%.17g" % (offset + sample.s),
-                    "%.17g" % sample.t.real,
-                    "%.17g" % sample.t.imag,
-                    "%d" % sample.chart,
-                    "%.17g" % sample.residual,
-                    "%.17g" % sample.im_pi,
-                    "%.17g" % sample.re_lin_err,
-                ]
-                row += ["%.17g" % f for f in sample.moment]
-                lines.append(",".join(row))
+                t = sample.t
+                fields = (r.index, offset + sample.s, t.real, t.imag, sample.chart)
+                fields += (sample.residual, sample.im_pi, sample.re_lin_err)
+                lines.append(template % (fields + sample.moment))
             if leg.samples:
                 offset += leg.samples[-1].s
     return "\n".join(lines) + "\n"

@@ -532,6 +532,20 @@ def fraction_power(f, k):
     return result
 
 
+def fraction_derivative(f, v):
+    """The partial derivative of f by variable v, term by term on its
+    Fraction coefficients, through the checked Polynomial constructor."""
+    from okkit.algebra import Polynomial
+
+    terms = {}
+    for e, c in f.terms.items():
+        if e[v]:
+            d = list(e)
+            d[v] -= 1
+            terms[tuple(d)] = c * e[v]
+    return Polynomial(f.ring, terms)
+
+
 def fraction_reduce_modulo(f, modulus):
     """Remainder of f under division by a single relation, one Fraction
     term at a time through the library's arithmetic: the largest reducible

@@ -21,7 +21,7 @@ from okkit.degeneration import (
 )
 from okkit.okounkov import SagbiDatum, SagbiGenerator
 
-from oracles import substitute_tau
+from oracles import fraction_derivative, substitute_tau
 from presentations import (
     ALL_DATA,
     elliptic_datum,
@@ -310,6 +310,24 @@ class TestBuildFamily:
             match=r"^relation 1: specializing tau = 0 misses the initial form$",
         ):
             build_family(rels, p)
+
+    @pytest.mark.parametrize("name", sorted(ALL_DATA))
+    def test_partials_match_fraction_reference(self, name):
+        # the numerator-level derivative stores what the checked
+        # constructor would, in the same term order
+        rels = relation_set_for(name)
+        fam = build_family(rels, build_projection(rels))
+        ring = fam.family_ring
+        extra = Polynomial(
+            ring, {(2, 1) + (0,) * (ring.nvars - 2): Fraction(1, 2), (0,) * ring.nvars: 5}
+        )
+        for g in fam.family + (extra,):
+            for v in range(ring.nvars):
+                made = degeneration._differentiate(g, v)
+                expected = fraction_derivative(g, v)
+                assert made == expected
+                assert list(made._num.items()) == list(expected._num.items())
+                assert made._den == expected._den
 
     def test_json_round_trip_shape(self):
         rels = relation_set_for("elliptic")

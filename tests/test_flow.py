@@ -10,8 +10,8 @@ import pytest
 
 import okkit.flow as flow
 from okkit.algebra import CompiledPolynomial
-from okkit.catalog import load_example
-from okkit.degeneration import _differentiate, build_family, build_projection
+from okkit.catalog import list_examples, load_example
+from okkit.degeneration import build_family, build_projection
 from okkit.embedding import (
     embed_point,
     enumerate_vd_basis,
@@ -46,7 +46,7 @@ from okkit.flow import (
     trajectory_csv,
 )
 
-from oracles import kernel_field
+from oracles import fraction_derivative, kernel_field
 from presentations import relation_set_for
 
 
@@ -375,7 +375,7 @@ class TestModel:
         nv = fam.family_ring.nvars
         fresh = CompiledPolynomial.stack(fam.family, nv)
         fresh_partials = CompiledPolynomial.stack(
-            [_differentiate(g, v) for g in fam.family for v in range(nv)], nv
+            [fraction_derivative(g, v) for g in fam.family for v in range(nv)], nv
         )
         assert partials.coeffs.shape[1] == 81  # 9 relations, 8 symbols and tau
         for held, made in ((relations, fresh), (partials, fresh_partials)):
@@ -392,7 +392,12 @@ class TestModel:
         monkeypatch.setattr(CompiledPolynomial, "stack", refuse)
         again = flow._Model(fam, model.basis)
         assert again.relations is relations
-        assert again.partial_coeffs is partials.coeffs
+        # per chart, the partials' columns of its Jacobian entries, row by row
+        assert again.jacobian_coeffs.shape == (8, len(partials.coeffs), 9 * 8)
+        for c, cols in enumerate(again.columns):
+            entries = [nv * k + v for k in range(9) for v in cols]
+            table = again.jacobian_coeffs[c]
+            assert table.tobytes() == partials.coeffs[:, entries].tobytes()
 
     @pytest.mark.parametrize(
         "name", ["p1", "p1xp1", "elliptic", "elliptic-quotient-demo", "gl3-flag"]
@@ -677,17 +682,18 @@ class TestKernelField:
 # first failed) of sample_intrinsic(gl3-flag, 8, default_rng(1),
 # log10_spread) at epsilon 0.8, as the per-stage SVD field gave them
 # before the one-SVD-per-step path; every failure is a stage point off
-# the family.
+# the family.  The continuation leg takes one step: its first step is
+# sized after damping and covers the whole leg.
 EXCEEDS = "family Jacobian rank exceeds the expected 4"
 GL3_EPSILON_08 = {
     0.0: [(False, EXCEEDS, 0, None)] * 8,
     1.0: [
-        (True, None, 16, 5),
+        (True, None, 16, 1),
         (False, EXCEEDS, 0, None),
-        (True, None, 14, 5),
-        (True, None, 9, 5),
+        (True, None, 14, 1),
+        (True, None, 9, 1),
         (False, EXCEEDS, 0, None),
-        (True, None, 13, 5),
+        (True, None, 13, 1),
         (False, EXCEEDS, 0, None),
         (False, EXCEEDS, 0, None),
     ],
@@ -709,6 +715,35 @@ def test_gl3_epsilon_08_outcomes_unchanged(gl3, spread):
         for r in results
     ]
     assert outcomes == GL3_EPSILON_08[spread]
+
+
+class TestContinuation:
+    """The delta -> delta/2 leg: its first step is sized after damping,
+    so it covers the whole leg, and the error test accepts it."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in list_examples()])
+    def test_one_step_on_every_entry(self, name):
+        model, datum = catalog_model(name)
+        cfg = FlowConfig()
+        xs = sample_intrinsic(datum, 4, np.random.default_rng(7), log10_spread=2.0)
+        results = run_batch(xs, cfg, datum, model.fam, model.basis)
+        legs = [r.continuation for r in results if r.ok]
+        assert legs
+        for leg in legs:
+            assert leg.steps == 1 and leg.rejected == 0
+            assert leg.terminal.t.real == cfg.delta / 2
+
+    def test_smallest_cutoff(self, elliptic):
+        # the continuation leg is delta/2 = 5e-9 long at Re t = 1e-8, and
+        # its first damped step covers all of it
+        datum, fam, basis = elliptic
+        cfg = FlowConfig(delta=DELTA_MIN)
+        x = sample_intrinsic(datum, 1, np.random.default_rng(5))[0]
+        r = integrable_system_eval(x, cfg, datum, fam, basis)
+        assert r.ok
+        assert r.flow.terminal.t.real == DELTA_MIN
+        assert r.continuation.terminal.t.real == DELTA_MIN / 2
+        assert r.continuation.steps == 1
 
 
 class TestFlowTo:
@@ -806,6 +841,22 @@ class TestFlowTo:
             assert leg.terminal.t.real == target
             assert leg.samples[-1].s == start.t.real - target
             assert leg.samples[-1].t == leg.terminal.t
+
+    def test_short_leg_whose_whole_first_step_fails_is_retried(self, elliptic):
+        # 0.1 -> 0.09 is shorter than 0.05 damped by sqrt(0.1), so every
+        # start first tries the whole leg in one step
+        datum, fam, basis = elliptic
+        cfg = FlowConfig(epsilon=0.1, delta=0.09)
+        assert cfg.epsilon - cfg.delta < 0.05 * cfg.epsilon**flow.ALPHA
+        xs = sample_intrinsic(datum, 4, np.random.default_rng(1), log10_spread=1.0)
+        legs = [
+            flow_to(embedded_chart_point(elliptic, x, t=0.1), 0.09, cfg, fam, basis)
+            for x in xs
+        ]
+        assert all(leg.ok and leg.terminal.t.real == 0.09 for leg in legs)
+        # the error test turns some whole-leg steps down and passes others
+        assert any(leg.rejected and leg.steps > 1 for leg in legs)
+        assert any(leg.steps == 1 and not leg.rejected for leg in legs)
 
     def test_counters_show_first_same_as_last_reuse(self, elliptic):
         datum, fam, basis = elliptic
@@ -1147,6 +1198,25 @@ class TestExport:
             int(fields[4])
             for f in fields[1:4] + fields[5:]:
                 float(f)
+
+    def test_csv_rows_round_trip_the_samples(self, p1xp1):
+        # one row per sample of the first leg, then per sample of the
+        # continuation after its start; every float reads back exactly
+        results, _ = self.make_results(p1xp1)
+        lines = trajectory_csv(results).split("\n")[1:-1]
+        rows = [line.split(",") for line in lines]
+        expected = []
+        for r in results:
+            end = r.flow.samples[-1].s
+            for x in r.flow.samples:
+                expected.append((r.index, x.s, x))
+            for x in r.continuation.samples[1:]:
+                expected.append((r.index, end + x.s, x))
+        assert len(rows) == len(expected)
+        for row, (index, s, x) in zip(rows, expected):
+            assert int(row[0]) == index and int(row[4]) == x.chart
+            values = [s, x.t.real, x.t.imag, x.residual, x.im_pi, x.re_lin_err]
+            assert [float(f) for f in row[1:4] + row[5:]] == values + list(x.moment)
 
     def test_csv_bit_identical_across_runs(self, elliptic):
         first, _ = self.make_results(elliptic)
