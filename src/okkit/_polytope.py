@@ -2,24 +2,31 @@
 at three.
 
 One algorithm for every dimension n, in batched integer numpy arithmetic
-on the points scaled by their common denominator.  An n-subset's cofactor
-vector (generalised cross product of its n - 1 edges) is nonzero exactly
-when the subset spans a hyperplane, and that hyperplane is a facet when
-every point lies on one side of it.  The normals, made primitive so the
-output is canonical, are deduplicated with their offsets and tested in one
-matrix product; a point is a vertex when no other point lies on all of its
-facets.  The volume sums the barycentric subdivision, one simplex per flag
-of faces.  Every entry is at most n! (2C)^n in absolute value, C the
-largest scaled coordinate, so the arrays are int64 below 2^62 and numpy
-object arrays of Python ints, exact at any size, above it.
+on integer points over one common scale: ``convex_hull`` scales rational
+points once by their common denominator, and ``okounkov.okounkov_body``
+hands over its generator values scaled by the lcm of their levels.  An
+n-subset's cofactor vector (generalised cross product of its n - 1 edges)
+is nonzero exactly when the subset spans a hyperplane, and that
+hyperplane is a facet when every point lies on one side of it.  The
+normals, made primitive so the output is canonical, are deduplicated with
+their offsets and tested in one matrix product; a point is a vertex when
+no other point lies on all of its facets.  The volume sums the barycentric
+subdivision, one simplex per flag of faces.  Every entry is at most
+n! (2C)^n in absolute value, C the largest scaled coordinate, so the
+arrays are int64 below 2^62 and numpy object arrays of Python ints, exact
+at any size, above it; the volume's determinants take the same test on
+their own entries.  Before any Fraction is built, every vertex is checked
+against every facet in one integer matrix product.
 
-Degenerate hulls (dimension below the ambient one) are kept in the ambient
-space.  One Fraction elimination of the points' differences gives their
-affine dimension, the affine hull's equality pairs and pivot coordinates
-on which the points project one-to-one; the other facets and the vertices
-are those of the projected hull, its normals padded with zeros.  The
-``volume`` field is always the ambient-dimensional measure, hence zero for
-degenerate hulls.
+The same planes tell whether the points span R^n: they do exactly when
+some spanned hyperplane has a point off it.  Only degenerate hulls
+(dimension below the ambient one) run the Fraction elimination.  They are
+kept in the ambient space: one elimination of the points' differences
+gives their affine dimension, the affine hull's equality pairs and pivot
+coordinates on which the points project one-to-one; the other facets and
+the vertices are those of the projected hull, its normals padded with
+zeros.  The ``volume`` field is always the ambient-dimensional measure,
+hence zero for degenerate hulls.
 
 ``_vertices`` goes the other way, from inequalities to vertices, with the
 same cofactor kernel: Cramer's rule on every n-subset of rows and one
@@ -122,15 +129,20 @@ def _primitive(vec):
 
 def _det(a):
     """Determinants of a stack of square matrices, shape (..., k, k), by
-    cofactor expansion along the first row.  Exact on object arrays of
-    Python ints, and on int64 while every partial sum of k! products of
-    entries fits."""
+    cofactor expansion along the first row, in closed form for k <= 2.
+    Exact on object arrays of Python ints, and on int64 while every
+    partial sum of k! products of entries fits."""
     k = a.shape[-1]
     if k == 0:
         return np.ones(a.shape[:-2], dtype=a.dtype)
+    if k == 1:
+        return a[..., 0, 0]
+    if k == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     total = 0
     for j in range(k):
-        term = a[..., 0, j] * _det(np.delete(a[..., 1:, :], j, axis=-1))
+        others = [c for c in range(k) if c != j]
+        term = a[..., 0, j] * _det(a[..., 1:, others])
         total = total - term if j % 2 else total + term
     return total
 
@@ -141,7 +153,10 @@ def _cofactors(a):
     when the rows of a are independent."""
     k = a.shape[-2]
     return np.stack(
-        [(-1) ** (k + j) * _det(np.delete(a, j, axis=-1)) for j in range(k + 1)],
+        [
+            (-1) ** (k + j) * _det(a[..., [c for c in range(k + 1) if c != j]])
+            for j in range(k + 1)
+        ],
         axis=-1,
     )
 
@@ -212,46 +227,78 @@ def _spanned_planes(pts, subsets):
     return _unique_rows(planes // divisor[:, None])
 
 
-def _full_hull(points, n):
-    """Sorted vertices, facets and n-volume of the hull of distinct points
-    that span R^n (n >= 1), computed on the points scaled to integers."""
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    ints = sorted(tuple(int(x * scale) for x in p) for p in points)
-    big = max(abs(x) for p in ints for x in p)
+def _integer_hull(pts, n):
+    """Vertices, facets and n-volume of the hull of sorted distinct integer
+    points in R^n (n >= 1), or None when no hyperplane the points span has
+    a point off it, so that they do not span R^n.
+
+    vertices is an array of the vertex rows in order, facets an array of
+    rows (primitive outward normal, offset), and volume a Fraction.
+    """
+    if len(pts) <= n:
+        return None
+    big = max(abs(x) for p in pts for x in p)
     exact64 = math.factorial(n) * (2 * big) ** n < 2**62
-    pts = np.array(ints, dtype=np.int64 if exact64 else object)
-    indices = chain.from_iterable(combinations(range(len(ints)), n))
+    points = np.array(pts, dtype=np.int64 if exact64 else object)
+    indices = chain.from_iterable(combinations(range(len(pts)), n))
     blocks = []
     while len(block := np.fromiter(islice(indices, n * _SUBSETS_PER_BLOCK), np.intp)):
-        blocks.append(_spanned_planes(pts, block.reshape(-1, n)))
+        blocks.append(_spanned_planes(points, block.reshape(-1, n)))
     planes = _unique_rows(np.concatenate(blocks))
-    values = planes[:, :n] @ pts.T
+    values = planes[:, :n] @ points.T
     upper = values.max(axis=1) == planes[:, n]
     lower = values.min(axis=1) == planes[:, n]
+    if not len(planes) or (upper & lower).any():
+        return None
     facets = np.concatenate([planes[upper], -planes[lower]])
     tight = np.concatenate([values[upper], -values[lower]]) == facets[:, n:]
     # a point is a vertex when no other point lies on all of its facets
     incidence = tight.astype(np.int64)
     shared = incidence.T @ incidence
     is_vertex = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
-    vertices = [ints[i] for i in np.flatnonzero(is_vertex)]
+    vertices = [pts[i] for i in np.flatnonzero(is_vertex)]
     faces = [frozenset(np.flatnonzero(row).tolist()) for row in tight[:, is_vertex]]
     # the barycentric subdivision: one simplex per flag of faces F, spanned
-    # from the flag's vertex v by the edges |F| (centroid(F) - v)
+    # from the flag's vertex v by the edges |F| (centroid(F) - v), whose
+    # entries are at most 2 |F| big
     flags = _flags(frozenset(range(len(vertices))), faces)
-    sums = {f: [sum(c) for c in zip(*(vertices[i] for i in f))] for flag in flags for f in flag}
+    chained = {f for flag in flags for f in flag[:-1]}
+    sums = {f: [sum(c) for c in zip(*(vertices[i] for i in f))] for f in chained}
     simplices = [
         [[s - len(f) * x for s, x in zip(sums[f], vertices[v])] for f in flag]
         for *flag, (v,) in flags
     ]
-    dets = _det(np.array(simplices, dtype=object))
+    exact64 = math.factorial(n) * (2 * len(vertices) * big) ** n < 2**62
+    dets = _det(np.array(simplices, dtype=np.int64 if exact64 else object)).tolist()
     sizes = [math.prod(map(len, flag[:-1])) for flag in flags]
-    volume = sum(map(Fraction, map(abs, dets), sizes)) / math.factorial(n)
+    common = math.lcm(*sizes)
+    total = sum(abs(d) * (common // size) for d, size in zip(dets, sizes))
+    return points[is_vertex], facets, Fraction(total, common * math.factorial(n))
+
+
+def _rational_hull(hull, scale):
+    """The vertices, facets and volume of an _integer_hull triple scaled
+    down by scale, as Fractions.  First every vertex is checked against
+    every facet in one integer matrix product, on the rows the Fractions
+    are built from."""
+    vertices, facets, volume = hull
+    n = vertices.shape[1]
+    if not (facets[:, :n] @ vertices.T <= facets[:, n:]).all():
+        raise HullError("hull vertex violates its own facets")
     return (
-        tuple(tuple(Fraction(x, scale) for x in v) for v in vertices),
-        tuple(sorted((tuple(f[:n]), Fraction(f[n], scale)) for f in facets.tolist())),
+        tuple(tuple(Fraction(x, scale) for x in v) for v in vertices.tolist()),
+        tuple((tuple(f[:n]), Fraction(f[n], scale)) for f in sorted(facets.tolist())),
         volume / scale**n,
     )
+
+
+def _full_hull(points, n):
+    """Sorted vertices, facets and n-volume of the hull of distinct rational
+    points that span R^n (n >= 1), computed on the points scaled to
+    integers."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    ints = sorted(tuple(int(x * scale) for x in p) for p in points)
+    return _rational_hull(_integer_hull(ints, n), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +342,27 @@ def _vertices(rows, n):
 def convex_hull(points) -> OkounkovBody:
     """Exact convex hull of rational points, ambient dimension <= 3.
 
-    One elimination on the points' differences gives the affine dimension.
-    A degenerate point set keeps its affine hull as equality pairs in the
-    facet list, and its other facets and vertices come from the hull of its
-    projection to the pivot coordinates, so vertices and facets always
-    describe the same set in the ambient space.
+    The points are scaled once to integers over their common denominator
+    and hulled by :func:`_scaled_hull`.
     """
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    pts = {tuple(Fraction(x) for x in p) for p in points}
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    return _scaled_hull({tuple(int(x * scale) for x in p) for p in pts}, scale)
+
+
+def _scaled_hull(points, scale) -> OkounkovBody:
+    """Exact convex hull of the points p / scale, for integer points p and a
+    positive integer scale, ambient dimension <= 3.
+
+    The integer hull's own planes tell whether the points span the ambient
+    space.  Only when they do not does one Fraction elimination on the
+    points' differences give the affine dimension; such a degenerate point
+    set keeps its affine hull as equality pairs in the facet list, and its
+    other facets and vertices come from the hull of its projection to the
+    pivot coordinates, so vertices and facets always describe the same set
+    in the ambient space.
+    """
+    pts = sorted(points)
     if not pts:
         raise HullError("no points")
     n = len(pts[0])
@@ -314,14 +375,13 @@ def convex_hull(points) -> OkounkovBody:
     if n == 0:
         raise HullError("zero-dimensional ambient space")
 
+    hull = _integer_hull(pts, n)
+    if hull is not None:
+        return OkounkovBody(n, n, *_rational_hull(hull, scale))
+    pts = [tuple(Fraction(x, scale) for x in p) for p in pts]
     reduced, pivots = _rref([_sub(p, pts[0]) for p in pts])
-    dim = len(pivots)
-    if dim == n:
-        vertices, facets, volume = _full_hull(pts, n)
-    else:
-        vertices, facets = _degenerate_hull(pts, reduced, pivots)
-        volume = Fraction(0)
-    body = OkounkovBody(n, dim, vertices, facets, volume)
+    vertices, facets = _degenerate_hull(pts, reduced, pivots)
+    body = OkounkovBody(n, len(pivots), vertices, facets, Fraction(0))
     for v in vertices:
         if not body.contains(v):
             raise HullError("hull vertex violates its own facets")

@@ -563,6 +563,10 @@ def substitute(poly: Polynomial, images: Sequence, one, powers=None):
     return out if poly._den == 1 else out * Fraction(1, poly._den)
 
 
+# the truncation at which a new context's implicit sweeps start
+_FIRST_SWEEP_ORDER = 8
+
+
 class SeriesContext:
     """Local expansion data for the series valuation backend.
 
@@ -605,14 +609,42 @@ class SeriesContext:
     # -- series construction ------------------------------------------------
 
     def _table(self, trunc):
+        """Every variable's series to order trunc.
+
+        The implicit variables are swept at a growing truncation t: from
+        zero at order _FIRST_SWEEP_ORDER, or from the largest table already
+        held below trunc at twice its order, the series are padded to order
+        t and swept until a sweep changes nothing, and t doubles up to
+        trunc.  A sweep
+        fixes only the next few orders, so most sweeps run on short series.
+        The fixed point to each order is unique when the substitution
+        contracts, so the table is the one that full-length sweeps from
+        zero reach.
+        """
         if trunc in self._tables:
             return self._tables[trunc]
-        table = {}
-        for var, poly in self.assignments.items():
-            table[var] = self._expand_explicit(poly, trunc)
-        # solve implicit variables by fixed-point iteration
-        for var in self.implicit:
-            table[var] = _Series.zero(trunc)
+        held = max((t for t in self._tables if t < trunc), default=None)
+        if held is None:
+            t = min(trunc, _FIRST_SWEEP_ORDER)
+            implicit = {var: _Series.zero(t) for var in self.implicit}
+        else:
+            t = min(2 * held, trunc)
+            implicit = {var: self._tables[held][var] for var in self.implicit}
+        while True:
+            table = {var: self._expand_explicit(poly, t) for var, poly in self.assignments.items()}
+            for var, series in implicit.items():
+                table[var] = _Series._make(series.num + [0] * (t - series.trunc), series.den, t)
+            self._sweep(table, t)
+            if t == trunc:
+                break
+            implicit = {var: table[var] for var in self.implicit}
+            t = min(2 * t, trunc)
+        self._tables[trunc] = table
+        return table
+
+    def _sweep(self, table, trunc):
+        """Substitute the table into each implicit right-hand side, in place,
+        until nothing changes; at most trunc + 2 sweeps."""
         one = _Series.constant(1, trunc)
         for _ in range(trunc + 2):
             changed = False
@@ -622,14 +654,11 @@ class SeriesContext:
                     table[var] = new
                     changed = True
             if not changed:
-                break
-        else:
-            raise InconclusiveValuationError(
-                "implicit series for %s did not stabilize at order %d"
-                % (sorted(self.implicit), trunc)
-            )
-        self._tables[trunc] = table
-        return table
+                return
+        raise InconclusiveValuationError(
+            "implicit series for %s did not stabilize at order %d"
+            % (sorted(self.implicit), trunc)
+        )
 
     def _expand_explicit(self, poly, trunc):
         ring = poly.ring
@@ -637,13 +666,13 @@ class SeriesContext:
             raise ValueError(
                 "explicit assignments must be polynomials in the parameter"
             )
-        coeffs = [0] * trunc
-        for (k,), c in poly.terms.items():
+        num = [0] * trunc
+        for (k,), a in poly._num.items():
             if k < 0:
                 raise EvaluationError("Laurent exponent in a series assignment")
             if k < trunc:
-                coeffs[k] = c
-        return _Series(coeffs, trunc)
+                num[k] = a
+        return _Series._make(num, poly._den, trunc)
 
     def expand(self, poly: Polynomial, trunc: int | None = None) -> _Series:
         """Expand an ambient polynomial to a truncated series."""

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lattice
-from ._polytope import OkounkovBody, _vertices, convex_hull
+from ._polytope import OkounkovBody, _scaled_hull, _vertices, convex_hull
 from .algebra import (
     BiDegree,
     Polynomial,
@@ -382,6 +382,10 @@ class ValueSemigroup:
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
+# a level whose coordinate box has at most this many cells per candidate
+# key is deduplicated by scatter over the box, a sparser one by a sort
+_SCATTER_BOX = 4
+
 
 class _Level(NamedTuple):
     """One level set {u : (k, u) in S} of a finitely generated semigroup.
@@ -429,9 +433,18 @@ def _next_level(gens: tuple, levels: list) -> _Level:
     level k - g.level shifted by g.value.  Each source level's rows are
     keyed once, as (rows - lo) @ place on their own lower bounds lo, and
     a generator's block of keys is that base plus the generator's own
-    offset.  One stable argsort of all blocks keeps each key's first
-    block, and so its earliest generator; the kept rows are the keys'
-    mixed-radix digits plus the level's lower bounds.  Raises
+    offset.  The kept rows are the distinct keys' mixed-radix digits plus
+    the level's lower bounds, and first holds each key's earliest
+    generator.
+
+    The distinct keys come by one of two routes, which give the same
+    rows, keys and first.  When the level's coordinate box has at most
+    _SCATTER_BOX times as many cells as there are candidate keys, each
+    block writes its generator's index into a table over the box, later
+    generators first so the earliest one is left, and the written cells
+    are the keys, already sorted.  A sparse level, whose box is larger,
+    takes one stable argsort of all blocks, which keeps each key's first
+    block: its memory follows the candidates, not the box.  Raises
     OverflowError when a generator value or the level's key range does
     not fit int64."""
     k = len(levels)
@@ -464,15 +477,24 @@ def _next_level(gens: tuple, levels: list) -> _Level:
                 base += (b.rows[:, j] - b.lo[j]) * place[j]
         # b.lo + v - lo lies in [0, span - b's span), so no key leaves [0, 2^63)
         keys.append(base + sum((a + x - c) * p for a, x, c, p in zip(b.lo, v, lo, place)))
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    keys = keys[new]
-    ids = np.array([i for i, _, _ in blocks], dtype=np.min_scalar_type(len(gens)))
-    first = np.repeat(ids, [len(b.rows) for _, b, _ in blocks])[order[new]]
+    ids = [i for i, _, _ in blocks]
+    dtype = np.min_scalar_type(len(gens))
+    box = math.prod(spans)
+    if box <= _SCATTER_BOX * sum(map(len, keys)):
+        owner = np.full(box, len(gens), dtype=dtype)
+        for i, block in zip(ids[::-1], keys[::-1]):
+            owner[block] = i
+        keys = np.flatnonzero(owner != len(gens))
+        first = owner[keys]
+    else:
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.empty(len(keys), dtype=bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys = keys[new]
+        first = np.repeat(np.array(ids, dtype=dtype), [len(b.rows) for _, b, _ in blocks])[order[new]]
     rows = np.empty((len(keys), n), dtype=np.int64)
     for j in range(n):
         rows[:, j] = keys // place[j] % spans[j] + lo[j]
@@ -581,13 +603,16 @@ def subduct(f: Polynomial, k: int, datum: SagbiDatum):
 
 
 def okounkov_body(S: ValueSemigroup) -> OkounkovBody:
-    """Exact convex hull of the level-normalized generator values."""
+    """Exact convex hull of the level-normalized generator values u/k.
+
+    The values go to the hull as integers: each u scaled by L/k, L the lcm
+    of the levels, over the one scale L, so no Fraction is built before the
+    hull's output."""
     if not S.generators:
         raise EmptySemigroupError("cannot take the body of an empty semigroup")
-    points = [
-        tuple(Fraction(x, g.level) for x in g.value) for g in S.generators
-    ]
-    return convex_hull(points)
+    scale = math.lcm(*(g.level for g in S.generators))
+    points = {tuple(x * (scale // g.level) for x in g.value) for g in S.generators}
+    return _scaled_hull(points, scale)
 
 
 def _hilbert_leading_coefficient(S: ValueSemigroup, n: int, K: int) -> Fraction:

@@ -487,6 +487,35 @@ class FractionSeries:
         return self.coeffs[:t] == other.coeffs[:t]
 
 
+def full_length_sweep(context, trunc):
+    """The series table of a SeriesContext as it was once built: explicit
+    variables expanded from their Fraction terms, then every implicit one
+    swept from zero at the full truncation until a sweep changes nothing
+    (at most trunc + 2 sweeps)."""
+    from okkit.algebra import _Series, substitute
+
+    table = {}
+    for var, poly in context.assignments.items():
+        coeffs = [0] * trunc
+        for (k,), c in poly.terms.items():
+            if k < trunc:
+                coeffs[k] = c
+        table[var] = _Series(coeffs, trunc)
+    for var in context.implicit:
+        table[var] = _Series.zero(trunc)
+    one = _Series.constant(1, trunc)
+    for _ in range(trunc + 2):
+        changed = False
+        for var, rhs in context.implicit.items():
+            new = substitute(rhs, [table[v] for v in rhs.ring.variables], one)
+            if not new == table[var]:
+                table[var] = new
+                changed = True
+        if not changed:
+            return table
+    raise AssertionError("the implicit series did not stabilize")
+
+
 def fraction_sum(f, g):
     """f + g with Fraction coefficients, through the checked constructor,
     terms in first-seen order."""

@@ -29,7 +29,15 @@ from okkit.algebra import (
     relative_residual,
     substitute,
 )
-from oracles import FractionSeries, fraction_power, fraction_product, fraction_sum
+from okkit.catalog import load_example
+
+from oracles import (
+    FractionSeries,
+    fraction_power,
+    fraction_product,
+    fraction_sum,
+    full_length_sweep,
+)
 
 XY = Ring(("x", "y"))
 XY_LAURENT = Ring(("x", "y"), laurent=True)
@@ -264,6 +272,54 @@ def test_series_cached_powers_change_no_expansion():
             assert ctx.expand(f, trunc).coeffs == plain.coeffs
     assert set(ctx._powers) == {(8, ("x", "z")), (16, ("x", "z"))}
     assert all(len(key) == 2 for cache in ctx._powers.values() for key in cache)
+
+
+def assert_same_tables(table, reference):
+    assert sorted(table) == sorted(reference)
+    for var, series in reference.items():
+        assert (table[var].num, table[var].den, table[var].trunc) == (
+            series.num,
+            series.den,
+            series.trunc,
+        )
+
+
+@pytest.mark.parametrize("name", ["elliptic", "elliptic-quotient-demo"])
+def test_catalog_series_match_the_full_length_sweep(name):
+    # the implicit sweeps grow their truncation; the table at the working
+    # order must be the one full-length sweeps from zero reach
+    ctx = load_example(name).datum.series_context
+    assert ctx.implicit and set(ctx._tables) == {64}
+    assert_same_tables(ctx._tables[64], full_length_sweep(ctx, 64))
+
+
+def test_growing_sweeps_match_the_full_length_sweep():
+    # two implicit variables feeding each other, at truncations that are no
+    # power of two, and escalations that start from a held table
+    ring = Ring(("x", "z", "w"))
+    ctx = SeriesContext(
+        "u",
+        {"x": parse_polynomial("u + 2/3*u^2", Ring(("u",)))},
+        implicit={
+            "z": parse_polynomial("x^3 + w^2 + z^2", ring),
+            "w": parse_polynomial("x^2 - 1/2*x*z", ring),
+        },
+        truncation=5,
+        cap=100,
+    )
+    for trunc in (5, 12, 100, 3, 40):
+        assert_same_tables(ctx._table(trunc), full_length_sweep(ctx, trunc))
+
+
+def test_implicit_series_that_never_settles_raises():
+    # z = 1 + z has no fixed point: every sweep adds one to the constant
+    ring = Ring(("x", "z"))
+    with pytest.raises(InconclusiveValuationError, match="did not stabilize"):
+        SeriesContext(
+            "u",
+            {"x": parse_polynomial("u", Ring(("u",)))},
+            implicit={"z": parse_polynomial("1 + z", ring)},
+        )
 
 
 def test_substitution_refuses_laurent_exponents():

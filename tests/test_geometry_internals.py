@@ -581,6 +581,37 @@ class TestDegenerateHullReference:
         assert repr(h) == repr(parametrized_hull(pts))
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_dimensional_points_take_no_elimination(self, n):
+        # the hull's own planes show that the points span R^n
+        pts = cube_points(n) + [tuple(Fraction(1, 3) for _ in range(n))]
+        with mock.patch.object(_polytope, "_rref", wraps=_polytope._rref) as rref:
+            h = convex_hull(pts)
+        assert rref.call_count == 0
+        assert h.dim == n and h.volume == 1
+        assert repr((h.vertices, h.facets, h.volume)) == repr(candidate_normal_hull(sorted(pts), n))
+
+    @pytest.mark.parametrize("scale", [1, 2**70])
+    def test_an_offset_lowered_by_one_fails_the_self_check(self, scale):
+        # each facet in turn has its scaled offset moved inward by one, past
+        # the vertices on it: the integer check must refuse the hull, on
+        # int64 rows and on Python ints
+        points = [tuple(scale * x for x in p) for p in GL3_VALUES]
+        integer_hull = _polytope._integer_hull
+        vertices, facets, volume = integer_hull(sorted(points), 3)
+        for i in range(len(facets)):
+
+            def corrupted(pts, n):
+                bad = facets.copy()
+                bad[i, n] -= 1
+                return vertices, bad, volume
+
+            with mock.patch.object(_polytope, "_integer_hull", corrupted):
+                with pytest.raises(HullError, match="violates its own facets"):
+                    convex_hull(points)
+        assert convex_hull(points).volume == scale**3
+
+
 def cube_points(n):
     return [tuple(Fraction((i >> k) & 1) for k in range(n)) for i in range(2**n)]
 

@@ -6,7 +6,9 @@ import random
 import warnings
 import weakref
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from okkit.okounkov import (
     semigroup_hilbert,
     subduct,
 )
+from okkit import okounkov
 from okkit._polytope import convex_hull
 from okkit.catalog import load_example
 from okkit.okounkov import _decompose, _level_table, _sliced_body
@@ -36,6 +39,7 @@ from okkit.okounkov import slice as semigroup_slice
 
 from oracles import (
     brute_semigroup_level,
+    candidate_normal_hull,
     chart_sliced_body,
     dfs_decompose,
     fraction_reduce_modulo,
@@ -371,6 +375,43 @@ def small_semigroups(draw):
     )
 
 
+@st.composite
+def sparse_semigroups(draw):
+    """small_semigroups plus level-1 generators at zero and with one
+    coordinate near 1000: every level's coordinate box then has far more
+    cells than the level has candidate keys."""
+    gens = draw(small_semigroups())
+    n = len(gens[0][1])
+    far = draw(st.tuples(*[st.integers(-4, 4)] * (n - 1), st.integers(990, 1010)))
+    zero = (1, (0,) * n)
+    return gens + [(1, far)] + ([zero] if zero not in gens else [])
+
+
+@st.composite
+def dense_semigroups(draw):
+    """Every vertex of the unit cube {0, 1}^n at level 1, n from 1 to 3,
+    plus up to three generators at levels 2 and 3 inside the cube they
+    scale: level k's box, {0..k}^n, has (k + 1)^n cells for at least
+    2^n k^n candidate keys."""
+    n = draw(st.integers(1, 3))
+    cube = [(1, tuple((i >> j) & 1 for j in range(n))) for i in range(2**n)]
+    extra = st.integers(2, 3).flatmap(
+        lambda level: st.tuples(st.just(level), st.tuples(*[st.integers(0, level)] * n))
+    )
+    return cube + draw(st.lists(extra, max_size=3, unique=True))
+
+
+def assert_levels_match_oracles(gens, top):
+    S = ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens))
+    for k in range(top + 1):
+        level = brute_semigroup_level(gens, k)
+        rows = _level_table(S, k).rows
+        assert rows.dtype == "int64" and not rows.flags.writeable
+        assert [tuple(r) for r in rows.tolist()] == sorted(level)
+        for u in sorted(level):
+            assert _decompose(S, k, u) == dfs_decompose(gens, k, u)
+
+
 class TestLevelTables:
     @given(small_semigroups())
     @settings(max_examples=100, deadline=None)
@@ -397,6 +438,34 @@ class TestLevelTables:
                 assert _decompose(S, k, u) is None
                 assert dfs_decompose(gens, k, u) is None
             assert _decompose(S, k, (2**70,) * n) is None
+
+    @given(sparse_semigroups())
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_levels_take_the_sort(self, gens):
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            assert_levels_match_oracles(gens, 4)
+        assert argsort.call_count == 4
+
+    @given(dense_semigroups())
+    @settings(max_examples=30, deadline=None)
+    def test_dense_levels_take_the_scatter(self, gens):
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            assert_levels_match_oracles(gens, 3)
+        assert argsort.call_count == 0
+
+    @given(st.one_of(small_semigroups(), sparse_semigroups(), dense_semigroups()))
+    @settings(max_examples=60, deadline=None)
+    def test_scatter_and_sort_give_the_same_tables(self, gens):
+        tables = []
+        for box in (0, 10**6):
+            S = ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens))
+            with mock.patch.object(okounkov, "_SCATTER_BOX", box):
+                tables.append([_level_table(S, k) for k in range(5)])
+        for sorted_level, scattered in zip(*tables):
+            assert repr(sorted_level) == repr(scattered)
+            for a, b in zip(sorted_level, scattered):
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_tables_live_and_die_with_their_semigroup(self):
         S = ValueSemigroup((BiDegree(1, (0, 0)), BiDegree(1, (1, 0)), BiDegree(1, (0, 1))))
@@ -439,6 +508,20 @@ class TestBodies:
     def test_empty_raises(self):
         with pytest.raises(EmptySemigroupError):
             okounkov_body(ValueSemigroup(()))
+
+    @given(small_semigroups())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_points_give_the_rational_hull(self, gens):
+        # okounkov_body hands the hull integer values over the lcm of the
+        # levels; the body must be the hull of the Fraction points u / k
+        body = okounkov_body(ValueSemigroup(tuple(BiDegree(lvl, val) for lvl, val in gens)))
+        points = sorted({tuple(Fraction(x, lvl) for x in val) for lvl, val in gens})
+        assert repr(body) == repr(convex_hull(points))
+        n = len(points[0])
+        if body.dim == n:
+            assert repr((body.vertices, body.facets, body.volume)) == repr(
+                candidate_normal_hull(points, n)
+            )
 
     def test_level_normalization(self, any_datum):
         S = any_datum.semigroup()
