@@ -767,25 +767,34 @@ class CompiledPolynomial:
         """
         return (self.monomials(z)[..., None, :] @ self.coeffs)[..., 0, :]
 
-    def scales(self, zabs: np.ndarray) -> np.ndarray:
+    def scales(self, zabs: np.ndarray, split=None):
         """Sum of term magnitudes of each polynomial of a stack at |z|, the
-        denominators of relative residuals."""
+        denominators of relative residuals.
+
+        With split, an index array of terms, also returns the part of each
+        sum over those terms, from the same monomials.
+        """
         terms = (zabs[..., None, :] ** self.exps).prod(axis=-1)
-        return (terms[..., None, :] @ self.magnitudes)[..., 0, :]
+        total = (terms[..., None, :] @ self.magnitudes)[..., 0, :]
+        if split is None:
+            return total
+        return total, (terms[..., None, split] @ self.magnitudes[split])[..., 0, :]
 
 
-def relative_residual(system: CompiledPolynomial, z: np.ndarray, values=None):
+def relative_residual(
+    system: CompiledPolynomial, z: np.ndarray, values=None, scales=None
+):
     """Largest |g(z)| / sum |terms of g at z| over a stacked system.
 
     Relations whose terms all vanish at z (scale below 1e-300) are skipped,
     so no relations, or none that can be measured, give 0; a point with a
     non-finite coordinate gives NaN.  A batch of points (shape (...,
-    nvars)) gives an array of residuals.  values, when given, are
-    ``system.values(z)`` already computed.
+    nvars)) gives an array of residuals.  values and scales, when given,
+    are ``system.values(z)`` and ``system.scales(abs(z))`` already computed.
     """
     if values is None:
         values = system.values(z)
-    denom = system.scales(np.abs(z))
+    denom = system.scales(np.abs(z)) if scales is None else scales
     measured = denom >= 1e-300
     ratio = np.abs(values) / np.where(measured, denom, 1.0)
     worst = np.where(measured, ratio, 0.0).max(axis=-1, initial=0.0)

@@ -38,6 +38,14 @@ stage's field is reused as the next step's first when the state did not
 move after it (the SVD still runs there, for S); the retraction takes
 one batched minimum-norm Gauss-Newton step per iteration; one pass over
 the accepted states records their samples, toric moments included.
+Once a state's fiber is the target's to rounding (its relations' terms
+that carry tau are below float64's unit roundoff of their relation, and
+the first-order transport bound keeps its coordinates within rounding),
+the flow is the identity there to working precision, and the state ends
+its leg with one exact jump step: Re t set to the target, the chart
+coordinates kept, no field evaluated.  The test reads the |z| monomials
+the retraction's residual already evaluates.  Families without tau,
+such as p1 and p1xp1, jump at the start of every leg.
 ``flow_to`` is a batch of one, ``run_batch`` integrates all its
 trajectories together, and the Poisson bracket (once per point) and the
 symplectic transport flow their perturbed starts as one batch each.
@@ -134,6 +142,9 @@ DELTA_MIN = 1e-8
 # A leg takes its last step when less than this share of its length would
 # be left after a regular one; that step lands exactly on the target.
 LEG_TOLERANCE = 1e-12
+
+# float64's unit roundoff, the tolerance of both bounds of ``_toric``.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 class FlowError(Exception):
@@ -289,8 +300,11 @@ class FlowResult:
 
     ``steps`` counts accepted steps, ``rejected`` rejected ones, and
     ``field_evals`` evaluations of the field V: at most 7 per attempted
-    step, fewer where first-same-as-last reuse applies.  The counters
-    stay out of the CSV and diagnostics exports.
+    step, fewer where first-same-as-last reuse applies, and 0 for the
+    jump step that ends a leg whose fiber is already the target's to
+    rounding (see ``flow_to``).  Each accepted step, the jump included,
+    records one sample.  The counters stay out of the CSV and diagnostics
+    exports.
     """
 
     ok: bool
@@ -317,7 +331,10 @@ class EvalResult:
     F is the Richardson value 2 F(delta/2) - F(delta); convergence is the
     largest componentwise gap between the two cutoffs, an a posteriori
     error estimate.  ``flow`` is the eps -> delta leg, ``continuation``
-    the delta -> delta/2 leg (None when the first leg failed).
+    the delta -> delta/2 leg (None when the first leg failed).  Where the
+    fiber at delta is already toric to rounding, the continuation is one
+    jump step that keeps the chart coordinates, so F is the moment at
+    delta and convergence is 0.
     """
 
     ok: bool
@@ -360,6 +377,8 @@ class _Model:
         nv = self.nsym + 1  # symbols plus tau
         self.n_rel = len(fam.family)
         self.relations, partials = fam._compiled
+        # the stacked relations' terms that carry tau, the last variable
+        self.tau_terms = np.flatnonzero(self.relations.exps[:, -1] > 0)
         # Full-coordinate column of each chart coordinate, per chart: the
         # symbols other than the pivot in basis order, then tau.
         self.columns = np.array(
@@ -393,8 +412,13 @@ class _Model:
         Z[rows, charts] = 1.0
         return Z
 
-    def residual(self, Z: np.ndarray) -> np.ndarray:
-        return relative_residual(self.relations, Z)
+    def residual(self, Z: np.ndarray, values=None):
+        """Relative residuals at full coordinates Z, with each relation's
+        term-magnitude sum and the part of it over the terms that carry
+        tau, all from one evaluation of the |z| monomials; values are the
+        relations at Z, if known."""
+        scale, part = self.relations.scales(np.abs(Z), self.tau_terms)
+        return relative_residual(self.relations, Z, values, scale), scale, part
 
     def jacobian(
         self, charts: np.ndarray, Y: np.ndarray, fiber_only: bool
@@ -755,12 +779,14 @@ def _retract(
     Each iteration takes one batched minimum-norm step for the states
     still above tol.  Returns the projected states with their full
     coordinates and relative residuals, a mask of the states that moved,
-    and per state a RetractionError or None.
+    per state a RetractionError or None, and the relations' term-magnitude
+    sums at the projected states, all terms and those that carry tau, as a
+    pair of arrays.
     """
     Y = np.array(Y, dtype=float)
     Z = model.points(charts, Y)
     G = model.relations.values(Z)
-    res = relative_residual(model.relations, Z, G)
+    res, scale, part = model.residual(Z, G)
     moved = ~(res <= tol)
     todo = np.flatnonzero(res > tol)  # a state with a NaN residual takes no step
     for _ in range(max_iter):
@@ -772,7 +798,8 @@ def _retract(
         Y[todo] = yt
         Z[todo] = zt = model.points(ct, yt)
         G[todo] = gt = model.relations.values(zt)
-        res[todo] = rt = relative_residual(model.relations, zt, gt)
+        rt, scale[todo], part[todo] = model.residual(zt, gt)
+        res[todo] = rt
         todo = todo[rt > tol]
     errors = [None] * len(Y)
     for b in np.flatnonzero(~(res <= tol)):
@@ -780,7 +807,7 @@ def _retract(
             "retraction stalled at relative residual %.3g (tolerance %.3g)"
             % (res[b], tol)
         )
-    return Y, Z, res, moved, errors
+    return Y, Z, res, moved, errors, (scale, part)
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +845,36 @@ def _damping(re_t: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.maximum(re_t, 1e-300) ** ALPHA)
 
 
+def _toric(model: _Model, charts: np.ndarray, Y: np.ndarray, sums) -> np.ndarray:
+    """Mask of the states whose fiber is the toric target's to rounding.
+
+    sums are ``_Model.residual``'s term-magnitude sums at the states, of
+    each relation's terms and of those that carry tau.  Two bounds must
+    hold.  Every relation's tau part is at most UNIT_ROUNDOFF of its whole,
+    so moving Re t to the target changes no relation by more than
+    rounding.  And with tau the Euclidean norm of the tau parts, the
+    first-order transport bound tau (1 + |w|^2) / sigma_r, sigma_r the
+    weakest structural singular value of the fiber Jacobian, is at most
+    UNIT_ROUNDOFF max(1, max |w_i|): the fiber coordinates would move by
+    less than rounding.  Only states that pass the first bound with tau
+    nonzero take an SVD.
+    """
+    scale, part = sums
+    toric = (part <= UNIT_ROUNDOFF * scale).all(axis=1)
+    if not toric.any():
+        return toric
+    tau = np.sqrt(np.add.reduce(part * part, axis=1))
+    test = np.flatnonzero(toric & (tau > 0.0))
+    if test.size:
+        y = Y[test]
+        J = model.jacobian(charts[test], y, fiber_only=True)
+        weakest = np.linalg.svd(J, compute_uv=False)[:, model.rank - 1]
+        one = 1.0 + np.add.reduce(y[:, : 2 * model.n_w] ** 2, axis=1)
+        size = np.abs(y.view(complex)[:, : model.n_w]).max(axis=1, initial=1.0)
+        toric[test] = tau[test] * one <= UNIT_ROUNDOFF * size * weakest
+    return toric
+
+
 def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     """Flow a batch of starts down to Re t = target, in lockstep; a start
     with Re t <= target or |Im t| > IM_PI_TOLERANCE raises ValueError.
@@ -830,6 +887,10 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     the same weights, so they come out bit for bit alike.  A state is
     only ever combined with itself, and every batched call works state
     by state, so a state's result does not depend on the batch around it.
+
+    ``_toric`` tests a state at the start of the leg, if its residual is
+    within retraction_tol, and after each retraction; a state it passes
+    takes the jump step of ``flow_to`` in the next round, budget allowing.
     """
     for cp in starts:
         if not (0.0 < target < cp.t.real):
@@ -886,12 +947,37 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             samples[b].append(FlowSample(*fields, tuple(moment)))
         return im, lin
 
+    def settle(rows, new, Z, residual):
+        """Move the accepted states of rows to new, at full coordinates Z,
+        and record their samples; fail those whose Im t drifted or whose
+        Re t left linear decay, and stop those at the end of the leg.
+        Returns the mask of the rows still going."""
+        Y[rows] = new
+        im, lin = record(rows, Z, residual)
+        drift = im > IM_PI_TOLERANCE
+        off = lin > LINEARITY_TOLERANCE
+        bad = drift | off
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                if drift[j]:
+                    fail(rows[j], "Im t drifted to %.3g" % im[j])
+                else:
+                    fail(rows[j], "Re t deviates from linear decay by %.3g" % lin[j])
+        going = ~bad
+        finished = s[rows] >= s_end[rows]
+        running[rows[going & finished]] = False
+        return going & ~finished
+
     Z = model.points(charts, Y)
-    residual = model.residual(Z)
     with np.errstate(invalid="ignore", over="ignore"):
+        residual, *sums = model.residual(Z)
         record(np.arange(n), Z, residual)
     for b in np.flatnonzero(~(residual <= max(cfg.retraction_tol * 10, 1e-8))):
         fail(b, "initial point misses the family by %.3g" % residual[b])
+    # a state on the family whose fiber is already the target's to rounding
+    # ends its leg in one jump: Re t set to the target, w kept
+    jump = running & (residual <= cfg.retraction_tol)
+    jump[jump] = _toric(model, charts[jump], Y[jump], [a[jump] for a in sums])
 
     while True:
         act = np.flatnonzero(running)
@@ -902,6 +988,26 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             for b in act[over]:
                 fail(b, "step budget %d exhausted at s = %.6g" % (cfg.max_steps, s[b]))
             act = act[~over]
+            if not act.size:
+                continue
+        leap = jump[act]
+        if np.count_nonzero(leap):
+            rows = act[leap]
+            new = Y[rows]
+            new[:, slot] = target
+            Z = model.points(charts[rows], new)
+            residual = model.residual(Z)[0]
+            steps[rows] += 1
+            s[rows] = s_end[rows]
+            landed = residual <= cfg.retraction_tol
+            for j in np.flatnonzero(~landed):
+                fail(
+                    rows[j],
+                    "jump to Re t = %.6g misses the family by %.3g"
+                    % (target, residual[j]),
+                )
+            settle(rows[landed], new[landed], Z[landed], residual[landed])
+            act = act[~leap]
             if not act.size:
                 continue
         y = Y[act]
@@ -984,7 +1090,7 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             # the last step of a leg lands on the target fiber
             if np.count_nonzero(final):
                 y5[final, slot] = target
-            new, Z, res, moved, errors = _retract(
+            new, Z, res, moved, errors, sums = _retract(
                 model, charts[acc], y5, cfg.retraction_tol
             )
             carry[acc] = False
@@ -994,20 +1100,11 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                     fail(acc[j], str(errors[j]))
                 acc, new, Z, res = acc[kept], new[kept], Z[kept], res[kept]
                 moved, last = moved[kept], last[kept]
-            Y[acc] = new
-            im, lin = record(acc, Z, res)
-            drift = im > IM_PI_TOLERANCE
-            off = lin > LINEARITY_TOLERANCE
-            if drift.any() or off.any():
-                for j in np.flatnonzero(drift | off):
-                    if drift[j]:
-                        fail(acc[j], "Im t drifted to %.3g" % im[j])
-                    else:
-                        fail(acc[j], "Re t deviates from linear decay by %.3g" % lin[j])
-            going = ~(drift | off)
-            finished = s[acc] >= s_end[acc]
-            running[acc[going & finished]] = False
-            going &= ~finished
+                sums = [a[kept] for a in sums]
+            going = settle(acc, new, Z, res)
+            jump[acc[going]] = _toric(
+                model, charts[acc[going]], new[going], [a[going] for a in sums]
+            )
             # rechart when the pivot is no longer dominant
             rechart = going & (1.0 / np.abs(Z[:, : model.nsym]).max(axis=1) < CHART_SHARE)
             for j in np.flatnonzero(rechart):
@@ -1061,6 +1158,16 @@ def flow_to(
     leg), and the error test accepts or rejects it like any other.  The
     last step lands exactly on Re t = target.  Records a sample per
     accepted step.
+    A point whose fiber is already the target's to rounding, at the start
+    or after a step, ends the leg with one jump step instead: every family
+    relation's terms that carry tau sum in magnitude to at most 2^-53
+    of all its terms, and the first-order transport bound
+    |tau| (1 + |w|^2) / sigma_r (sigma_r the weakest structural singular
+    value of the fiber Jacobian) is at most 2^-53 max(1, max |w_i|).  The
+    jump sets Re t to the target, keeps w, evaluates no field
+    (``field_evals`` counts 0 for it), records one sample and fails the
+    leg if the residual there exceeds retraction_tol.  A family without
+    tau, such as p1 or p1xp1, flows each leg in that one step.
     After each step |Im t| and the deviation of Re t from linear decay
     are checked; any violation, as well as singular or critical points,
     retraction failure, step underflow and budget exhaustion, produces
@@ -1168,7 +1275,7 @@ def run_batch(
 def _shifted_starts(model: _Model, cp: ChartPoint, Y: np.ndarray, tol: float):
     """Retract perturbed copies of cp back onto the family, keeping its chart."""
     charts = np.full(len(Y), cp.chart, dtype=np.intp)
-    Y, _, _, _, errors = _retract(model, charts, Y, tol)
+    Y, _, _, _, errors, _ = _retract(model, charts, Y, tol)
     return [ChartPoint.from_real(cp.chart, y) for y in Y], errors
 
 

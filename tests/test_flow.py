@@ -682,18 +682,20 @@ class TestKernelField:
 # first failed) of sample_intrinsic(gl3-flag, 8, default_rng(1),
 # log10_spread) at epsilon 0.8, as the per-stage SVD field gave them
 # before the one-SVD-per-step path; every failure is a stage point off
-# the family.  The continuation leg takes one step: its first step is
-# sized after damping and covers the whole leg.
+# the family.  The continuation leg takes one step: its fiber is toric to
+# rounding, so it jumps.  Each success's first leg ends with that jump
+# once its fiber is toric to rounding, one or two steps before the
+# target (16, 14, 9 and 13 steps when every step integrated).
 EXCEEDS = "family Jacobian rank exceeds the expected 4"
 GL3_EPSILON_08 = {
     0.0: [(False, EXCEEDS, 0, None)] * 8,
     1.0: [
-        (True, None, 16, 1),
-        (False, EXCEEDS, 0, None),
-        (True, None, 14, 1),
-        (True, None, 9, 1),
+        (True, None, 15, 1),
         (False, EXCEEDS, 0, None),
         (True, None, 13, 1),
+        (True, None, 8, 1),
+        (False, EXCEEDS, 0, None),
+        (True, None, 11, 1),
         (False, EXCEEDS, 0, None),
         (False, EXCEEDS, 0, None),
     ],
@@ -878,6 +880,118 @@ class TestFlowTo:
         assert res.max_im_pi < 1e-8
 
 
+class TestToricJump:
+    """A state whose fiber is the target's to rounding ends its leg with
+    one jump step: Re t set to the target, w kept, no field evaluated."""
+
+    @pytest.mark.parametrize("name", ["p1", "p1xp1"])
+    def test_tau_free_entry_flows_one_step_per_leg(self, request, name):
+        pipe = request.getfixturevalue(name)
+        datum, fam, basis = pipe
+        cfg = FlowConfig()
+        xs = sample_intrinsic(datum, 4, np.random.default_rng(97), log10_spread=1.0)
+        for x, r in zip(xs, run_batch(xs, cfg, datum, fam, basis)):
+            cp = embedded_chart_point(pipe, x, t=cfg.epsilon)
+            mu = toric_moment(cp.full_coords(), basis)
+            assert r.ok and r.F == mu and r.convergence == 0.0
+            start = cp
+            for leg, target in ((r.flow, cfg.delta), (r.continuation, cfg.delta / 2)):
+                alone = flow_to(start, target, cfg, fam, basis)
+                for res in (leg, alone):
+                    assert (res.steps, res.rejected, res.field_evals) == (1, 0, 0)
+                    assert res.terminal == ChartPoint(cp.chart, cp.w, target)
+                    assert res.moment == mu
+                    assert [sample.s for sample in res.samples] == [
+                        0.0,
+                        start.t.real - target,
+                    ]
+                start = alone.terminal
+
+    def test_gl3_bracket_flows_jump_at_the_end_of_each_leg(self, gl3, monkeypatch):
+        datum, fam, basis = gl3
+        outcomes = []
+        evaluate = flow._evaluate
+
+        def kept(model, starts, cfg):
+            out = evaluate(model, starts, cfg)
+            outcomes.extend(out)
+            return out
+
+        monkeypatch.setattr(flow, "_evaluate", kept)
+        monkeypatch.setattr(flow, "_last_differentials", None)
+        x = sample_intrinsic(datum, 1, np.random.default_rng(73))[0]
+        poisson_bracket(1, 2, x, FlowConfig(), datum, fam, basis)
+        assert len(outcomes) == 2 * (2 * basis.value_dim)
+        for r in outcomes:
+            assert r.ok
+            # the step counts of a flow that integrates every step; the
+            # last step of leg 1 is the jump, so only four evaluate fields
+            assert (r.flow.steps, r.continuation.steps) == (5, 1)
+            assert r.flow.field_evals <= 7 * 4
+            assert r.continuation.field_evals == 0
+
+    def test_leg_to_a_fiber_that_is_not_toric_never_jumps(self, elliptic, monkeypatch):
+        # the elliptic family carries tau^12, far above rounding at t = 0.3
+        datum, fam, basis = elliptic
+        cfg = FlowConfig()
+        found = []
+        toric = flow._toric
+
+        def spy(*args):
+            mask = toric(*args)
+            found.extend(mask.tolist())
+            return mask
+
+        monkeypatch.setattr(flow, "_toric", spy)
+        xs = sample_intrinsic(datum, 4, np.random.default_rng(7), log10_spread=2.0)
+        for x in xs:
+            cp = embedded_chart_point(elliptic, x, t=cfg.epsilon)
+            leg = flow_to(cp, 0.3, cfg, fam, basis)
+            assert leg.ok and leg.terminal.t.real == 0.3
+            assert leg.field_evals >= 6 * leg.steps
+        assert found and not any(found)
+
+    def test_tau_share_just_above_roundoff_refuses_the_jump(self, elliptic, monkeypatch):
+        datum, fam, basis = elliptic
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(5))[0]
+        cp = embedded_chart_point(elliptic, x, t=cfg.epsilon)
+        start = flow_to(cp, cfg.delta, cfg, fam, basis).terminal
+        leg = flow_to(start, cfg.delta / 2, cfg, fam, basis)
+        assert (leg.steps, leg.field_evals) == (1, 0)
+        scales = CompiledPolynomial.scales
+        share = np.nextafter(flow.UNIT_ROUNDOFF, 1.0)
+
+        def inflated(self, zabs, split=None):
+            if split is None:
+                return scales(self, zabs)
+            total, _ = scales(self, zabs, split)
+            return total, total * share
+
+        monkeypatch.setattr(CompiledPolynomial, "scales", inflated)
+        refused = flow_to(start, cfg.delta / 2, cfg, fam, basis)
+        assert refused.ok and refused.terminal.t.real == cfg.delta / 2
+        assert refused.field_evals > 0
+
+    def test_bounds_at_unit_roundoff(self, elliptic):
+        datum, fam, basis = elliptic
+        model = _Model(fam, basis)
+        x = sample_intrinsic(datum, 1, np.random.default_rng(5))[0]
+        cp = embedded_chart_point(elliptic, x, t=1e-4)
+        charts, Y = np.array([cp.chart]), cp.as_real()[None, :]
+
+        def toric(scale, share):
+            scale = np.full((1, model.n_rel), scale)
+            return flow._toric(model, charts, Y, (scale, scale * share))[0]
+
+        above = np.nextafter(flow.UNIT_ROUNDOFF, 1.0)
+        # tiny sums pass the transport bound, so the share decides
+        assert toric(1e-30, flow.UNIT_ROUNDOFF) and not toric(1e-30, above)
+        # sums of order one at that share move w by more than rounding
+        assert not toric(1.0, flow.UNIT_ROUNDOFF)
+        assert toric(1.0, 0.0)
+
+
 def _retraction_batch(pipe, seed):
     """Chart states of pipe at t = 0.5: two on the family and three pushed
     off it, so they need Gauss-Newton iterations."""
@@ -898,7 +1012,7 @@ class TestRetraction:
         # every fiber partial vanishes while the relation does not
         charts = np.append(charts, 2)
         Y = np.vstack([Y, ChartPoint(2, (0.0, 0.0), 0.5).as_real()])
-        new, Z, res, moved, errors = flow._retract(model, charts, Y, 1e-10)
+        new, Z, res, moved, errors, sums = flow._retract(model, charts, Y, 1e-10)
         assert moved.tolist() == [False, False, True, True, True, True]
         assert [e is None for e in errors] == [True] * 5 + [False]
         assert str(errors[-1]) == (
@@ -911,17 +1025,21 @@ class TestRetraction:
             assert alone[2].tobytes() == res[b : b + 1].tobytes()
             assert alone[3][0] == moved[b]
             assert str(alone[4][0]) == str(errors[b])
+            for mine, batched in zip(alone[5], sums):
+                assert mine.tobytes() == batched[b : b + 1].tobytes()
 
     def test_gl3_batch_equals_each_state_alone(self, gl3):
         model = flow._Model(gl3[1], gl3[2])
         charts, Y = _retraction_batch(gl3, 6)
-        new, Z, res, moved, errors = flow._retract(model, charts, Y, 1e-10)
+        new, Z, res, moved, errors, sums = flow._retract(model, charts, Y, 1e-10)
         assert moved.tolist() == [False, False, True, True, True]
         assert errors == [None] * 5
         for b in range(len(Y)):
             alone = flow._retract(model, charts[b : b + 1], Y[b : b + 1], 1e-10)
             assert alone[0].tobytes() == new[b].tobytes()
             assert alone[2].tobytes() == res[b : b + 1].tobytes()
+            for mine, batched in zip(alone[5], sums):
+                assert mine.tobytes() == batched[b : b + 1].tobytes()
 
     def test_step_matches_lstsq_on_rank_deficient_jacobian(self, gl3):
         model = flow._Model(gl3[1], gl3[2])
@@ -1026,18 +1144,47 @@ class TestRunBatch:
         batch = run_batch(xs, cfg, datum, fam, basis)
         assert 0 < sum(r.ok for r in batch) < len(batch)
         for x, r in zip(xs, batch):
+            assert_same_evaluation(r, integrable_system_eval(x, cfg, datum, fam, basis))
+
+    def test_batch_matches_point_by_point_across_jumps(self, elliptic, monkeypatch):
+        # some states jump to delta from Re t above it, the others
+        # integrate to delta and jump at the start of the continuation
+        datum, fam, basis = elliptic
+        cfg = FlowConfig()
+        xs = sample_intrinsic(datum, 8, np.random.default_rng(43), log10_spread=3.0)
+        batch = run_batch(xs, cfg, datum, fam, basis)
+        found = []
+        toric = flow._toric
+
+        def spy(model, charts, Y, sums):
+            mask = toric(model, charts, Y, sums)
+            found.extend(Y[mask, -2].tolist())  # Re t where a jump was decided
+            return mask
+
+        monkeypatch.setattr(flow, "_toric", spy)
+        early = []
+        for x, r in zip(xs, batch):
+            found.clear()
             alone = integrable_system_eval(x, cfg, datum, fam, basis)
-            assert r.F == alone.F
-            assert r.failure == alone.failure
-            legs = [leg for leg in (r.flow, r.continuation) if leg]
-            alone_legs = [leg for leg in (alone.flow, alone.continuation) if leg]
-            assert len(legs) == len(alone_legs)
-            for leg, other in zip(legs, alone_legs):
-                assert leg.steps == other.steps
-                assert leg.rejected == other.rejected
-                assert leg.field_evals == other.field_evals
-                assert leg.samples == other.samples
-                assert leg.terminal == other.terminal
+            assert_same_evaluation(r, alone)
+            assert r.ok and r.continuation.field_evals == 0
+            early.append(any(t > cfg.delta for t in found))
+        assert any(early) and not all(early)
+
+
+def assert_same_evaluation(r: EvalResult, alone: EvalResult):
+    """A batch's result equals the point's own, leg by leg, bit for bit."""
+    assert r.F == alone.F
+    assert r.failure == alone.failure
+    legs = [leg for leg in (r.flow, r.continuation) if leg]
+    alone_legs = [leg for leg in (alone.flow, alone.continuation) if leg]
+    assert len(legs) == len(alone_legs)
+    for leg, other in zip(legs, alone_legs):
+        assert leg.steps == other.steps
+        assert leg.rejected == other.rejected
+        assert leg.field_evals == other.field_evals
+        assert leg.samples == other.samples
+        assert leg.terminal == other.terminal
 
 
 @pytest.fixture()
@@ -1149,13 +1296,15 @@ class TestPoissonBracket:
         assert _point_key([complex(1, 0.0)]) != _point_key([complex(1, -0.0)])
         assert _point_key([0.1 + 0.2j]) == _point_key([0.1 + 0.2j])
 
-    def test_failing_point_raises_every_call(self, p1xp1, evaluations):
-        datum, fam, basis = p1xp1
+    def test_failing_point_raises_every_call(self, elliptic, evaluations):
+        # p1xp1 has no tau, so its flows end every leg in one step; the
+        # elliptic fiber at epsilon is far from toric and needs more than one
+        datum, fam, basis = elliptic
         cfg = FlowConfig(max_steps=1)
         x = sample_intrinsic(datum, 1, np.random.default_rng(89))[0]
         for _ in range(2):
             with pytest.raises(FlowError, match="perturbed flow failed"):
-                poisson_bracket(1, 2, x, cfg, datum, fam, basis)
+                poisson_bracket(1, 1, x, cfg, datum, fam, basis)
         assert len(evaluations) == 2
         assert flow._last_differentials is None
 
