@@ -23,7 +23,7 @@ There is one integration path, and it is batched: a round is a fixed
 number of numpy calls over the states, with Python loops over states
 only where something fails.  The field is closed form and complex, as
 the tangent space is.  For one relation it is explicit in the Jacobian
-row, with nothing to solve.  Otherwise a Dormand-Prince step takes one
+row, with nothing to solve.  Otherwise a Runge-Kutta step takes one
 SVD per state, at its first stage: its singular values run the rank
 checks and the ill-conditioning warning once per step, and its leading
 left singular vectors give a row basis S that compresses the chart
@@ -32,12 +32,15 @@ included, then projects e_t onto the kernel of A = S J in the metric H
 in closed form, with one r x r solve.  Each stage also checks that J
 stays in the row space of A (else its rank exceeds r) and that the
 compressed system is not singular to working precision (else its rank
-is below r).  The integrator is a lockstep Dormand-Prince 5(4): each
-state keeps its own chart, step size, counters and failure; the last
-stage's field is reused as the next step's first when the state did not
-move after it (the SVD still runs there, for S); the retraction takes
-one batched minimum-norm Gauss-Newton step per iteration; one pass over
-the accepted states records their samples, toric moments included.
+is below r).  The integrator is a lockstep DOP853, the eighth-order
+Dormand-Prince pair with a fifth- and third-order error estimate: each
+state keeps its own chart, step size, counters and failure; a step's
+twelve stages share one gather of the states' chart tables; a stage
+point whose Jacobian rank exceeds r lies off the family and rejects the
+step; a rejected step's retry keeps its stage-0 field and row basis, so
+it runs no second SVD; the retraction takes one batched minimum-norm
+Gauss-Newton step per iteration; one pass over the accepted states
+records their samples, toric moments included.
 Once a state's fiber is the target's to rounding (its relations' terms
 that carry tau are below float64's unit roundoff of their relation, and
 the first-order transport bound keeps its coordinates within rounding),
@@ -133,10 +136,10 @@ FD_STEP = 1e-5
 # Lojasiewicz damping exponent: a step is scaled by min(1, Re t ** ALPHA).
 ALPHA = 0.5
 
-# Smallest cutoff delta a FlowConfig accepts.  The continuation leg from
-# delta to delta/2 first tries the whole leg, delta/2, as one damped step,
-# and a rejection shrinks a step by at most 5x; at 1e-8 eight rejections
-# in a row still stay above the 1e-14 step-size floor.
+# Smallest cutoff delta a FlowConfig accepts.  Every leg first tries the
+# whole leg as one damped step, and a rejection shrinks a step by at most
+# 5x; on the continuation leg from delta to delta/2 at 1e-8, eight
+# rejections in a row still stay above the 1e-14 step-size floor.
 DELTA_MIN = 1e-8
 
 # A leg takes its last step when less than this share of its length would
@@ -233,10 +236,13 @@ class FlowConfig:
 
     epsilon, delta  start and terminal values of Re t;
                     DELTA_MIN = 1e-8 <= delta < epsilon < 1.  Each leg's
-                    first step is sized after damping (see ``flow_to``);
-                    for epsilon - delta < 0.2 it is larger than a damped
-                    quarter of the leg, the size earlier versions used
-    rtol, atol      embedded RK error control
+                    first attempted step is the whole leg (see
+                    ``flow_to``)
+    rtol, atol      the DOP853 error control.  At the defaults, 1e-10
+                    and 1e-13, elliptic F are at least as accurate as with
+                    the Dormand-Prince 5(4) pair at 1e-9 and 1e-12 that
+                    earlier versions used; a looser atol lets the error
+                    of the slowest trajectories grow past it
     retraction_tol  relative family residual accepted after retraction
     max_steps       accepted-step budget per trajectory
     seed            recorded with results; sampling outside this module
@@ -245,8 +251,8 @@ class FlowConfig:
 
     epsilon: float = 0.5
     delta: float = 1e-4
-    rtol: float = 1e-9
-    atol: float = 1e-12
+    rtol: float = 1e-10
+    atol: float = 1e-13
     retraction_tol: float = 1e-10
     max_steps: int = 10000
     seed: int = 0
@@ -298,9 +304,11 @@ class FlowSample:
 class FlowResult:
     """One leg of the flow.
 
-    ``steps`` counts accepted steps, ``rejected`` rejected ones, and
-    ``field_evals`` evaluations of the field V: at most 7 per attempted
-    step, fewer where first-same-as-last reuse applies, and 0 for the
+    ``steps`` counts accepted steps, ``rejected`` rejected ones (the
+    error test's and those of stage points off the family), and
+    ``field_evals`` evaluations of the field V: at most 12 per attempted
+    step, 11 on the retry of a rejected step, which keeps its stage 0,
+    none after the stage that rejects or fails a step, and 0 for the
     jump step that ends a leg whose fiber is already the target's to
     rounding (see ``flow_to``).  Each accepted step, the jump included,
     records one sample.  The counters stay out of the CSV and diagnostics
@@ -420,17 +428,25 @@ class _Model:
         scale, part = self.relations.scales(np.abs(Z), self.tau_terms)
         return relative_residual(self.relations, Z, values, scale), scale, part
 
+    def tables(self, charts: np.ndarray) -> tuple:
+        """Each state's chart table of partial exponents and Jacobian
+        coefficients, gathered once so that several Jacobians at states in
+        the same charts can share the gather."""
+        return self.chart_exps[charts], self.jacobian_coeffs[charts]
+
     def jacobian(
-        self, charts: np.ndarray, Y: np.ndarray, fiber_only: bool
+        self, charts: np.ndarray, Y: np.ndarray, fiber_only: bool, tables=None
     ) -> np.ndarray:
         """Complex Jacobians at real chart states, shape (batch, relations, columns).
 
         Columns follow the chart layout: the non-pivot symbols in basis
-        order, then t; fiber_only slices off the t column.
+        order, then t; fiber_only slices off the t column.  tables, when
+        given, is ``tables(charts)``.
         """
+        exps, coeffs = self.tables(charts) if tables is None else tables
         w = np.ascontiguousarray(Y).view(complex)[:, None, :]
-        monomials = (w ** self.chart_exps[charts]).prod(axis=-1)
-        J = (monomials[:, None, :] @ self.jacobian_coeffs[charts])[:, 0]
+        monomials = (w**exps).prod(axis=-1)
+        J = (monomials[:, None, :] @ coeffs)[:, 0]
         J = J.reshape(len(charts), self.n_rel, self.nsym)
         return J[:, :, : self.n_w] if fiber_only else J
 
@@ -500,8 +516,14 @@ def _rank_below(r_exp: int) -> SingularPointError:
     return SingularPointError("family Jacobian has rank below %d at this point" % r_exp)
 
 
+class _RankExceeds(SingularPointError):
+    """The family Jacobian has a singular value beyond the expected rank:
+    at a Dormand-Prince stage point off the family this rejects the step
+    rather than failing the trajectory."""
+
+
 def _rank_exceeds(r_exp: int) -> SingularPointError:
-    return SingularPointError("family Jacobian rank exceeds the expected %d" % r_exp)
+    return _RankExceeds("family Jacobian rank exceeds the expected %d" % r_exp)
 
 
 def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
@@ -540,11 +562,13 @@ def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
     return critical
 
 
-def _row_basis(model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list):
+def _row_basis(
+    model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list, tables=None
+):
     """Row bases S of the family Jacobians J at a batch of finite chart
     states, returned with J so that ``_field`` at the same states need not
     build it again; (None, None) where the field is closed form and needs
-    no S.
+    no S.  tables, when given, is ``model.tables(charts)``.
 
     One SVD per state.  Its singular values run the rank checks, flagging
     states in errors and warning about ill-conditioned ones, and S, the
@@ -552,17 +576,19 @@ def _row_basis(model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list):
     vectors, compresses the Jacobian to that many rows with the same row
     space.  The row space moves with the point, but over one
     Dormand-Prince step S J keeps full rank, so the S of a step's first
-    stage serves all seven.
+    stage serves all twelve, and a rejected step's retry keeps it.
     """
     if model.closed_form:
         return None, None
-    J = model.jacobian(charts, Y, fiber_only=False)
+    J = model.jacobian(charts, Y, False, tables)
     U, sigma, _ = np.linalg.svd(J)
     _rank_checks(sigma, model.rank, errors)
     return U[:, :, : model.rank].conj().transpose(0, 2, 1), J
 
 
-def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None):
+def _field(
+    model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None, tables=None
+):
     """The flow field at a batch of states, and per state an exception or None.
 
     V = -P e_t / |P e_t|^2, for P the H-orthogonal projection onto the
@@ -573,12 +599,14 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None):
     the row basis of the Dormand-Prince step's first stage, whose SVD
     runs the rank checks and the ill-conditioning warning once per step;
     when S is None it is taken at Y itself, those checks included.  J,
-    when given, is the chart Jacobian at Y that ``_row_basis`` built.  With
+    when given, is the chart Jacobian at Y that ``_row_basis`` built, and
+    tables, when given, is ``model.tables(charts)``.  With
     A = S J, r x (n_w + 1), and H^-1 = one (I + w w^H) on the w block and
     1 on t (one = 1 + |w|^2), X = H^-1 A^H and G = A X; one solve gives
     G [y | Z] = [A e_t | A], then v = e_t - X y = P e_t, |P e_t|^2 =
-    Re v_t, and V = -v / Re v_t, its Re t entry -1 to within one ulp
-    (numpy divides a complex by a real as a product with the reciprocal).
+    Re v_t, and V = -v / Re v_t, divided component by component on the
+    real layout, with its t entry set to exactly -1, as the closed form
+    below has it.
     Two checks run at every stage: Z X, in exact arithmetic the identity,
     must be within 1e-6 of it, else G is singular to working precision
     and the rank below r; and ||J - (J X) Z||_F <= 1e-6 ||J||_F, else J
@@ -597,9 +625,9 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None):
         V[:, 2 * n_w] = 1.0
         return -V, errors
     if S is None and not model.closed_form:
-        S, J = _row_basis(model, charts, Y, errors)
+        S, J = _row_basis(model, charts, Y, errors, tables)
     elif J is None:
-        J = model.jacobian(charts, Y, fiber_only=False)
+        J = model.jacobian(charts, Y, False, tables)
     w = Y.view(complex)[:, :n_w]
     one = 1.0 + np.add.reduce(Y[:, : 2 * n_w] ** 2, axis=1)
     if model.closed_form:
@@ -651,7 +679,9 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None):
     critical = _critical(nsq, errors)
     if critical.any():
         nsq = np.where(critical, 1.0, nsq)
-    return (v / -nsq[:, None]).view(float), errors
+    V = v.view(float) / -nsq[:, None]
+    V[:, 2 * n_w :] = (-1.0, 0.0)
+    return V, errors
 
 
 def _single(cp: ChartPoint):
@@ -737,10 +767,9 @@ def gradient_hamiltonian(
 ) -> np.ndarray:
     """The flow field V at cp, as a real chart vector.
 
-    Normalized so the derivative of Re t along V is -1: exactly -1 (and
-    Im t entry 0) for one relation, else within one ulp of -1, as _field
-    divides by minus the Re t entry itself.  A multi-relation family
-    takes its row basis from the SVD at cp itself.
+    Normalized so the derivative of Re t along V is -1: its Re t entry is
+    exactly -1 and its Im t entry exactly 0, on every family.  A
+    multi-relation family takes its row basis from the SVD at cp itself.
     """
     V, errors = _field(_Model(fam, basis), *_single(cp))
     if errors[0] is not None:
@@ -813,30 +842,149 @@ def _retract(
 # ---------------------------------------------------------------------------
 # the integrator
 
-# Dormand-Prince 5(4) tableau.
-_DP_A = (
+# Dormand and Prince's eighth-order pair DOP853 with its fifth- and
+# third-order error estimate (Hairer, Norsett and Wanner, Solving Ordinary
+# Differential Equations I, section II.10): twelve stages, rows of A
+# giving each stage's increment from the stages before it, B the
+# eighth-order weights, E5 and E3 the weights of the two error estimates.
+# The coefficients are copied from SciPy's
+# scipy/integrate/_ivp/dop853_coefficients.py, Copyright (c) 2001-2002
+# Enthought, Inc. and 2003-2024 SciPy Developers, under the BSD 3-Clause
+# license; SciPy is not imported.
+_DOP_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (
+        5.26001519587677318785587544488e-2,
+    ),
+    (
+        1.97250569845378994544595329183e-2,
+        5.91751709536136983633785987549e-2,
+    ),
+    (
+        2.95875854768068491816892993775e-2,
+        0.0,
+        8.87627564304205475450678981324e-2,
+    ),
+    (
+        2.41365134159266685502369798665e-1,
+        0.0,
+        -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2,
+        0.0,
+        0.0,
+        1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2,
+        0.0,
+        0.0,
+        1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2,
+        -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2,
+        0.0,
+        0.0,
+        1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1,
+        0.0,
+        0.0,
+        -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1,
+        0.0,
+        0.0,
+        -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1,
+        0.0,
+        0.0,
+        5.18637242884406370830023853209,
+        1.09143734899672957818500254654,
+        -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762,
+        -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449,
+        0.0,
+        0.0,
+        -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258,
+        1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
+_DOP_B = (
+    5.42937341165687622380535766363e-2,
     0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
+    0.0,
+    0.0,
+    0.0,
+    4.45031289275240888144113950566,
+    1.89151789931450038304281599044,
+    -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
 )
-# Weights of stage j in the increment sums of stages 1..6, of the fifth-
-# and of the fourth-order solution: rows 0..5, 6 and 7.
-_DP_WEIGHTS = np.array(
-    [row + (0.0,) * (7 - len(row)) for row in _DP_A[1:]] + [_DP_B5, _DP_B4]
+_DOP_E5 = (
+    0.1312004499419488073250102996e-1,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290,
+    0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+# The third-order estimate's weights are the eighth-order ones less these,
+# by stage.
+_DOP_BHH = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_DOP_E3 = tuple(b - _DOP_BHH.get(j, 0.0) for j, b in enumerate(_DOP_B))
+
+# Weights of stage j in the increment sums of stages 1..11, of the
+# eighth-order solution and of the two error estimates: rows 0..10, 11,
+# 12 (E5) and 13 (E3).
+_DOP_WEIGHTS = np.array(
+    [row + (0.0,) * (12 - len(row)) for row in _DOP_A[1:]]
+    + [_DOP_B, _DOP_E5, _DOP_E3]
 ).T[:, :, None, None]
 
 
@@ -880,13 +1028,22 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     with Re t <= target or |Im t| > IM_PI_TOLERANCE raises ValueError.
 
     Every state keeps its own chart, step size, arc length s, counters
-    and failure; each round takes one Dormand-Prince step on every state
-    still running, with the seven stages evaluated as batched numpy
-    calls.  The increment sums are accumulated stage by stage in tableau
-    order, and the last stage point and the fifth-order solution have
-    the same weights, so they come out bit for bit alike.  A state is
-    only ever combined with itself, and every batched call works state
-    by state, so a state's result does not depend on the batch around it.
+    and failure; each round takes one DOP853 step on every state still
+    running, with the twelve stages evaluated as batched numpy calls that
+    share one gather of the states' chart tables.  The increment sums,
+    the eighth-order solution and the two error estimates are accumulated
+    stage by stage in tableau order.  A state is only ever combined with
+    itself, and every batched call works state by state, so a state's
+    result does not depend on the batch around it.
+
+    The error norm is that of DOP853, h |e5|^2 / sqrt((|e5|^2 + 0.01
+    |e3|^2) dim), e5 and e3 the fifth- and third-order estimates scaled
+    by atol + rtol max(|y|, |y_new|); the step size follows it with
+    exponent 1/8, by a factor between 0.2 and 5.  A rejected step retries
+    from the same state with its stage-0 field and row basis kept.  A
+    stage point i > 0 whose Jacobian rank exceeds the expected one lies
+    off the family, and rejects the step with the factor 0.2; every other
+    field failure, and any failure at stage 0, ends the trajectory.
 
     ``_toric`` tests a state at the start of the leg, if its residual is
     within retraction_tol, and after each retraction; a state it passes
@@ -910,16 +1067,19 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     start_re = Y[:, slot].copy()
     s_end = start_re - target
     s = np.zeros(n)
-    # the first damped step is 0.05 damped, or the whole leg if shorter
-    h = np.minimum(0.05, s_end / _damping(start_re))
+    # the first damped step is the whole leg; the error test sizes the rest
+    h = s_end / _damping(start_re)
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=int)
     evals = np.zeros(n, dtype=int)
     samples = [[] for _ in range(n)]
     failure = [None] * n
     running = np.ones(n, dtype=bool)
-    # first-same-as-last: a stage-0 field value known exactly, per state
+    # a rejected step's stage-0 field and row basis, kept for its retry
     carried = np.zeros((n, dim))
+    carried_S = None
+    if not model.closed_form:
+        carried_S = np.zeros((n, model.rank, model.n_rel), dtype=complex)
     carry = np.zeros(n, dtype=bool)
 
     def fail(b, reason):
@@ -1024,54 +1184,71 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             if not act.size:
                 continue
 
-        # Stages.  A state whose field fails is dropped after the round;
-        # until then it runs along on placeholder values.  The row basis
-        # of stage 0 serves every stage, so a reused stage 0 still needs it.
+        # Stages.  A state whose field fails is dropped after the round,
+        # and one whose stage point leaves the family is rejected; until
+        # then both run along on placeholder values.  The row basis of
+        # stage 0 serves every stage.
         ch = charts[act]
+        tables = model.tables(ch)
         hh = h_eff[:, None]
-        sums = np.zeros((8,) + y.shape)
+        sums = np.zeros((14,) + y.shape)
         reuse = carry[act]
         dead = np.zeros(len(act), dtype=bool)
-        # seven evaluations, less a reused stage 0 and any stage after a failure
-        evals[act] += 7 - reuse
-        for i in range(7):
+        off = np.zeros(len(act), dtype=bool)
+        # twelve evaluations, less a reused stage 0 and any stage after a
+        # failure or rejection
+        evals[act] += 12 - reuse
+        for i in range(12):
             if i == 0:
                 errors = [None] * len(act)
-                S, J = _row_basis(model, ch, y, errors)
                 V = carried[act]
+                S = None if carried_S is None else carried_S[act]
                 rows = np.flatnonzero(~reuse)
                 if rows.size:
-                    V[rows], found = (
-                        _field(model, ch[rows], y[rows])
-                        if S is None
-                        else _field(model, ch[rows], y[rows], S[rows], J[rows])
+                    part = tables
+                    if rows.size < len(act):
+                        part = [a[rows] for a in tables]
+                    found = [None] * rows.size
+                    S_rows, J = _row_basis(model, ch[rows], y[rows], found, part)
+                    V[rows], found_field = _field(
+                        model, ch[rows], y[rows], S_rows, J, part
                     )
-                    if any(found):
-                        for j, exc in zip(rows, found):
-                            errors[j] = errors[j] or exc
+                    if S is not None:
+                        S[rows] = S_rows
+                    for j, exc_basis, exc_field in zip(rows, found, found_field):
+                        errors[j] = exc_basis or exc_field
+                first = V
             else:
-                V, errors = _field(model, ch, y + hh * sums[i - 1], S)
+                V, errors = _field(model, ch, y + hh * sums[i - 1], S, tables=tables)
             if any(errors):
                 for r, exc in enumerate(errors):
-                    if exc is not None and not dead[r]:
+                    if exc is None or dead[r] or off[r]:
+                        continue
+                    evals[act[r]] -= 11 - i
+                    if i and isinstance(exc, _RankExceeds):
+                        off[r] = True
+                    else:
                         dead[r] = True
-                        evals[act[r]] -= 6 - i
                         fail(act[r], str(exc))
-            sums += _DP_WEIGHTS[i] * V
-            if i == 0:
-                first = V
-        last = V
-        y5 = y + hh * sums[6]
-        y4 = y + hh * sums[7]
+            sums += _DOP_WEIGHTS[i] * V
+        y_new = y + hh * sums[11]
+        e5, e3 = sums[12], sums[13]
         if np.count_nonzero(dead):
             live = ~dead
             act, y, final, h_eff = act[live], y[live], final[live], h_eff[live]
-            y5, y4, first, last = y5[live], y4[live], first[live], last[live]
+            y_new, e5, e3, off = y_new[live], e5[live], e3[live], off[live]
+            first = first[live]
+            if S is not None:
+                S = S[live]
             if not act.size:
                 continue
 
-        sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-        q = np.sqrt(np.add.reduce(((y5 - y4) / sc) ** 2, axis=1) / dim)
+        sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        e5_sq = np.add.reduce((e5 / sc) ** 2, axis=1)
+        e3_sq = np.add.reduce((e3 / sc) ** 2, axis=1)
+        denom = e5_sq + 0.01 * e3_sq
+        q = h_eff * e5_sq / np.sqrt(np.where(denom > 0, denom, 1.0) * dim)
+        q[off] = np.inf
         accepted = q <= 1.0
         n_acc = np.count_nonzero(accepted)
         if n_acc < len(act):
@@ -1079,9 +1256,11 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             rej = ~accepted
             rejected[act[rej]] += 1
             carried[act[rej]] = first[rej]
+            if S is not None:
+                carried_S[act[rej]] = S[rej]
             carry[act[rej]] = True
             acc, final, h_eff = act[accepted], final[accepted], h_eff[accepted]
-            y5, last = y5[accepted], last[accepted]
+            y_new = y_new[accepted]
         else:
             acc = act
         if n_acc:
@@ -1089,9 +1268,9 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             s[acc] = np.where(final, s_end[acc], s[acc] + h_eff)
             # the last step of a leg lands on the target fiber
             if np.count_nonzero(final):
-                y5[final, slot] = target
-            new, Z, res, moved, errors, sums = _retract(
-                model, charts[acc], y5, cfg.retraction_tol
+                y_new[final, slot] = target
+            new, Z, res, _, errors, sums = _retract(
+                model, charts[acc], y_new, cfg.retraction_tol
             )
             carry[acc] = False
             if any(errors):
@@ -1099,7 +1278,6 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                 for j in np.flatnonzero(~kept):
                     fail(acc[j], str(errors[j]))
                 acc, new, Z, res = acc[kept], new[kept], Z[kept], res[kept]
-                moved, last = moved[kept], last[kept]
                 sums = [a[kept] for a in sums]
             going = settle(acc, new, Z, res)
             jump[acc[going]] = _toric(
@@ -1113,13 +1291,9 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                 point = ChartPoint.from_real(int(charts[b]), Y[b]).to_chart(pivot)
                 charts[b] = point.chart
                 Y[b] = point.as_real()
-            # a state that did not move is the last stage point, whose field is known
-            known = going & ~rechart & ~moved
-            carried[acc[known]] = last[known]
-            carry[acc[known]] = True
-        # standard PI-free step controller
-        factor = 0.9 * (1.0 / np.maximum(q, 1e-10)) ** 0.2
-        h[act] = np.minimum(h[act] * np.minimum(5.0, np.maximum(0.2, factor)), 0.25)
+        # the DOP853 step-size controller, with no cap on the step
+        factor = 0.9 * (1.0 / np.maximum(q, 1e-10)) ** 0.125
+        h[act] *= np.minimum(5.0, np.maximum(0.2, factor))
 
     # a finished state's last sample was taken at its terminal point
     return [
@@ -1150,14 +1324,16 @@ def flow_to(
 
     A batch of one on the lockstep integrator that ``run_batch`` uses, so
     a point flowed alone and inside a batch give identical results.
-    Embedded Dormand-Prince 5(4) with adaptive steps, first-same-as-last
-    reuse of the field, Lojasiewicz damping by min(1, Re t ** ALPHA),
-    Gauss-Newton retraction after every accepted step, and chart
-    switching when the pivot loses dominance.  The first step is chosen
-    in damped units: it covers min(0.05 min(1, Re t ** ALPHA), the whole
-    leg), and the error test accepts or rejects it like any other.  The
-    last step lands exactly on Re t = target.  Records a sample per
-    accepted step.
+    DOP853 with adaptive steps, Lojasiewicz damping by
+    min(1, Re t ** ALPHA), Gauss-Newton retraction after every accepted
+    step, and chart switching when the pivot loses dominance.  The first
+    attempted step is the whole leg, and from there the error test alone
+    sizes the steps, with no cap: a step it rejects, or one with a stage
+    point off the family (Jacobian rank above the expected one), is
+    retried from the same state, shortened by the controller (by 5x for a
+    stage point off the family), with its first stage's field and row
+    basis kept.  The last step lands exactly on Re t = target.  Records a
+    sample per accepted step.
     A point whose fiber is already the target's to rounding, at the start
     or after a step, ends the leg with one jump step instead: every family
     relation's terms that carry tau sum in magnitude to at most 2^-53
@@ -1169,7 +1345,8 @@ def flow_to(
     leg if the residual there exceeds retraction_tol.  A family without
     tau, such as p1 or p1xp1, flows each leg in that one step.
     After each step |Im t| and the deviation of Re t from linear decay
-    are checked; any violation, as well as singular or critical points,
+    are checked; any violation, as well as singular or critical points
+    (other than a stage point i > 0 whose rank exceeds the expected one),
     retraction failure, step underflow and budget exhaustion, produces
     an ok=False result carrying the samples collected so far.  A start
     that cannot begin the leg (target not below Re t, or Im t nonzero)
