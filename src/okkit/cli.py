@@ -394,11 +394,11 @@ def flow(ctx, entry, epsilon, delta, samples, seed, spread, csv_path, diag_path)
         cfg = FlowConfig(epsilon=epsilon, delta=delta, seed=seed)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    fam, basis = _entry_pipeline(loaded)
-    points = _sample_points(loaded, samples, seed, spread)
     try:
+        fam, basis = _entry_pipeline(loaded)
+        points = _sample_points(loaded, samples, seed, spread)
         results = run_batch(points, cfg, loaded.datum, fam, basis)
-    except FlowError as exc:
+    except (EmbeddingError, FlowError) as exc:
         # only an entry the flow cannot model raises; trajectories fail as results
         click.echo("cannot flow %s: %s" % (loaded.name, exc), err=True)
         ctx.exit(2)
@@ -427,8 +427,6 @@ def _check_rows(entry: CatalogEntry):
     def row(label, passed, detail=""):
         rows.append((label, bool(passed), detail))
 
-    fam, basis = _entry_pipeline(entry)
-
     rng = np.random.default_rng(1729)
     datum = entry.datum
     try:
@@ -447,6 +445,12 @@ def _check_rows(entry: CatalogEntry):
     except NotInSemigroupError as exc:
         row("subduction residuals", False, str(exc))
 
+    try:
+        fam, basis = _entry_pipeline(entry)
+    except EmbeddingError as exc:
+        for label in ("moment containment", "flow probe"):
+            rows.append((label, None, "skipped: %s" % exc))
+        return rows
     contained = True
     for _ in range(20):
         z = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
@@ -553,7 +557,11 @@ def slice_cmd(ctx, entry, hom_path, samples, seed, json_path):
     for warning in caught:
         click.echo("warning: %s" % warning.message, err=True)
 
-    fam, basis = _entry_pipeline(loaded)
+    try:
+        fam, basis = _entry_pipeline(loaded)
+    except EmbeddingError as exc:
+        click.echo("cannot embed %s: %s" % (loaded.name, exc), err=True)
+        ctx.exit(2)
     worst = 0.0
     used = 0
     for x in _sample_points(loaded, samples, seed, 1.0):

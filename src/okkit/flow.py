@@ -37,10 +37,11 @@ Dormand-Prince pair with a fifth- and third-order error estimate: each
 state keeps its own chart, step size, counters and failure; a step's
 twelve stages share one gather of the states' chart tables; a stage
 point whose Jacobian rank exceeds r lies off the family and rejects the
-step; a rejected step's retry keeps its stage-0 field and row basis, so
-it runs no second SVD; the retraction takes one batched minimum-norm
-Gauss-Newton step per iteration; one pass over the accepted states
-records their samples, toric moments included.
+step; a rejected step's retry recomputes stage 0, SVD included, to the
+same bits; a state whose field fails is masked out of the round rather
+than dropped from its arrays; the retraction takes one batched
+minimum-norm Gauss-Newton step per iteration; one pass over the accepted
+states records their samples, toric moments included.
 Once a state's fiber is the target's to rounding (its relations' terms
 that carry tau are below float64's unit roundoff of their relation, and
 the first-order transport bound keeps its coordinates within rounding),
@@ -306,11 +307,11 @@ class FlowResult:
 
     ``steps`` counts accepted steps, ``rejected`` rejected ones (the
     error test's and those of stage points off the family), and
-    ``field_evals`` evaluations of the field V: at most 12 per attempted
-    step, 11 on the retry of a rejected step, which keeps its stage 0,
-    none after the stage that rejects or fails a step, and 0 for the
-    jump step that ends a leg whose fiber is already the target's to
-    rounding (see ``flow_to``).  Each accepted step, the jump included,
+    ``field_evals`` evaluations of the field V: 12 per attempted step,
+    the retry of a rejected step included, fewer only when a stage fails
+    or rejects the step (none after that stage), and 0 for the jump step
+    that ends a leg whose fiber is already the target's to rounding (see
+    ``flow_to``).  Each accepted step, the jump included,
     records one sample.  The counters stay out of the CSV and diagnostics
     exports.
     """
@@ -566,9 +567,9 @@ def _row_basis(
     model: _Model, charts: np.ndarray, Y: np.ndarray, errors: list, tables=None
 ):
     """Row bases S of the family Jacobians J at a batch of finite chart
-    states, returned with J so that ``_field`` at the same states need not
-    build it again; (None, None) where the field is closed form and needs
-    no S.  tables, when given, is ``model.tables(charts)``.
+    states, returned with J, built once for both; S is None where the
+    field is closed form and needs none.  tables, when given, is
+    ``model.tables(charts)``.
 
     One SVD per state.  Its singular values run the rank checks, flagging
     states in errors and warning about ill-conditioned ones, and S, the
@@ -576,20 +577,19 @@ def _row_basis(
     vectors, compresses the Jacobian to that many rows with the same row
     space.  The row space moves with the point, but over one
     Dormand-Prince step S J keeps full rank, so the S of a step's first
-    stage serves all twelve, and a rejected step's retry keeps it.
+    stage serves all twelve; a rejected step's retry takes it again.
     """
-    if model.closed_form:
-        return None, None
     J = model.jacobian(charts, Y, False, tables)
+    if model.closed_form:
+        return None, J
     U, sigma, _ = np.linalg.svd(J)
     _rank_checks(sigma, model.rank, errors)
     return U[:, :, : model.rank].conj().transpose(0, 2, 1), J
 
 
-def _field(
-    model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, J=None, tables=None
-):
-    """The flow field at a batch of states, and per state an exception or None.
+def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, tables=None):
+    """The flow field at a batch of states, per state an exception or None,
+    and the row basis S the field was taken with.
 
     V = -P e_t / |P e_t|^2, for P the H-orthogonal projection onto the
     kernel of the chart Jacobian J (H the metric of ``ambient_metric``),
@@ -597,10 +597,11 @@ def _field(
 
     Multi-relation families (the kernel path) take S from ``_row_basis``,
     the row basis of the Dormand-Prince step's first stage, whose SVD
-    runs the rank checks and the ill-conditioning warning once per step;
-    when S is None it is taken at Y itself, those checks included.  J,
-    when given, is the chart Jacobian at Y that ``_row_basis`` built, and
-    tables, when given, is ``model.tables(charts)``.  With
+    runs the rank checks and the ill-conditioning warning once per step:
+    when S is None it is taken at Y itself, those checks included, from
+    the one chart Jacobian the field uses, and returned for the later
+    stages; otherwise the given S is returned.  It is None on the closed
+    forms.  tables, when given, is ``model.tables(charts)``.  With
     A = S J, r x (n_w + 1), and H^-1 = one (I + w w^H) on the w block and
     1 on t (one = 1 + |w|^2), X = H^-1 A^H and G = A X; one solve gives
     G [y | Z] = [A e_t | A], then v = e_t - X y = P e_t, |P e_t|^2 =
@@ -623,10 +624,10 @@ def _field(
     if not model.n_rel:
         V = np.zeros((n, 2 * n_w + 2))
         V[:, 2 * n_w] = 1.0
-        return -V, errors
-    if S is None and not model.closed_form:
+        return -V, errors, None
+    if S is None:
         S, J = _row_basis(model, charts, Y, errors, tables)
-    elif J is None:
+    else:
         J = model.jacobian(charts, Y, False, tables)
     w = Y.view(complex)[:, :n_w]
     one = 1.0 + np.add.reduce(Y[:, : 2 * n_w] ** 2, axis=1)
@@ -644,7 +645,7 @@ def _field(
         u = one[:, None] * (jw.conj() + w * p.conj()[:, None])
         V[:, :n_w] = u * (jt / np.where(bad, 1.0, s_w))[:, None]
         V[:, n_w] = -1.0
-        return V.view(float), errors
+        return V.view(float), errors, None
     r = model.rank
     A = S @ J
     X = A.conj().transpose(0, 2, 1).copy()
@@ -681,7 +682,7 @@ def _field(
         nsq = np.where(critical, 1.0, nsq)
     V = v.view(float) / -nsq[:, None]
     V[:, 2 * n_w :] = (-1.0, 0.0)
-    return V, errors
+    return V, errors, S
 
 
 def _single(cp: ChartPoint):
@@ -771,7 +772,7 @@ def gradient_hamiltonian(
     exactly -1 and its Im t entry exactly 0, on every family.  A
     multi-relation family takes its row basis from the SVD at cp itself.
     """
-    V, errors = _field(_Model(fam, basis), *_single(cp))
+    V, errors, _ = _field(_Model(fam, basis), *_single(cp))
     if errors[0] is not None:
         raise errors[0]
     return V[0]
@@ -807,16 +808,14 @@ def _retract(
 
     Each iteration takes one batched minimum-norm step for the states
     still above tol.  Returns the projected states with their full
-    coordinates and relative residuals, a mask of the states that moved,
-    per state a RetractionError or None, and the relations' term-magnitude
-    sums at the projected states, all terms and those that carry tau, as a
-    pair of arrays.
+    coordinates and relative residuals, per state a RetractionError or
+    None, and the relations' term-magnitude sums at the projected states,
+    all terms and those that carry tau, as a pair of arrays.
     """
     Y = np.array(Y, dtype=float)
     Z = model.points(charts, Y)
     G = model.relations.values(Z)
     res, scale, part = model.residual(Z, G)
-    moved = ~(res <= tol)
     todo = np.flatnonzero(res > tol)  # a state with a NaN residual takes no step
     for _ in range(max_iter):
         if not todo.size:
@@ -836,7 +835,7 @@ def _retract(
             "retraction stalled at relative residual %.3g (tolerance %.3g)"
             % (res[b], tol)
         )
-    return Y, Z, res, moved, errors, (scale, part)
+    return Y, Z, res, errors, (scale, part)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,10 +1039,10 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     |e3|^2) dim), e5 and e3 the fifth- and third-order estimates scaled
     by atol + rtol max(|y|, |y_new|); the step size follows it with
     exponent 1/8, by a factor between 0.2 and 5.  A rejected step retries
-    from the same state with its stage-0 field and row basis kept.  A
-    stage point i > 0 whose Jacobian rank exceeds the expected one lies
-    off the family, and rejects the step with the factor 0.2; every other
-    field failure, and any failure at stage 0, ends the trajectory.
+    from the same state, all twelve stages again.  A stage point i > 0
+    whose Jacobian rank exceeds the expected one lies off the family, and
+    rejects the step with the factor 0.2; every other field failure, and
+    any failure at stage 0, ends the trajectory.
 
     ``_toric`` tests a state at the start of the leg, if its residual is
     within retraction_tol, and after each retraction; a state it passes
@@ -1075,12 +1074,6 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     samples = [[] for _ in range(n)]
     failure = [None] * n
     running = np.ones(n, dtype=bool)
-    # a rejected step's stage-0 field and row basis, kept for its retry
-    carried = np.zeros((n, dim))
-    carried_S = None
-    if not model.closed_form:
-        carried_S = np.zeros((n, model.rank, model.n_rel), dtype=complex)
-    carry = np.zeros(n, dtype=bool)
 
     def fail(b, reason):
         failure[b] = reason
@@ -1184,42 +1177,20 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
             if not act.size:
                 continue
 
-        # Stages.  A state whose field fails is dropped after the round,
-        # and one whose stage point leaves the family is rejected; until
-        # then both run along on placeholder values.  The row basis of
-        # stage 0 serves every stage.
+        # Stages.  A state whose field fails is dead for the round and one
+        # whose stage point leaves the family is rejected; both run along on
+        # placeholder values.  The row basis of stage 0 serves every stage.
         ch = charts[act]
         tables = model.tables(ch)
         hh = h_eff[:, None]
         sums = np.zeros((14,) + y.shape)
-        reuse = carry[act]
         dead = np.zeros(len(act), dtype=bool)
         off = np.zeros(len(act), dtype=bool)
-        # twelve evaluations, less a reused stage 0 and any stage after a
-        # failure or rejection
-        evals[act] += 12 - reuse
+        # twelve evaluations, less any stage after a failure or rejection
+        evals[act] += 12
+        S = None
         for i in range(12):
-            if i == 0:
-                errors = [None] * len(act)
-                V = carried[act]
-                S = None if carried_S is None else carried_S[act]
-                rows = np.flatnonzero(~reuse)
-                if rows.size:
-                    part = tables
-                    if rows.size < len(act):
-                        part = [a[rows] for a in tables]
-                    found = [None] * rows.size
-                    S_rows, J = _row_basis(model, ch[rows], y[rows], found, part)
-                    V[rows], found_field = _field(
-                        model, ch[rows], y[rows], S_rows, J, part
-                    )
-                    if S is not None:
-                        S[rows] = S_rows
-                    for j, exc_basis, exc_field in zip(rows, found, found_field):
-                        errors[j] = exc_basis or exc_field
-                first = V
-            else:
-                V, errors = _field(model, ch, y + hh * sums[i - 1], S, tables=tables)
+            V, errors, S = _field(model, ch, y + hh * sums[i - 1] if i else y, S, tables)
             if any(errors):
                 for r, exc in enumerate(errors):
                     if exc is None or dead[r] or off[r]:
@@ -1232,47 +1203,26 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                         fail(act[r], str(exc))
             sums += _DOP_WEIGHTS[i] * V
         y_new = y + hh * sums[11]
-        e5, e3 = sums[12], sums[13]
-        if np.count_nonzero(dead):
-            live = ~dead
-            act, y, final, h_eff = act[live], y[live], final[live], h_eff[live]
-            y_new, e5, e3, off = y_new[live], e5[live], e3[live], off[live]
-            first = first[live]
-            if S is not None:
-                S = S[live]
-            if not act.size:
-                continue
-
         sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e5_sq = np.add.reduce((e5 / sc) ** 2, axis=1)
-        e3_sq = np.add.reduce((e3 / sc) ** 2, axis=1)
+        e5_sq = np.add.reduce((sums[12] / sc) ** 2, axis=1)
+        e3_sq = np.add.reduce((sums[13] / sc) ** 2, axis=1)
         denom = e5_sq + 0.01 * e3_sq
         q = h_eff * e5_sq / np.sqrt(np.where(denom > 0, denom, 1.0) * dim)
         q[off] = np.inf
-        accepted = q <= 1.0
-        n_acc = np.count_nonzero(accepted)
-        if n_acc < len(act):
-            # a rejected step retries from the same state: stage 0 is known
-            rej = ~accepted
-            rejected[act[rej]] += 1
-            carried[act[rej]] = first[rej]
-            if S is not None:
-                carried_S[act[rej]] = S[rej]
-            carry[act[rej]] = True
+        accepted = (q <= 1.0) & ~dead
+        # a rejected step retries from the same state, stage 0 included
+        rejected[act[~accepted & ~dead]] += 1
+        if np.count_nonzero(accepted):
             acc, final, h_eff = act[accepted], final[accepted], h_eff[accepted]
             y_new = y_new[accepted]
-        else:
-            acc = act
-        if n_acc:
             steps[acc] += 1
             s[acc] = np.where(final, s_end[acc], s[acc] + h_eff)
             # the last step of a leg lands on the target fiber
             if np.count_nonzero(final):
                 y_new[final, slot] = target
-            new, Z, res, _, errors, sums = _retract(
+            new, Z, res, errors, sums = _retract(
                 model, charts[acc], y_new, cfg.retraction_tol
             )
-            carry[acc] = False
             if any(errors):
                 kept = np.array([e is None for e in errors])
                 for j in np.flatnonzero(~kept):
@@ -1331,8 +1281,8 @@ def flow_to(
     sizes the steps, with no cap: a step it rejects, or one with a stage
     point off the family (Jacobian rank above the expected one), is
     retried from the same state, shortened by the controller (by 5x for a
-    stage point off the family), with its first stage's field and row
-    basis kept.  The last step lands exactly on Re t = target.  Records a
+    stage point off the family), and takes all twelve field evaluations
+    again.  The last step lands exactly on Re t = target.  Records a
     sample per accepted step.
     A point whose fiber is already the target's to rounding, at the start
     or after a step, ends the leg with one jump step instead: every family
@@ -1452,7 +1402,7 @@ def run_batch(
 def _shifted_starts(model: _Model, cp: ChartPoint, Y: np.ndarray, tol: float):
     """Retract perturbed copies of cp back onto the family, keeping its chart."""
     charts = np.full(len(Y), cp.chart, dtype=np.intp)
-    Y, _, _, _, errors, _ = _retract(model, charts, Y, tol)
+    Y, _, _, errors, _ = _retract(model, charts, Y, tol)
     return [ChartPoint.from_real(cp.chart, y) for y in Y], errors
 
 

@@ -498,6 +498,42 @@ class TestCheck:
         probe = [line for line in result.output.splitlines() if "flow probe" in line]
         assert len(probe) == 1 and "SKIP" in probe[0] and "level-one chart" in probe[0]
 
+    def test_too_large_basis_ends_without_a_traceback(self, runner, tmp_path):
+        # a redundant level-7 generator makes the common level 5040, whose
+        # basis is over the size limit: the entry loads, but nothing embeds
+        import okkit.catalog as cat
+
+        doc = json.loads(
+            (Path(cat.__file__).parent / "data" / "p1.json").read_text()
+        )
+        doc["generators"].append(
+            {"level": 7, "index": 1, "representative": "u^7", "value": [7]}
+        )
+        doc["relations"] = ["x7_1 - x1_2^7"]
+        doc["expected"]["semigroup_generators"].append([7, [7]])
+        entry = tmp_path / "redundant.json"
+        entry.write_text(json.dumps(doc))
+        hom = tmp_path / "hom.json"
+        hom.write_text(json.dumps({"matrix": [[-1, 2]]}))
+        reason = "degree-5040 basis has 1817641 entries (limit 1000000)"
+        assert invoke(runner, "body", str(entry)).exit_code == 0
+        flowed = invoke(runner, "flow", str(entry), "--samples", "2")
+        assert flowed.exit_code == 2
+        assert flowed.stderr.splitlines() == ["cannot flow p1: " + reason]
+        sliced = invoke(runner, "slice", str(entry), "--homomorphism", str(hom))
+        assert sliced.exit_code == 2
+        assert sliced.stderr.splitlines() == ["cannot embed p1: " + reason]
+        checked = invoke(runner, "check", str(entry))
+        assert checked.exit_code == 0
+        assert checked.output.splitlines()[1:] == [
+            "  subduction residuals     PASS  5 random products",
+            "  moment containment       SKIP  skipped: " + reason,
+            "  flow probe               SKIP  skipped: " + reason,
+            "overall: PASS",
+        ]
+        for result in (flowed, sliced, checked):
+            assert "Traceback" not in result.output + result.stderr
+
     def test_tampered_file_fails(self, runner, tmp_path):
         import okkit.catalog as cat
 

@@ -482,7 +482,7 @@ class TestOneRelationField:
         assert model.n_rel == 1
         charts, Y = _one_relation_states(model, datum, 31)
         assert len(set(charts.tolist())) > 1
-        V, errors = flow._field(model, charts, Y)
+        V, errors, _ = flow._field(model, charts, Y)
         assert errors == [None] * len(Y)
         expected = reference_field(model, charts, Y)
         scale = np.abs(expected).max(axis=1)
@@ -498,9 +498,9 @@ class TestOneRelationField:
         charts, Y = _one_relation_states(model, datum, 37)
         charts, Y = charts[:50], Y[:50]
         assert len(Y) == 50
-        V, _ = flow._field(model, charts, Y)
+        V, _, _ = flow._field(model, charts, Y)
         for b in range(len(Y)):
-            alone, _ = flow._field(model, charts[b : b + 1], Y[b : b + 1])
+            alone, _, _ = flow._field(model, charts[b : b + 1], Y[b : b + 1])
             assert alone[0].tobytes() == V[b].tobytes()
 
     def test_failure_paths_keep_their_messages(self, elliptic):
@@ -520,7 +520,7 @@ class TestOneRelationField:
         states = [good] + [cp for cp, _, _ in cases] + [good]
         charts = np.array([cp.chart for cp in states], dtype=np.intp)
         Y = np.array([cp.as_real() for cp in states])
-        V, errors = flow._field(model, charts, Y)
+        V, errors, _ = flow._field(model, charts, Y)
         assert errors[0] is None and errors[-1] is None
         assert V[0].tobytes() == V[-1].tobytes()
         assert V[0].tobytes() == gradient_hamiltonian(good, fam, basis).tobytes()
@@ -540,7 +540,7 @@ class TestOneRelationField:
 
         for routine in ("svd", "solve", "cholesky", "lstsq", "eigh"):
             monkeypatch.setattr(np.linalg, routine, refuse)
-        V, errors = flow._field(model, charts, Y)
+        V, errors, _ = flow._field(model, charts, Y)
         assert errors == [None] * len(Y) and np.isfinite(V).all()
         J = model.jacobian(charts, Y, fiber_only=True)
         assert np.isfinite(flow._min_norm_step(J, np.ones((len(Y), 1)))).all()
@@ -588,7 +588,7 @@ def _stage_points(model, charts, Y, S, h):
     k = []
     for i in range(12):
         point = Y + h * sum(a * V for a, V in zip(flow._DOP_A[i], k))
-        V, errors = flow._field(model, charts, point, S)
+        V, errors, _ = flow._field(model, charts, point, S)
         k.append(V)
         yield point, V, errors
 
@@ -630,12 +630,14 @@ class TestKernelField:
         charts, Y = _kernel_states(model, datum, 43)
         charts, Y = charts[:30], Y[:30]
         S, _ = flow._row_basis(model, charts, Y, [None] * len(Y))
+        # a field given no row basis takes this one and returns it
+        assert flow._field(model, charts, Y)[2].tobytes() == S.tobytes()
         stages = list(_stage_points(model, charts, Y, S, 0.125))
         for b in range(len(Y)):
             alone, _ = flow._row_basis(model, charts[b : b + 1], Y[b : b + 1], [None])
             assert alone[0].tobytes() == S[b].tobytes()
             for point, V, _ in stages[::3]:
-                mine, _ = flow._field(model, charts[b : b + 1], point[b : b + 1], alone)
+                mine = flow._field(model, charts[b : b + 1], point[b : b + 1], alone)[0]
                 assert mine[0].tobytes() == V[b].tobytes()
 
     def test_singular_compressed_system_reports_rank_below(self):
@@ -645,17 +647,17 @@ class TestKernelField:
         S, _ = flow._row_basis(model, charts, Y, [None] * 3)
         S[0, 2] = 0.0  # G exactly singular: LAPACK reports it
         S[1, 3] = (S[1, 0] + S[1, 1]) / math.sqrt(2.0)  # singular to rounding
-        V, errors = flow._field(model, charts, Y, S)
+        V, errors, _ = flow._field(model, charts, Y, S)
         for error in errors[:2]:
             assert type(error) is SingularPointError
             assert str(error) == "family Jacobian has rank below 4 at this point"
         assert errors[2] is None and np.isfinite(V).all()
-        alone, _ = flow._field(model, charts[2:], Y[2:], S[2:])
+        alone, _, _ = flow._field(model, charts[2:], Y[2:], S[2:])
         assert alone[0].tobytes() == V[2].tobytes()
 
     def test_one_svd_per_step_and_no_cholesky(self, gl3, monkeypatch):
         # at epsilon 0.8 some stage points leave the family, and each such
-        # step is retried from the same state with its row basis kept
+        # step is retried from the same state, its row basis taken again
         datum, fam, basis = gl3
         cfg = FlowConfig(epsilon=0.8)
         x = sample_intrinsic(datum, 1, np.random.default_rng(31))[0]
@@ -677,15 +679,14 @@ class TestKernelField:
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         res = flow_to(cp, 0.3, cfg, fam, basis)
         assert res.ok and res.steps > 1 and res.rejected > 0
-        assert calls == [1] * res.steps
+        assert calls == [1] * (res.steps + res.rejected)
         assert res.field_evals > 2 * len(calls)
 
     def test_one_jacobian_per_stage(self, gl3, monkeypatch):
         # stage 0 takes the field from the Jacobian its row basis was
-        # built from, so a step builds the full Jacobian twelve times; a
-        # retry keeps stage 0's field and row basis and builds it eleven
-        # times.  Every full Jacobian reads the round's one gather of the
-        # chart tables.
+        # built from, so every attempted step, a retry included, builds the
+        # full Jacobian twelve times.  Every full Jacobian reads the round's
+        # one gather of the chart tables.
         datum, fam, basis = gl3
         cfg = FlowConfig(epsilon=0.8)
         x = sample_intrinsic(datum, 1, np.random.default_rng(31))[0]
@@ -709,7 +710,7 @@ class TestKernelField:
         monkeypatch.setattr(flow._Model, "tables", gather)
         res = flow_to(cp, 0.3, cfg, fam, basis)
         assert res.ok and res.steps > 1 and res.rejected > 0
-        assert full == [1] * (12 * res.steps + 11 * res.rejected)
+        assert full == [1] * (12 * (res.steps + res.rejected))
         # one gather per round, besides those of the fiber Jacobians of the
         # retraction and the toric test
         assert len(gathers) - len(own) == res.steps + res.rejected
@@ -736,8 +737,8 @@ class TestKernelField:
             )
             sub = model.jacobian(charts[rows], Y[rows], fiber_only, part)
             assert sub.tobytes() == alone[rows].tobytes()
-        V, errors = flow._field(model, charts, Y)
-        shared, shared_errors = flow._field(model, charts, Y, tables=gathered)
+        V, errors, _ = flow._field(model, charts, Y)
+        shared, shared_errors, _ = flow._field(model, charts, Y, tables=gathered)
         assert shared.tobytes() == V.tobytes()
         assert [str(e) for e in shared_errors] == [str(e) for e in errors]
 
@@ -795,11 +796,11 @@ def _forced_stage_error(monkeypatch, call, error):
     calls = []
 
     def forced(*args, **kwargs):
-        V, errors = field(*args, **kwargs)
+        V, errors, S = field(*args, **kwargs)
         if len(calls) == call:
             errors[0] = error
         calls.append(len(errors))
-        return V, errors
+        return V, errors, S
 
     monkeypatch.setattr(flow, "_field", forced)
 
@@ -842,6 +843,25 @@ class TestStageRejection:
         assert (res.steps, res.rejected) == (0, 0)
         # the stages up to the failing one were evaluated
         assert res.field_evals == call + 1
+
+    def test_dead_state_leaves_its_round_untouched(self, elliptic, monkeypatch):
+        # in one round, the first state fails at stage 3, the second's whole
+        # leg step is rejected and the third's is accepted
+        datum, fam, basis = elliptic
+        cfg = FlowConfig(epsilon=0.1, delta=0.09)
+        xs = sample_intrinsic(datum, 3, np.random.default_rng(1), log10_spread=1.0)
+        starts = [embedded_chart_point(elliptic, x, t=0.1) for x in xs]
+        alone = [flow_to(cp, 0.09, cfg, fam, basis) for cp in starts]
+        assert alone[1].rejected and alone[1].steps > 1
+        assert (alone[2].steps, alone[2].rejected) == (1, 0)
+        _forced_stage_error(monkeypatch, 3, flow._rank_below(1))
+        dead, *live = flow._integrate(flow._Model(fam, basis), starts, 0.09, cfg)
+        assert not dead.ok
+        assert dead.failure == "family Jacobian has rank below 1 at this point"
+        assert (dead.steps, dead.rejected, dead.field_evals) == (0, 0, 4)
+        assert dead.terminal == starts[0]
+        for mine, batched in zip(alone[1:], live):
+            assert repr(batched) == repr(mine)
 
 
 def test_elliptic_accuracy_at_the_default_tolerances(elliptic):
@@ -1048,7 +1068,7 @@ class TestFlowTo:
         assert any(leg.rejected and leg.steps > 1 for leg in legs)
         assert any(leg.steps == 1 and not leg.rejected for leg in legs)
 
-    def test_counters_show_first_same_as_last_reuse(self, elliptic):
+    def test_counters_show_twelve_evaluations_per_attempt(self, elliptic):
         datum, fam, basis = elliptic
         cfg = FlowConfig()
         x = sample_intrinsic(datum, 1, np.random.default_rng(17))[0]
@@ -1056,8 +1076,9 @@ class TestFlowTo:
         res = flow_to(cp, cfg.delta, cfg, fam, basis)
         assert res.ok and res.rejected > 0
         assert type(res.rejected) is int and type(res.field_evals) is int
-        # a rejected step's retry reuses its stage-0 field
-        assert res.field_evals < 12 * (res.steps + res.rejected)
+        # no stage fails and the leg ends without a jump step, so every
+        # attempted step, a retry included, takes twelve evaluations
+        assert res.field_evals == 12 * (res.steps + res.rejected)
 
     def test_gl3_short_flow(self, gl3):
         datum, fam, basis = gl3
@@ -1114,11 +1135,11 @@ class TestToricJump:
         for r in outcomes:
             assert r.ok
             # leg 1 tries the whole leg in one step, which the error test
-            # rejects; the retry keeps stage 0 (11 evaluations) and is
-            # accepted, and then the fiber is toric to rounding, so the
-            # leg ends with the jump; the continuation is one jump
+            # rejects; the retry (12 evaluations again) is accepted, and
+            # then the fiber is toric to rounding, so the leg ends with the
+            # jump; the continuation is one jump
             assert (r.flow.steps, r.flow.rejected, r.continuation.steps) == (2, 1, 1)
-            assert r.flow.field_evals == 12 + 11
+            assert r.flow.field_evals == 24
             assert r.continuation.field_evals == 0
 
     def test_leg_to_a_fiber_that_is_not_toric_never_jumps(self, elliptic, monkeypatch):
@@ -1203,8 +1224,7 @@ class TestRetraction:
         # every fiber partial vanishes while the relation does not
         charts = np.append(charts, 2)
         Y = np.vstack([Y, ChartPoint(2, (0.0, 0.0), 0.5).as_real()])
-        new, Z, res, moved, errors, sums = flow._retract(model, charts, Y, 1e-10)
-        assert moved.tolist() == [False, False, True, True, True, True]
+        new, Z, res, errors, sums = flow._retract(model, charts, Y, 1e-10)
         assert [e is None for e in errors] == [True] * 5 + [False]
         assert str(errors[-1]) == (
             "retraction stalled at relative residual 1 (tolerance 1e-10)"
@@ -1214,22 +1234,20 @@ class TestRetraction:
             assert alone[0].tobytes() == new[b].tobytes()
             assert alone[1].tobytes() == Z[b].tobytes()
             assert alone[2].tobytes() == res[b : b + 1].tobytes()
-            assert alone[3][0] == moved[b]
-            assert str(alone[4][0]) == str(errors[b])
-            for mine, batched in zip(alone[5], sums):
+            assert str(alone[3][0]) == str(errors[b])
+            for mine, batched in zip(alone[4], sums):
                 assert mine.tobytes() == batched[b : b + 1].tobytes()
 
     def test_gl3_batch_equals_each_state_alone(self, gl3):
         model = flow._Model(gl3[1], gl3[2])
         charts, Y = _retraction_batch(gl3, 6)
-        new, Z, res, moved, errors, sums = flow._retract(model, charts, Y, 1e-10)
-        assert moved.tolist() == [False, False, True, True, True]
+        new, Z, res, errors, sums = flow._retract(model, charts, Y, 1e-10)
         assert errors == [None] * 5
         for b in range(len(Y)):
             alone = flow._retract(model, charts[b : b + 1], Y[b : b + 1], 1e-10)
             assert alone[0].tobytes() == new[b].tobytes()
             assert alone[2].tobytes() == res[b : b + 1].tobytes()
-            for mine, batched in zip(alone[5], sums):
+            for mine, batched in zip(alone[4], sums):
                 assert mine.tobytes() == batched[b : b + 1].tobytes()
 
     def test_step_matches_lstsq_on_rank_deficient_jacobian(self, gl3):
