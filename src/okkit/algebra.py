@@ -10,8 +10,9 @@ on the numerators and brings each result to lowest terms with one gcd.
 A polynomial's ``terms``, its coefficients as Fractions, is a read-only
 view built on first access and cached.  :func:`substitute` is the one
 exact evaluator: it puts polynomials or truncated series in place of a
-polynomial's variables, and serves series expansion, subduction checks
-and the family's specializations alike.  Complex doubles appear only
+polynomial's variables, and serves series expansion (the explicit
+assignments of a series context among it), subduction checks and the
+family's specializations alike.  Complex doubles appear only
 through :class:`CompiledPolynomial`, the one numeric evaluator, which
 :func:`evaluate_complex` wraps with input checks.
 
@@ -563,26 +564,25 @@ def substitute(poly: Polynomial, images: Sequence, one, powers=None):
     return out if poly._den == 1 else out * Fraction(1, poly._den)
 
 
-# the truncation at which a new context's implicit sweeps start
-_FIRST_SWEEP_ORDER = 8
-
-
 class SeriesContext:
     """Local expansion data for the series valuation backend.
 
     Maps each ambient variable to a truncated power series in the local
-    parameter.  Some variables may be defined implicitly as the fixed point
-    of ``var = rhs(vars)``; the constructor solves those by iteration, which
-    converges whenever each occurrence of the unknown in ``rhs`` carries
-    positive order (the substitution is then a contraction in the u-adic
-    metric).
+    parameter.  The explicit assignments are polynomials in the parameter;
+    some variables may instead be defined implicitly as the fixed point of
+    ``var = rhs(vars)``, found by iteration, which converges whenever each
+    occurrence of the unknown in ``rhs`` carries positive order (the
+    substitution is then a contraction in the u-adic metric).
 
     ``truncation`` is the working order; when :meth:`lead` finds only zero
     coefficients the context escalates by doubling up to ``cap`` and
     recomputes, then gives up loudly.
 
-    The sweeps and :meth:`expand` both call :func:`substitute`; only
-    :meth:`expand` keeps powers across calls, since a sweep changes its table.
+    Every series comes from :func:`substitute`: the explicit assignments
+    with the parameter's series u in place of the parameter, the sweeps
+    and :meth:`expand` with the table in place of the ambient variables.
+    Only :meth:`expand` keeps powers across calls, since a sweep changes
+    its table.
     """
 
     def __init__(
@@ -597,6 +597,10 @@ class SeriesContext:
             raise ValueError("truncation order exceeds the escalation cap")
         if truncation < 2:
             raise ValueError("truncation order too small")
+        if any(list(f.ring.variables) != [parameter] for f in assignments.values()):
+            raise ValueError(
+                "explicit assignments must be polynomials in the parameter"
+            )
         self.parameter = parameter
         self.assignments = dict(assignments)
         self.implicit = dict(implicit or {})
@@ -609,36 +613,20 @@ class SeriesContext:
     # -- series construction ------------------------------------------------
 
     def _table(self, trunc):
-        """Every variable's series to order trunc.
+        """Every variable's series to order trunc, built once and cached.
 
-        The implicit variables are swept at a growing truncation t: from
-        zero at order _FIRST_SWEEP_ORDER, or from the largest table already
-        held below trunc at twice its order, the series are padded to order
-        t and swept until a sweep changes nothing, and t doubles up to
-        trunc.  A sweep
-        fixes only the next few orders, so most sweeps run on short series.
-        The fixed point to each order is unique when the substitution
-        contracts, so the table is the one that full-length sweeps from
-        zero reach.
+        Each explicit assignment is the substitution of u = _Series([0, 1])
+        for the parameter; each implicit variable starts at zero, and the
+        sweeps run at the full order trunc until one changes nothing.  The
+        fixed point mod u^trunc is unique when the substitution contracts,
+        so the start does not matter.
         """
         if trunc in self._tables:
             return self._tables[trunc]
-        held = max((t for t in self._tables if t < trunc), default=None)
-        if held is None:
-            t = min(trunc, _FIRST_SWEEP_ORDER)
-            implicit = {var: _Series.zero(t) for var in self.implicit}
-        else:
-            t = min(2 * held, trunc)
-            implicit = {var: self._tables[held][var] for var in self.implicit}
-        while True:
-            table = {var: self._expand_explicit(poly, t) for var, poly in self.assignments.items()}
-            for var, series in implicit.items():
-                table[var] = _Series._make(series.num + [0] * (t - series.trunc), series.den, t)
-            self._sweep(table, t)
-            if t == trunc:
-                break
-            implicit = {var: table[var] for var in self.implicit}
-            t = min(2 * t, trunc)
+        one, u = _Series.constant(1, trunc), [_Series([0, 1], trunc)]
+        table = {var: substitute(f, u, one) for var, f in self.assignments.items()}
+        table.update((var, _Series.zero(trunc)) for var in self.implicit)
+        self._sweep(table, trunc)
         self._tables[trunc] = table
         return table
 
@@ -659,20 +647,6 @@ class SeriesContext:
             "implicit series for %s did not stabilize at order %d"
             % (sorted(self.implicit), trunc)
         )
-
-    def _expand_explicit(self, poly, trunc):
-        ring = poly.ring
-        if list(ring.variables) != [self.parameter]:
-            raise ValueError(
-                "explicit assignments must be polynomials in the parameter"
-            )
-        num = [0] * trunc
-        for (k,), a in poly._num.items():
-            if k < 0:
-                raise EvaluationError("Laurent exponent in a series assignment")
-            if k < trunc:
-                num[k] = a
-        return _Series._make(num, poly._den, trunc)
 
     def expand(self, poly: Polynomial, trunc: int | None = None) -> _Series:
         """Expand an ambient polynomial to a truncated series."""

@@ -363,15 +363,36 @@ def _univariate_in_last(modulus, point_prefix):
     return coeffs
 
 
+def _polish_root(coeffs, root):
+    """root, after up to three Newton steps on the polynomial with
+    descending coeffs, taken while its relative residual |p(root)| / sum
+    |terms| exceeds 1e-12.
+
+    The eigenvalues np.roots returns are accurate relative to the largest
+    root, so a root many decades smaller can come back as 0.
+    """
+    slope = np.polyder(coeffs)
+    for _ in range(3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(np.polyval(coeffs, root))
+            scale = float(np.polyval(np.abs(coeffs), abs(root)))
+            d = complex(np.polyval(slope, root))
+        # met, or past the float range where it cannot be measured
+        if d == 0 or not abs(value) > 1e-12 * scale:
+            break
+        root -= value / d
+    return root
+
+
 def sample_intrinsic(datum: SagbiDatum, count: int, rng, log10_spread: float = 0.0):
     """Random points of the intrinsic chart, on the zero set of the modulus.
 
     Without a modulus the chart is affine space and coordinates are drawn
     from a complex normal.  With one, the free coordinates are drawn the
     same way and the last variable is solved for with a root chosen by the
-    generator, re-drawing when the section or the leading coefficient
-    degenerates or a coefficient is not finite.  Deterministic for a fixed
-    generator state.
+    generator and polished by ``_polish_root``, re-drawing when the section
+    or the leading coefficient degenerates or a coefficient is not finite.
+    Deterministic for a fixed generator state.
 
     A positive log10_spread multiplies each free coordinate by a radius
     10**uniform(-s, s).  Normal draws cluster around unit modulus, which
@@ -403,7 +424,7 @@ def sample_intrinsic(datum: SagbiDatum, count: int, rng, log10_spread: float = 0
                 continue
             roots = np.roots(coeffs)
             pick = int(rng.integers(len(roots)))
-            coords.append(complex(roots[pick]))
+            coords.append(_polish_root(coeffs, complex(roots[pick])))
         point = tuple(coords)
         if abs(evaluate_complex(section, point)) <= BASE_LOCUS_TOLERANCE:
             continue

@@ -104,7 +104,6 @@ __all__ = [
     "CriticalPointError",
     "RetractionError",
     "IllConditionedWarning",
-    "ambient_metric",
     "ambient_symplectic",
     "tangent_frame",
     "gradient_hamiltonian",
@@ -480,12 +479,6 @@ def _fubini_study(cp: ChartPoint) -> np.ndarray:
     return H
 
 
-def ambient_metric(cp: ChartPoint) -> np.ndarray:
-    """Product metric (Fubini-Study on the chart, flat on t) at cp: the
-    real form Re(u^H H v)."""
-    return _realify(_fubini_study(cp))
-
-
 def ambient_symplectic(cp: ChartPoint) -> np.ndarray:
     """Kaehler form of the product metric: W[a,b] = g(J a, b), with J
     multiplication by i, so W[a,b] = Re((i a)^H H b)."""
@@ -592,7 +585,7 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, tables=None
     and the row basis S the field was taken with.
 
     V = -P e_t / |P e_t|^2, for P the H-orthogonal projection onto the
-    kernel of the chart Jacobian J (H the metric of ``ambient_metric``),
+    kernel of the chart Jacobian J (H the metric of ``_fubini_study``),
     so that Re t falls at unit speed.
 
     Multi-relation families (the kernel path) take S from ``_row_basis``,
@@ -696,7 +689,7 @@ def _frame(model: _Model, cp: ChartPoint, fiber_only: bool) -> np.ndarray:
 
     One SVD of the chart Jacobian gives its singular values, for the rank
     checks, and the kernel K, whose conjugate transpose is the trailing
-    rows of Vh.  With H the metric of ``ambient_metric`` (its w block when
+    rows of Vh.  With H the metric of ``_fubini_study`` (its w block when
     fiber_only drops t), M = K^H H K has Cholesky factor L, and E = K L^-H
     is H-orthonormal; an L pivot below 1e-12 counts as degenerate.
     """

@@ -488,10 +488,10 @@ class FractionSeries:
 
 
 def full_length_sweep(context, trunc):
-    """The series table of a SeriesContext as it was once built: explicit
-    variables expanded from their Fraction terms, then every implicit one
-    swept from zero at the full truncation until a sweep changes nothing
-    (at most trunc + 2 sweeps)."""
+    """The series table of a SeriesContext as the context builds it, from
+    independent parts: explicit variables read off their Fraction terms,
+    not substituted, then every implicit one swept from zero at the full
+    truncation until a sweep changes nothing (at most trunc + 2 sweeps)."""
     from okkit.algebra import _Series, substitute
 
     table = {}

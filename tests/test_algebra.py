@@ -351,8 +351,15 @@ def test_series_inconclusive_is_loud():
 def test_series_assignment_refuses_laurent_exponents():
     # u^-1 has no place in a power series in u
     laurent_u = Ring(("u",), laurent=True)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match="Laurent exponent"):
         SeriesContext("u", {"x": parse_polynomial("u + u^-1", laurent_u)})
+
+
+def test_series_assignment_in_another_ring_is_refused_at_construction():
+    # an explicit assignment must be a polynomial in the parameter alone
+    for ring in (Ring(("t",)), Ring(("u", "t"))):
+        with pytest.raises(ValueError, match="polynomials in the parameter"):
+            SeriesContext("u", {"x": parse_polynomial("t^2", ring)})
 
 
 def test_series_zero_input_error():

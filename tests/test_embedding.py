@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from okkit.algebra import Polynomial, Ring, evaluate_complex, parse_polynomial
+from okkit.algebra import (
+    CompiledPolynomial,
+    Polynomial,
+    Ring,
+    evaluate_complex,
+    parse_polynomial,
+    relative_residual,
+)
 from okkit.degeneration import RelationSet, build_family, build_projection
 from okkit.embedding import (
     BaseLocusError,
@@ -303,6 +310,15 @@ class TestSampling:
         pts = sample_intrinsic(datum, 20, np.random.default_rng(4))
         for pt in pts:
             assert abs(evaluate_complex(datum.modulus, pt)) < 1e-8
+
+    def test_spread_samples_meet_the_modulus(self):
+        # at spread 30 the cubic z^3 - z + x^3 can have a root near x^3 that
+        # np.roots returns as 0; the Newton polish recovers it
+        datum = elliptic_datum()
+        modulus = CompiledPolynomial.stack([datum.modulus], datum.ring.nvars)
+        rng = np.random.default_rng(2301)
+        pts = np.array(sample_intrinsic(datum, 400, rng, log10_spread=30))
+        assert relative_residual(modulus, pts).max() <= 1e-12
 
     def test_unconstrained_chart(self):
         datum = ALL_DATA["gl3-flag"]()

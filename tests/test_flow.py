@@ -37,7 +37,6 @@ from okkit.flow import (
     _differentials,
     _evaluate,
     _point_key,
-    ambient_metric,
     ambient_symplectic,
     diagnostics_dict,
     flow_to,
@@ -52,6 +51,11 @@ from okkit.flow import (
 
 from oracles import fraction_derivative, kernel_field
 from presentations import relation_set_for
+
+
+def product_metric(cp):
+    """Fubini-Study on the chart and flat on t at cp, as a real form."""
+    return flow._realify(flow._fubini_study(cp))
 
 
 def pipeline(name):
@@ -162,14 +166,14 @@ class TestFlowConfig:
 class TestMetric:
     def test_identity_at_chart_origin(self):
         cp = ChartPoint(0, (0.0, 0.0), 0.5)
-        np.testing.assert_allclose(ambient_metric(cp), np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(product_metric(cp), np.eye(6), atol=1e-15)
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             cp = ChartPoint(0, tuple(w), 0.4)
-            G = ambient_metric(cp)
+            G = product_metric(cp)
             np.testing.assert_allclose(G, G.T, atol=1e-15)
             assert np.linalg.eigvalsh(G).min() > 0
 
@@ -177,7 +181,7 @@ class TestMetric:
         rng = np.random.default_rng(4)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         cp = ChartPoint(1, tuple(w), 0.3)
-        G = ambient_metric(cp)
+        G = product_metric(cp)
         W = ambient_symplectic(cp)
         np.testing.assert_allclose(W, -W.T, atol=1e-15)
         # compatibility g(Ja, Jb) = g(a, b) via exact block structure
@@ -213,7 +217,7 @@ class TestTangentFrame:
         _, fam, basis = elliptic
         cp = embedded_chart_point(elliptic, (1.5, _root(1.5)))
         E = tangent_frame(cp, fam, basis)
-        G = ambient_metric(cp)
+        G = product_metric(cp)
         np.testing.assert_allclose(E.T @ G @ E, np.eye(4), atol=1e-10)
 
     def test_cusp_of_special_fiber_is_singular(self, elliptic):
@@ -356,7 +360,7 @@ class TestGradient:
         x = sample_intrinsic(datum, 1, np.random.default_rng(13))[0]
         cp = embedded_chart_point(elliptic, x)
         E = tangent_frame(cp, fam, basis)
-        G = ambient_metric(cp)
+        G = product_metric(cp)
         slot = E.shape[0] - 2
         h = 1e-6
         y = cp.as_real()
@@ -372,7 +376,7 @@ class TestGradient:
         for x in sample_intrinsic(datum, 3, rng, log10_spread=1.0):
             cp = embedded_chart_point((datum, fam, basis), x)
             E = tangent_frame(cp, fam, basis)
-            G = ambient_metric(cp)
+            G = product_metric(cp)
             e = np.zeros(E.shape[0])
             e[-2] = 1.0
             coeffs = E.T @ G @ e
@@ -1088,6 +1092,31 @@ class TestFlowTo:
         res = flow_to(cp, 0.3, cfg, fam, basis)
         assert res.ok
         assert res.max_im_pi < 1e-8
+
+    @pytest.mark.parametrize(
+        "name, epsilon", [("elliptic", 0.5), ("elliptic", 0.9), ("gl3-flag", 0.8)]
+    )
+    def test_leg_started_off_the_dominant_chart_switches(self, name, epsilon):
+        # a start whose pivot holds 5-30% of the largest modulus moves to
+        # the dominant chart once it accepts a step, and ends where the leg
+        # started in the dominant chart ends
+        pipe = pipeline(name)
+        datum, fam, basis = pipe
+        cfg = FlowConfig(epsilon=epsilon)
+        rng = np.random.default_rng(7)
+        for x in sample_intrinsic(datum, 40, rng, log10_spread=1.0):
+            cp = embedded_chart_point(pipe, x, t=epsilon)
+            z = np.abs(cp.full_coords())
+            off = np.flatnonzero((z >= 0.05 * z.max()) & (z <= 0.3 * z.max()))
+            if off.size:
+                break
+        start = cp.to_chart(int(off[0]))
+        res = flow_to(start, 0.3, cfg, fam, basis)
+        home = flow_to(cp, 0.3, cfg, fam, basis)
+        assert res.ok and home.ok
+        assert res.samples[0].chart == start.chart
+        assert any(sample.chart != start.chart for sample in res.samples)
+        assert np.abs(np.subtract(res.moment, home.moment)).max() < 1e-11
 
 
 class TestToricJump:
