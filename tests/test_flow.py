@@ -49,6 +49,7 @@ from okkit.flow import (
     trajectory_csv,
 )
 
+import oracles
 from oracles import fraction_derivative, kernel_field
 from presentations import relation_set_for
 
@@ -688,9 +689,10 @@ class TestKernelField:
 
     def test_one_jacobian_per_stage(self, gl3, monkeypatch):
         # stage 0 takes the field from the Jacobian its row basis was
-        # built from, so every attempted step, a retry included, builds the
-        # full Jacobian twelve times.  Every full Jacobian reads the round's
-        # one gather of the chart tables.
+        # built from, so every field evaluation builds the full Jacobian
+        # once: twelve per attempted step, a retry included, except that a
+        # lone state's round ends at a stage point off the family.  Every
+        # full Jacobian reads the round's one gather of the chart tables.
         datum, fam, basis = gl3
         cfg = FlowConfig(epsilon=0.8)
         x = sample_intrinsic(datum, 1, np.random.default_rng(31))[0]
@@ -714,7 +716,8 @@ class TestKernelField:
         monkeypatch.setattr(flow._Model, "tables", gather)
         res = flow_to(cp, 0.3, cfg, fam, basis)
         assert res.ok and res.steps > 1 and res.rejected > 0
-        assert full == [1] * (12 * (res.steps + res.rejected))
+        assert full == [1] * res.field_evals
+        assert res.field_evals < 12 * (res.steps + res.rejected)
         # one gather per round, besides those of the fiber Jacobians of the
         # retraction and the toric test
         assert len(gathers) - len(own) == res.steps + res.rejected
@@ -745,6 +748,81 @@ class TestKernelField:
         shared, shared_errors, _ = flow._field(model, charts, Y, tables=gathered)
         assert shared.tobytes() == V.tobytes()
         assert [str(e) for e in shared_errors] == [str(e) for e in errors]
+
+
+def _forced_states(model, charts, Y):
+    """charts and Y with, spliced into the middle, the chart origin of
+    every chart at t = 0 and 0.5 (a Jacobian of low rank, one of too high
+    a rank, or a zero time gradient, by family and chart) and a state
+    with a non-finite coordinate."""
+    origins = [
+        ChartPoint(c, (0.0,) * model.n_w, t).as_real()
+        for c in range(model.nsym)
+        for t in (0.0, 0.5)
+    ]
+    bad = np.array(Y[0])
+    bad[1] = math.nan
+    forced = np.array(origins + [bad])
+    middle = len(Y) // 2
+    charts = np.concatenate(
+        (charts[:middle], [c for c in range(model.nsym) for _ in (0, 1)],
+         charts[:1], charts[middle:])
+    ).astype(np.intp)
+    return charts, np.concatenate((Y[:middle], forced, Y[middle:]))
+
+
+class TestTrimmedField:
+    """The stage field gives the bits of the untrimmed one in
+    tests/oracles.py: V, the returned row basis and every failure."""
+
+    @staticmethod
+    def same(mine, reference):
+        (V, errors, S), (V_ref, errors_ref, S_ref) = mine, reference
+        assert V.tobytes() == V_ref.tobytes()
+        assert (S is None) == (S_ref is None)
+        assert S is None or S.tobytes() == S_ref.tobytes()
+        assert [(type(e), str(e)) for e in errors] == [
+            (type(e), str(e)) for e in errors_ref
+        ]
+        return errors
+
+    @pytest.mark.parametrize(
+        "name, critical_norm",
+        [
+            ("elliptic", flow.CRITICAL_NORM),
+            ("elliptic", 0.9),
+            ("gl3-flag", flow.CRITICAL_NORM),
+            ("gl3-flag", 1.0 - 1e-9),
+        ],
+    )
+    def test_same_bits_as_the_untrimmed_field(self, name, critical_norm, monkeypatch):
+        # the raised critical norms make some healthy states critical on
+        # both sides, besides the chart origin whose time gradient is 0
+        monkeypatch.setattr(flow, "CRITICAL_NORM", critical_norm)
+        model, datum = catalog_model(name)
+        if model.closed_form:
+            charts, Y = _one_relation_states(model, datum, 53)
+        else:
+            charts, Y = _kernel_states(model, datum, 53)
+        charts, Y = _forced_states(model, charts, Y)
+        kinds = set()
+        mine = flow._field(model, charts, Y)
+        errors = self.same(mine, oracles.stage_field(model, charts, Y))
+        critical = sum(type(e) is CriticalPointError for e in errors)
+        kinds.update(str(e).split(" at ")[0] for e in errors if e)
+        if not model.closed_form:
+            S = mine[2]
+            for h in (0.125, 0.5):
+                for point, V, errors in _stage_points(model, charts, Y, S, h):
+                    reference = oracles.stage_field(model, charts, point, S)
+                    self.same((V, errors, S), reference)
+                    kinds.update(str(e).split(" at ")[0] for e in errors if e)
+        assert "chart coordinates are not finite" in kinds
+        assert any(k.startswith("family Jacobian has rank below") for k in kinds)
+        assert any(k.startswith("projected time gradient has norm") for k in kinds)
+        if not model.closed_form:
+            assert any(k.startswith("family Jacobian rank exceeds") for k in kinds)
+        assert critical >= (5 if critical_norm > 1e-3 else 1)
 
 
 class TestTableau:
@@ -848,6 +926,32 @@ class TestStageRejection:
         # the stages up to the failing one were evaluated
         assert res.field_evals == call + 1
 
+    def test_round_ends_once_no_state_is_live(self, gl3, monkeypatch):
+        # at epsilon 0.8 stage points leave the family: a lone state's round
+        # ends at that stage, with no further field calls, while in a batch
+        # the round runs on for the others; the results agree bit for bit
+        datum, fam, basis = gl3
+        cfg = FlowConfig(epsilon=0.8)
+        xs = sample_intrinsic(datum, 4, np.random.default_rng(1), log10_spread=1.0)
+        starts = [embedded_chart_point(gl3, x, t=cfg.epsilon) for x in xs]
+        field = flow._field
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return field(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "_field", counted)
+        alone = []
+        for cp in starts:
+            calls.clear()
+            alone.append(flow_to(cp, 0.3, cfg, fam, basis))
+            leg = alone[-1]
+            assert leg.ok and len(calls) == leg.field_evals
+        assert any(leg.field_evals < 12 * (leg.steps + leg.rejected) for leg in alone)
+        batched = flow._integrate(flow._Model(fam, basis), starts, 0.3, cfg)
+        assert [repr(leg) for leg in batched] == [repr(leg) for leg in alone]
+
     def test_dead_state_leaves_its_round_untouched(self, elliptic, monkeypatch):
         # in one round, the first state fails at stage 3, the second's whole
         # leg step is rejected and the third's is accepted
@@ -888,28 +992,30 @@ def test_elliptic_accuracy_at_the_default_tolerances(elliptic):
 # log10_spread) at epsilon 0.8.  Before stage points off the family
 # rejected the step, every one of these samples at spread 0 and half of
 # them at spread 1 failed with "family Jacobian rank exceeds the expected
-# 4" at 0 steps; now every rejection is such a stage point, and every
-# sample succeeds.  The continuation leg takes one step: its fiber is
+# 4" at 0 steps; now such a stage point rejects the step, and every
+# sample succeeds.  Since a step rejected before the first accepted one
+# shrinks by 0.9 q^(-1/2), some first legs take one step more and some
+# one rejection fewer.  The continuation leg takes one step: its fiber is
 # toric to rounding, so it jumps.
 GL3_EPSILON_08 = {
     0.0: [
         (True, None, 13, 3, 1),
         (True, None, 14, 3, 1),
         (True, None, 14, 3, 1),
-        (True, None, 16, 3, 1),
-        (True, None, 14, 3, 1),
+        (True, None, 17, 3, 1),
+        (True, None, 15, 3, 1),
         (True, None, 12, 2, 1),
-        (True, None, 13, 3, 1),
-        (True, None, 16, 3, 1),
+        (True, None, 14, 3, 1),
+        (True, None, 17, 3, 1),
     ],
     1.0: [
         (True, None, 11, 2, 1),
         (True, None, 17, 3, 1),
-        (True, None, 10, 3, 1),
-        (True, None, 7, 3, 1),
+        (True, None, 10, 2, 1),
+        (True, None, 8, 2, 1),
         (True, None, 16, 3, 1),
-        (True, None, 9, 3, 1),
-        (True, None, 15, 3, 1),
+        (True, None, 10, 2, 1),
+        (True, None, 16, 3, 1),
         (True, None, 20, 3, 1),
     ],
 }
@@ -1075,7 +1181,7 @@ class TestFlowTo:
     def test_counters_show_twelve_evaluations_per_attempt(self, elliptic):
         datum, fam, basis = elliptic
         cfg = FlowConfig()
-        x = sample_intrinsic(datum, 1, np.random.default_rng(17))[0]
+        x = sample_intrinsic(datum, 1, np.random.default_rng(12))[0]
         cp = embedded_chart_point(elliptic, x, t=cfg.epsilon)
         res = flow_to(cp, cfg.delta, cfg, fam, basis)
         assert res.ok and res.rejected > 0
@@ -1117,6 +1223,91 @@ class TestFlowTo:
         assert res.samples[0].chart == start.chart
         assert any(sample.chart != start.chart for sample in res.samples)
         assert np.abs(np.subtract(res.moment, home.moment)).max() < 1e-11
+
+
+def _recorded_attempts(monkeypatch):
+    """Record every attempted step of a lone flow: per round, Re t of the
+    state it starts from and the twelve (point, field) pairs of its stages.
+    ``_damping`` runs once at the start of the leg and once per round,
+    before the stages."""
+    damping, field = flow._damping, flow._field
+    starts, rounds = [], []
+
+    def damped(re_t):
+        starts.append(float(re_t[0]))
+        rounds.append([])
+        return damping(re_t)
+
+    def recorded(model, charts, Y, *args, **kwargs):
+        V, errors, S = field(model, charts, Y, *args, **kwargs)
+        assert len(Y) == 1 and errors == [None]
+        rounds[-1].append((np.array(Y[0]), V[0].copy()))
+        return V, errors, S
+
+    monkeypatch.setattr(flow, "_damping", damped)
+    monkeypatch.setattr(flow, "_field", recorded)
+    return starts, rounds
+
+
+def _error_norm(stages, cfg, dim):
+    """The DOP853 error norm q of one attempted step from its twelve stage
+    points and fields; the step size is read off stage 1's Re t."""
+    (y, _), (y1, _) = stages[:2]
+    h = (y[-2] - y1[-2]) / flow._DOP_A[1][0]
+    sums = np.zeros((14, dim))
+    for i, (_, V) in enumerate(stages):
+        sums += flow._DOP_WEIGHTS[i, :, :, 0] * V
+    y_new = y + h * sums[11]
+    sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+    e5_sq = np.sum((sums[12] / sc) ** 2)
+    e3_sq = np.sum((sums[13] / sc) ** 2)
+    return h, h * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * dim)
+
+
+class TestStepControl:
+    """The step-size controller: a step the error test rejects before the
+    state's first accepted step of the leg shrinks by 0.9 q^(-1/2), and
+    every other step follows 0.9 q^(-1/8), both clipped to [0.2, 5]."""
+
+    def test_retry_exponent_is_one_half_only_before_the_first_acceptance(
+        self, elliptic, monkeypatch
+    ):
+        datum, fam, basis = elliptic
+        cfg = FlowConfig()
+        x = sample_intrinsic(datum, 1, np.random.default_rng(12))[0]
+        cp = embedded_chart_point(elliptic, x, t=cfg.epsilon)
+        starts, rounds = _recorded_attempts(monkeypatch)
+        res = flow_to(cp, cfg.delta, cfg, fam, basis)
+        assert res.ok and res.field_evals == 12 * (res.steps + res.rejected)
+        leg_start, starts, rounds = starts[0], starts[1:], rounds[1:]
+        assert len(rounds) == res.steps + res.rejected
+        dim = len(cp.as_real())
+        s_end = leg_start - cfg.delta
+        # replay the controller from the observed error norms
+        h = s_end / flow._damping(np.array([leg_start]))[0]
+        accepted_yet = False
+        early = late = 0
+        for k, (re_t, stages) in enumerate(zip(starts, rounds)):
+            assert len(stages) == 12
+            taken, q = _error_norm(stages, cfg, dim)
+            want = h * flow._damping(np.array([re_t]))[0]
+            assert taken == pytest.approx(min(want, re_t - cfg.delta), rel=1e-9)
+            # a rejected step retries from the same state
+            accepted = k + 1 == len(rounds) or (
+                rounds[k + 1][0][0].tobytes() != stages[0][0].tobytes()
+            )
+            assert accepted == (q <= 1.0)
+            accepted_yet = accepted_yet or accepted
+            exponents = (0.125, 0.5) if accepted_yet else (0.5, 0.125)
+            factor, other = (
+                min(5.0, max(0.2, 0.9 * max(q, 1e-10) ** -e)) for e in exponents
+            )
+            # count the rejections where the other law gives another step
+            if not accepted and abs(other / factor - 1.0) > 1e-3:
+                early += not accepted_yet
+                late += accepted_yet
+            h *= factor
+        assert early >= 1 and late >= 1
 
 
 class TestToricJump:
@@ -1494,6 +1685,32 @@ class TestPoissonBracket:
             poisson_bracket(i, j, x, cfg, datum, fam, basis)
         # one batch of the 2k perturbed starts, k the fiber frame's width
         assert evaluations == [2 * (2 * basis.value_dim)]
+
+    def test_first_legs_stay_within_their_pinned_rounds(self, gl3, monkeypatch):
+        # A regression gate on wasted lockstep rounds, in deterministic
+        # counts: per bracket batch, the largest leg-1 field_evals is twelve
+        # times the rounds its first leg runs.  Summed over these twelve
+        # points it was 504 while every rejection shrank a step by
+        # 0.9 q^(-1/8), and is 336 with 0.9 q^(-1/2) before the first
+        # accepted step.
+        datum, fam, basis = gl3
+        cfg = FlowConfig()
+        monkeypatch.setattr(flow, "_last_differentials", None)
+        integrate = flow._integrate
+        rounds = []
+
+        def counted(model, starts, target, cfg):
+            legs = integrate(model, starts, target, cfg)
+            if target == cfg.delta:
+                rounds.append(max(leg.field_evals for leg in legs))
+            return legs
+
+        monkeypatch.setattr(flow, "_integrate", counted)
+        xs = sample_intrinsic(datum, 12, np.random.default_rng(1), log10_spread=1.0)
+        for x in xs:
+            flow._differentials(x, cfg, datum, fam, basis)
+        assert len(rounds) == len(xs)
+        assert sum(rounds) <= 336
 
     def test_reuse_equals_cold_computation(self, p1xp1, evaluations):
         datum, fam, basis = p1xp1
