@@ -157,14 +157,13 @@ class Polynomial:
     equal polynomials store equal data.  Arithmetic works on the
     numerators and normalizes each result with one gcd.  :attr:`terms`,
     the map exponent tuple -> Fraction, is a read-only view built on first
-    access and cached, and so is the :class:`CompiledPolynomial` that
-    evaluates it numerically.
+    access and cached.
 
     No zero coefficients are stored.  Negative exponents are rejected unless
     the ring's Laurent flag is set.
     """
 
-    __slots__ = ("ring", "_num", "_den", "_terms", "_hash", "_numeric")
+    __slots__ = ("ring", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Fraction]):
         clean = {}
@@ -195,7 +194,6 @@ class Polynomial:
         _set(self, "_den", den)
         _set(self, "_terms", terms)
         _set(self, "_hash", None)
-        _set(self, "_numeric", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -224,18 +222,6 @@ class Polynomial:
             t = MappingProxyType({e: Fraction(a, d) for e, a in self._num.items()})
             _set(self, "_terms", t)
         return t
-
-    @property
-    def _compiled(self) -> "CompiledPolynomial":
-        """The polynomial compiled for numeric evaluation, built on first
-        use and cached; its arrays are read-only."""
-        c = self._numeric
-        if c is None:
-            c = CompiledPolynomial(self)
-            for array in (c.exps, c.coeffs, c.magnitudes):
-                array.setflags(write=False)
-            _set(self, "_numeric", c)
-        return c
 
     # -- constructors ------------------------------------------------------
 
@@ -740,7 +726,7 @@ class CompiledPolynomial:
 
     def monomials(self, z: np.ndarray) -> np.ndarray:
         """Value of each term's monomial at z, in term order."""
-        return np.multiply.reduce(z[..., None, :] ** self.exps, axis=-1)
+        return (z[..., None, :] ** self.exps).prod(axis=-1)
 
     def value(self, zvec: np.ndarray) -> complex:
         if not len(self.coeffs):
@@ -762,7 +748,7 @@ class CompiledPolynomial:
         With split, an index array of terms, also returns the part of each
         sum over those terms, from the same monomials.
         """
-        terms = np.multiply.reduce(zabs[..., None, :] ** self.exps, axis=-1)
+        terms = (zabs[..., None, :] ** self.exps).prod(axis=-1)
         total = (terms[..., None, :] @ self.magnitudes)[..., 0, :]
         if split is None:
             return total
@@ -801,7 +787,7 @@ def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
             % (len(point), f.ring.nvars)
         )
     zvec = np.array([complex(z) for z in point], dtype=complex)
-    compiled = f._compiled
+    compiled = CompiledPolynomial(f)
     if np.any((compiled.exps < 0) & (zvec == 0)):
         raise EvaluationError("zero coordinate with negative exponent")
     return compiled.value(zvec)

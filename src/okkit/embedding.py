@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import evaluate_complex, relative_residual
+from .algebra import CompiledPolynomial, evaluate_complex, relative_residual
 from .degeneration import FamilyPresentation
 from .okounkov import SagbiDatum
 
@@ -354,7 +354,7 @@ def reduced_moment(point, basis: VdBasis, grading) -> tuple:
 def _univariate_in_last(modulus, point_prefix):
     """Coefficients (descending) of the modulus as a polynomial in the
     last ring variable, with the other variables fixed."""
-    compiled = modulus._compiled
+    compiled = CompiledPolynomial(modulus)
     zvec = np.array([complex(v) for v in point_prefix] + [1.0 + 0.0j])
     powers = compiled.exps[:, -1]
     degree = int(powers.max())

@@ -35,18 +35,16 @@ compressed system is not singular to working precision (else its rank
 is below r).  The integrator is a lockstep DOP853, the eighth-order
 Dormand-Prince pair with a fifth- and third-order error estimate: each
 state keeps its own chart, step size, counters and failure; a step's
-twelve stages share one gather of the states' chart tables, and a
-round stops at the stage after which none of its states is live; a
-stage point whose Jacobian rank exceeds r lies off the family and
-rejects the step; a rejected step's retry recomputes stage 0, SVD
-included, to the same bits; a step the error test rejects before the
-state's first accepted step of the leg shrinks by 0.9 q^(-1/2) (q the
-error norm), at the order its error is measured to fall with, and every
-other step changes by DOP853's 0.9 q^(-1/8); a state whose field fails
-is masked out of the round rather than dropped from its arrays; the
-retraction takes one batched minimum-norm Gauss-Newton step per
-iteration; one pass over the accepted states records their samples,
-toric moments included.
+twelve stages share one gather of the states' chart tables; a stage
+point whose Jacobian rank exceeds r lies off the family and rejects the
+step; a rejected step's retry recomputes stage 0, SVD included, to the
+same bits; a step the error test rejects before the state's first
+accepted step of the leg shrinks by 0.9 q^(-1/2) (q the error norm), at
+the order its error is measured to fall with, and every other step
+changes by DOP853's 0.9 q^(-1/8); a state whose field fails is masked
+out of the round rather than dropped from its arrays; the retraction
+takes one batched minimum-norm Gauss-Newton step per iteration; one pass
+over the accepted states records their samples, toric moments included.
 Once a state's fiber is the target's to rounding (its relations' terms
 that carry tau are below float64's unit roundoff of their relation, and
 the first-order transport bound keeps its coordinates within rounding),
@@ -415,8 +413,6 @@ class _Model:
             raise FlowError("family dimension exceeds ambient chart")
         # the expected Jacobian rank, the same with or without the t column
         self.rank = self.n_w + 1 - self.m
-        # the r x r identity of the kernel path's solve and its check
-        self.identity = np.eye(self.rank)
         # no relations, or one of rank one: the field needs no SVD
         self.closed_form = self.n_rel == 0 or (self.n_rel == 1 and self.rank == 1)
 
@@ -454,7 +450,7 @@ class _Model:
         """
         exps, coeffs = self.tables(charts) if tables is None else tables
         w = np.ascontiguousarray(Y).view(complex)[:, None, :]
-        monomials = np.multiply.reduce(w**exps, axis=-1)
+        monomials = (w**exps).prod(axis=-1)
         J = (monomials[:, None, :] @ coeffs)[:, 0]
         J = J.reshape(len(charts), self.n_rel, self.nsym)
         return J[:, :, : self.n_w] if fiber_only else J
@@ -554,13 +550,15 @@ def _rank_checks(sigma: np.ndarray, r_exp: int, errors: list) -> None:
         _flag(errors, high, _rank_exceeds, r_exp)
 
 
-def _critical(errors: list, mask: np.ndarray, nsq: np.ndarray) -> None:
-    """Flag the masked states, whose squared projected time gradient nsq
-    is below CRITICAL_NORM^2."""
-    for b in np.flatnonzero(mask):
-        errors[b] = errors[b] or CriticalPointError(
-            "projected time gradient has norm %.3g" % math.sqrt(max(nsq[b], 0.0))
-        )
+def _critical(nsq: np.ndarray, errors: list) -> np.ndarray:
+    """Flag the states with nsq < CRITICAL_NORM^2; returns their mask."""
+    critical = nsq < CRITICAL_NORM**2
+    if critical.any():
+        for b in np.flatnonzero(critical):
+            errors[b] = errors[b] or CriticalPointError(
+                "projected time gradient has norm %.3g" % math.sqrt(max(nsq[b], 0.0))
+            )
+    return critical
 
 
 def _row_basis(
@@ -604,10 +602,10 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, tables=None
     forms.  tables, when given, is ``model.tables(charts)``.  With
     A = S J, r x (n_w + 1), and H^-1 = one (I + w w^H) on the w block and
     1 on t (one = 1 + |w|^2), X = H^-1 A^H and G = A X; one solve gives
-    G Z = A, whose t column y solves G y = A e_t, then v = e_t - X y =
-    P e_t, |P e_t|^2 = Re v_t, and V = -v / Re v_t, divided component by
-    component on the real layout, with its t entry set to exactly -1, as
-    the closed form below has it.
+    G [y | Z] = [A e_t | A], then v = e_t - X y = P e_t, |P e_t|^2 =
+    Re v_t, and V = -v / Re v_t, divided component by component on the
+    real layout, with its t entry set to exactly -1, as the closed form
+    below has it.
     Two checks run at every stage: Z X, in exact arithmetic the identity,
     must be within 1e-6 of it, else G is singular to working precision
     and the rank below r; and ||J - (J X) Z||_F <= 1e-6 ||J||_F, else J
@@ -615,10 +613,8 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, tables=None
 
     For one relation of rank one, with row j = (j_w, j_t), that V is
     u = H_w^-1 j_w^H, s_w = Re(j_w u) = one (|j_w|^2 + |j_w w|^2), nsq =
-    s_w / (s_w + |j_t|^2), V_w = u j_t / s_w and V_t = -1 exactly.  |j| is
-    the one singular value: the rank is below 1 when |j| <= 1e-10 (or
-    overflows), and one singular value is never ill conditioned.  With no
-    relations V = -e_t.
+    s_w / (s_w + |j_t|^2), V_w = u j_t / s_w and V_t = -1 exactly; |j| is
+    the one singular value to check.  With no relations V = -e_t.
     """
     n, n_w = len(charts), model.n_w
     errors = [None] * n
@@ -639,23 +635,16 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, tables=None
         p = np.add.reduce(jw * w, axis=1)
         jw_sq = np.add.reduce(jw.real**2 + jw.imag**2, axis=1)
         jt_sq = jt.real**2 + jt.imag**2
-        sigma = np.sqrt(jw_sq + jt_sq)
-        low = sigma <= 1e-10 * np.maximum(1.0, sigma)
-        if low.any():
-            _flag(errors, low, _rank_below, 1)
+        _rank_checks(np.sqrt(jw_sq + jt_sq)[:, None], 1, errors)
         s_w = one * (jw_sq + (p.real**2 + p.imag**2))
         total = s_w + jt_sq
-        nsq = s_w / np.where(total > 0, total, 1.0)
-        bad = nsq < CRITICAL_NORM**2
-        if bad.any():
-            _critical(errors, bad, nsq)
-            s_w = np.where(bad, 1.0, s_w)
+        bad = _critical(s_w / np.where(total > 0, total, 1.0), errors)
         V = np.empty((n, n_w + 1), dtype=complex)
         u = one[:, None] * (jw.conj() + w * p.conj()[:, None])
-        V[:, :n_w] = u * (jt / s_w)[:, None]
+        V[:, :n_w] = u * (jt / np.where(bad, 1.0, s_w))[:, None]
         V[:, n_w] = -1.0
         return V.view(float), errors, None
-    r, identity = model.rank, model.identity
+    r = model.rank
     A = S @ J
     X = A.conj().transpose(0, 2, 1).copy()
     Xw = X[:, :n_w]
@@ -663,34 +652,31 @@ def _field(model: _Model, charts: np.ndarray, Y: np.ndarray, S=None, tables=None
     Xw *= one[:, None, None]
     G = A @ X
     if any(errors):
-        G[[e is not None for e in errors]] = identity
+        G[[e is not None for e in errors]] = np.eye(r)
+    rhs = np.concatenate((A[:, :, n_w:], A), axis=2)
     try:
-        Z = np.linalg.solve(G, A)
+        sol = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
         # a state whose G is exactly singular keeps Z = 0, which fails
         # the identity test below
-        Z = np.zeros_like(A)
+        sol = np.zeros_like(rhs)
         for b in range(n):
             try:
-                Z[b] = np.linalg.solve(G[b], A[b])
+                sol[b] = np.linalg.solve(G[b], rhs[b])
             except np.linalg.LinAlgError:
                 pass
-    off = np.abs((Z @ X - identity).reshape(n, -1).view(float))
-    low = ~(off.max(axis=1, initial=0.0) <= 1e-6)
-    if low.any():
-        _flag(errors, low, _rank_below, r)
+    y, Z = sol[:, :, :1], sol[:, :, 1:]
+    off = np.abs((Z @ X - np.eye(r)).reshape(n, -1).view(float))
+    _flag(errors, ~(off.max(axis=1, initial=0.0) <= 1e-6), _rank_below, r)
     R = (J - (J @ X) @ Z).reshape(n, -1).view(float)
     R_sq = np.add.reduce(R * R, axis=1)
     Jf = J.reshape(n, -1).view(float)
-    high = ~(R_sq <= 1e-12 * np.add.reduce(Jf * Jf, axis=1))
-    if high.any():
-        _flag(errors, high, _rank_exceeds, r)
-    v = -(X @ Z[:, :, n_w:])[:, :, 0]
+    _flag(errors, ~(R_sq <= 1e-12 * np.add.reduce(Jf * Jf, axis=1)), _rank_exceeds, r)
+    v = -(X @ y)[:, :, 0]
     v[:, n_w] += 1.0
     nsq = v[:, n_w].real
-    critical = nsq < CRITICAL_NORM**2
+    critical = _critical(nsq, errors)
     if critical.any():
-        _critical(errors, critical, nsq)
         nsq = np.where(critical, 1.0, nsq)
     V = v.view(float) / -nsq[:, None]
     V[:, 2 * n_w :] = (-1.0, 0.0)
@@ -1055,11 +1041,10 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
     instead, clipped the same way: the whole-leg first step and its
     first retries are far outside the h^8 regime, and there q falls
     roughly with h^2.  A rejected step retries from the same state, all
-    twelve stages again.  A stage point i > 0 whose Jacobian rank exceeds
-    the expected one lies off the family, and rejects the step with the
-    factor 0.2; every other field failure, and any failure at stage 0,
-    ends the trajectory.  A round's stages stop once every state in it
-    has failed or been rejected at a stage point.
+    twelve stages again.  A stage point i > 0
+    whose Jacobian rank exceeds the expected one lies off the family, and
+    rejects the step with the factor 0.2; every other field failure, and
+    any failure at stage 0, ends the trajectory.
 
     ``_toric`` tests a state at the start of the leg, if its residual is
     within retraction_tol, and after each retraction; a state it passes
@@ -1218,10 +1203,7 @@ def _integrate(model: _Model, starts, target: float, cfg: FlowConfig) -> list:
                     else:
                         dead[r] = True
                         fail(act[r], str(exc))
-                if (dead | off).all():
-                    break
-            # stage i has weight 0 in the increment sums of stages 1..i
-            sums[i:] += _DOP_WEIGHTS[i, i:] * V
+            sums += _DOP_WEIGHTS[i] * V
         y_new = y + hh * sums[11]
         sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
         e5_sq = np.add.reduce((sums[12] / sc) ** 2, axis=1)

@@ -636,106 +636,3 @@ def kernel_field(J, Y, rank):
         Kc = K @ c
         out.append((Kc / -Kc[-1].real).view(float))
     return np.array(out)
-
-
-def stage_field(model, charts, Y, S=None, tables=None):
-    """``okkit.flow._field`` as written before its stage evaluation was
-    trimmed: the kernel path solves G against [A e_t | A], builds its
-    identity matrices per call, and runs every flag and critical test
-    whether or not a state is flagged; the closed form runs the rank
-    checks on its one singular value; the Jacobian takes ``.prod``.  The
-    trimmed field must give the same bits: V, the returned S, and the
-    exception of every state.
-    """
-    import math
-
-    import numpy as np
-
-    from okkit import flow
-
-    def jacobian(Y):
-        exps, coeffs = model.tables(charts) if tables is None else tables
-        w = np.ascontiguousarray(Y).view(complex)[:, None, :]
-        monomials = (w**exps).prod(axis=-1)
-        J = (monomials[:, None, :] @ coeffs)[:, 0]
-        return J.reshape(len(charts), model.n_rel, model.nsym)
-
-    def critical_states(nsq, errors):
-        critical = nsq < flow.CRITICAL_NORM**2
-        if critical.any():
-            for b in np.flatnonzero(critical):
-                errors[b] = errors[b] or flow.CriticalPointError(
-                    "projected time gradient has norm %.3g"
-                    % math.sqrt(max(nsq[b], 0.0))
-                )
-        return critical
-
-    n, n_w = len(charts), model.n_w
-    errors = [None] * n
-    Y = flow._finite(Y, errors)
-    if not model.n_rel:
-        V = np.zeros((n, 2 * n_w + 2))
-        V[:, 2 * n_w] = 1.0
-        return -V, errors, None
-    J = jacobian(Y)
-    if S is None and not model.closed_form:
-        U, sigma, _ = np.linalg.svd(J)
-        flow._rank_checks(sigma, model.rank, errors)
-        S = U[:, :, : model.rank].conj().transpose(0, 2, 1)
-    w = Y.view(complex)[:, :n_w]
-    one = 1.0 + np.add.reduce(Y[:, : 2 * n_w] ** 2, axis=1)
-    if model.closed_form:
-        j = J[:, 0]
-        jw, jt = j[:, :n_w], j[:, n_w]
-        p = np.add.reduce(jw * w, axis=1)
-        jw_sq = np.add.reduce(jw.real**2 + jw.imag**2, axis=1)
-        jt_sq = jt.real**2 + jt.imag**2
-        flow._rank_checks(np.sqrt(jw_sq + jt_sq)[:, None], 1, errors)
-        s_w = one * (jw_sq + (p.real**2 + p.imag**2))
-        total = s_w + jt_sq
-        bad = critical_states(s_w / np.where(total > 0, total, 1.0), errors)
-        V = np.empty((n, n_w + 1), dtype=complex)
-        u = one[:, None] * (jw.conj() + w * p.conj()[:, None])
-        V[:, :n_w] = u * (jt / np.where(bad, 1.0, s_w))[:, None]
-        V[:, n_w] = -1.0
-        return V.view(float), errors, None
-    r = model.rank
-    A = S @ J
-    X = A.conj().transpose(0, 2, 1).copy()
-    Xw = X[:, :n_w]
-    Xw += w[:, :, None] * (w.conj()[:, None, :] @ Xw)
-    Xw *= one[:, None, None]
-    G = A @ X
-    if any(errors):
-        G[[e is not None for e in errors]] = np.eye(r)
-    rhs = np.concatenate((A[:, :, n_w:], A), axis=2)
-    try:
-        sol = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.zeros_like(rhs)
-        for b in range(n):
-            try:
-                sol[b] = np.linalg.solve(G[b], rhs[b])
-            except np.linalg.LinAlgError:
-                pass
-    y, Z = sol[:, :, :1], sol[:, :, 1:]
-    off = np.abs((Z @ X - np.eye(r)).reshape(n, -1).view(float))
-    flow._flag(errors, ~(off.max(axis=1, initial=0.0) <= 1e-6), flow._rank_below, r)
-    R = (J - (J @ X) @ Z).reshape(n, -1).view(float)
-    R_sq = np.add.reduce(R * R, axis=1)
-    Jf = J.reshape(n, -1).view(float)
-    flow._flag(
-        errors,
-        ~(R_sq <= 1e-12 * np.add.reduce(Jf * Jf, axis=1)),
-        flow._rank_exceeds,
-        r,
-    )
-    v = -(X @ y)[:, :, 0]
-    v[:, n_w] += 1.0
-    nsq = v[:, n_w].real
-    critical = critical_states(nsq, errors)
-    if critical.any():
-        nsq = np.where(critical, 1.0, nsq)
-    V = v.view(float) / -nsq[:, None]
-    V[:, 2 * n_w :] = (-1.0, 0.0)
-    return V, errors, S

@@ -49,7 +49,6 @@ from okkit.flow import (
     trajectory_csv,
 )
 
-import oracles
 from oracles import fraction_derivative, kernel_field
 from presentations import relation_set_for
 
@@ -689,10 +688,9 @@ class TestKernelField:
 
     def test_one_jacobian_per_stage(self, gl3, monkeypatch):
         # stage 0 takes the field from the Jacobian its row basis was
-        # built from, so every field evaluation builds the full Jacobian
-        # once: twelve per attempted step, a retry included, except that a
-        # lone state's round ends at a stage point off the family.  Every
-        # full Jacobian reads the round's one gather of the chart tables.
+        # built from, so every attempted step, a retry included, builds the
+        # full Jacobian twelve times.  Every full Jacobian reads the round's
+        # one gather of the chart tables.
         datum, fam, basis = gl3
         cfg = FlowConfig(epsilon=0.8)
         x = sample_intrinsic(datum, 1, np.random.default_rng(31))[0]
@@ -716,8 +714,7 @@ class TestKernelField:
         monkeypatch.setattr(flow._Model, "tables", gather)
         res = flow_to(cp, 0.3, cfg, fam, basis)
         assert res.ok and res.steps > 1 and res.rejected > 0
-        assert full == [1] * res.field_evals
-        assert res.field_evals < 12 * (res.steps + res.rejected)
+        assert full == [1] * (12 * (res.steps + res.rejected))
         # one gather per round, besides those of the fiber Jacobians of the
         # retraction and the toric test
         assert len(gathers) - len(own) == res.steps + res.rejected
@@ -748,81 +745,6 @@ class TestKernelField:
         shared, shared_errors, _ = flow._field(model, charts, Y, tables=gathered)
         assert shared.tobytes() == V.tobytes()
         assert [str(e) for e in shared_errors] == [str(e) for e in errors]
-
-
-def _forced_states(model, charts, Y):
-    """charts and Y with, spliced into the middle, the chart origin of
-    every chart at t = 0 and 0.5 (a Jacobian of low rank, one of too high
-    a rank, or a zero time gradient, by family and chart) and a state
-    with a non-finite coordinate."""
-    origins = [
-        ChartPoint(c, (0.0,) * model.n_w, t).as_real()
-        for c in range(model.nsym)
-        for t in (0.0, 0.5)
-    ]
-    bad = np.array(Y[0])
-    bad[1] = math.nan
-    forced = np.array(origins + [bad])
-    middle = len(Y) // 2
-    charts = np.concatenate(
-        (charts[:middle], [c for c in range(model.nsym) for _ in (0, 1)],
-         charts[:1], charts[middle:])
-    ).astype(np.intp)
-    return charts, np.concatenate((Y[:middle], forced, Y[middle:]))
-
-
-class TestTrimmedField:
-    """The stage field gives the bits of the untrimmed one in
-    tests/oracles.py: V, the returned row basis and every failure."""
-
-    @staticmethod
-    def same(mine, reference):
-        (V, errors, S), (V_ref, errors_ref, S_ref) = mine, reference
-        assert V.tobytes() == V_ref.tobytes()
-        assert (S is None) == (S_ref is None)
-        assert S is None or S.tobytes() == S_ref.tobytes()
-        assert [(type(e), str(e)) for e in errors] == [
-            (type(e), str(e)) for e in errors_ref
-        ]
-        return errors
-
-    @pytest.mark.parametrize(
-        "name, critical_norm",
-        [
-            ("elliptic", flow.CRITICAL_NORM),
-            ("elliptic", 0.9),
-            ("gl3-flag", flow.CRITICAL_NORM),
-            ("gl3-flag", 1.0 - 1e-9),
-        ],
-    )
-    def test_same_bits_as_the_untrimmed_field(self, name, critical_norm, monkeypatch):
-        # the raised critical norms make some healthy states critical on
-        # both sides, besides the chart origin whose time gradient is 0
-        monkeypatch.setattr(flow, "CRITICAL_NORM", critical_norm)
-        model, datum = catalog_model(name)
-        if model.closed_form:
-            charts, Y = _one_relation_states(model, datum, 53)
-        else:
-            charts, Y = _kernel_states(model, datum, 53)
-        charts, Y = _forced_states(model, charts, Y)
-        kinds = set()
-        mine = flow._field(model, charts, Y)
-        errors = self.same(mine, oracles.stage_field(model, charts, Y))
-        critical = sum(type(e) is CriticalPointError for e in errors)
-        kinds.update(str(e).split(" at ")[0] for e in errors if e)
-        if not model.closed_form:
-            S = mine[2]
-            for h in (0.125, 0.5):
-                for point, V, errors in _stage_points(model, charts, Y, S, h):
-                    reference = oracles.stage_field(model, charts, point, S)
-                    self.same((V, errors, S), reference)
-                    kinds.update(str(e).split(" at ")[0] for e in errors if e)
-        assert "chart coordinates are not finite" in kinds
-        assert any(k.startswith("family Jacobian has rank below") for k in kinds)
-        assert any(k.startswith("projected time gradient has norm") for k in kinds)
-        if not model.closed_form:
-            assert any(k.startswith("family Jacobian rank exceeds") for k in kinds)
-        assert critical >= (5 if critical_norm > 1e-3 else 1)
 
 
 class TestTableau:
@@ -925,32 +847,6 @@ class TestStageRejection:
         assert (res.steps, res.rejected) == (0, 0)
         # the stages up to the failing one were evaluated
         assert res.field_evals == call + 1
-
-    def test_round_ends_once_no_state_is_live(self, gl3, monkeypatch):
-        # at epsilon 0.8 stage points leave the family: a lone state's round
-        # ends at that stage, with no further field calls, while in a batch
-        # the round runs on for the others; the results agree bit for bit
-        datum, fam, basis = gl3
-        cfg = FlowConfig(epsilon=0.8)
-        xs = sample_intrinsic(datum, 4, np.random.default_rng(1), log10_spread=1.0)
-        starts = [embedded_chart_point(gl3, x, t=cfg.epsilon) for x in xs]
-        field = flow._field
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[1]))
-            return field(*args, **kwargs)
-
-        monkeypatch.setattr(flow, "_field", counted)
-        alone = []
-        for cp in starts:
-            calls.clear()
-            alone.append(flow_to(cp, 0.3, cfg, fam, basis))
-            leg = alone[-1]
-            assert leg.ok and len(calls) == leg.field_evals
-        assert any(leg.field_evals < 12 * (leg.steps + leg.rejected) for leg in alone)
-        batched = flow._integrate(flow._Model(fam, basis), starts, 0.3, cfg)
-        assert [repr(leg) for leg in batched] == [repr(leg) for leg in alone]
 
     def test_dead_state_leaves_its_round_untouched(self, elliptic, monkeypatch):
         # in one round, the first state fails at stage 3, the second's whole
