@@ -2,7 +2,9 @@
 numerically integrated gradient-Hamiltonian flows for graded algebra
 presentations with valuation data.
 
-The layering is strict:
+The layering is strict: a module imports only the modules listed above
+it, and the private helpers ``_lattice`` and ``_polytope`` sit below them
+all.
 
 ``algebra``
     exact rationals, Laurent polynomials, the composite order on N x Z^n,
@@ -27,7 +29,6 @@ The layering is strict:
 from okkit.algebra import (
     BiDegree,
     Polynomial,
-    Rational,
     Ring,
     SeriesContext,
     compare_composite,
@@ -60,7 +61,6 @@ from okkit.embedding import (
     VdBasis,
     embed_point,
     enumerate_vd_basis,
-    reduced_moment,
     sample_intrinsic,
     toric_moment,
 )

@@ -43,7 +43,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "Rational",
     "Ring",
     "Polynomial",
     "BiDegree",
@@ -63,9 +62,6 @@ __all__ = [
     "parse_polynomial",
     "format_polynomial",
 ]
-
-# Rational numbers are stdlib Fractions: always reduced, denominator > 0.
-Rational = Fraction
 
 
 class AlgebraError(Exception):
@@ -378,9 +374,6 @@ class BiDegree:
             self.level + other.level,
             tuple(a + b for a, b in zip(self.value, other.value)),
         )
-
-    def scale(self, k):
-        return BiDegree(k * self.level, tuple(k * x for x in self.value))
 
     def __lt__(self, other):
         return compare_composite(self, other) < 0

@@ -25,13 +25,13 @@ Entry grammar, one JSON object per file:
     expected      {"semigroup_generators": [[level, [value...]]...],
                    "body_vertices": [[[num, den]...]...],
                    "degree": int}
-    flow          {"epsilon": float, "delta": float}, no other keys
     homomorphism  optional {"matrix": [[int...]...],
                    "sliced_generators": like semigroup_generators,
                    "sliced_vertices": like body_vertices}
 
-Polynomial strings use the same grammar everywhere else in the package:
-integer or rational coefficients, ``*`` for products, ``^`` for powers.
+Other top-level keys are ignored.  Polynomial strings use the same
+grammar everywhere else in the package: integer or rational coefficients,
+``*`` for products, ``^`` for powers.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from okkit.algebra import (
     parse_polynomial,
 )
 from okkit.degeneration import RelationSet
-from okkit.flow import FlowConfig
 from okkit.okounkov import (
     GradingHomomorphism,
     MONOMIAL_BACKEND,
@@ -91,7 +90,7 @@ class CatalogEntry:
 
     semigroup, body and degree are re-derived at load time; sliced_semigroup
     and sliced_body are present exactly when the entry carries a grading
-    homomorphism.  flow holds the entry's suggested flow parameters.
+    homomorphism.
     """
 
     name: str
@@ -101,7 +100,6 @@ class CatalogEntry:
     semigroup: ValueSemigroup
     body: OkounkovBody
     degree: int
-    flow: FlowConfig
     grading: GradingHomomorphism | None = None
     sliced_semigroup: ValueSemigroup | None = None
     sliced_body: OkounkovBody | None = None
@@ -111,10 +109,6 @@ def _need(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise CatalogError("%s: missing field %r" % (where, key))
     value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CatalogError("%s: field %r must be a number" % (where, key))
-        return float(value)
     if not isinstance(value, kind):
         raise CatalogError(
             "%s: field %r must be %s" % (where, key, kind.__name__)
@@ -352,19 +346,6 @@ def _load_document(doc: dict, where: str) -> CatalogEntry:
             % (where, "\n  ".join(problems))
         )
 
-    flow_doc = _need(doc, "flow", dict, where)
-    unknown = sorted(set(flow_doc) - {"epsilon", "delta"})
-    if unknown:
-        raise CatalogError(
-            "%s: unknown flow key %r (known: delta, epsilon)" % (where, unknown[0])
-        )
-    epsilon = _need(flow_doc, "epsilon", float, where)
-    delta = _need(flow_doc, "delta", float, where)
-    try:
-        flow = FlowConfig(epsilon=epsilon, delta=delta)
-    except ValueError as exc:
-        raise CatalogError("%s: flow settings rejected: %s" % (where, exc)) from exc
-
     return CatalogEntry(
         name=name,
         description=description,
@@ -373,7 +354,6 @@ def _load_document(doc: dict, where: str) -> CatalogEntry:
         semigroup=semigroup,
         body=body,
         degree=int(degree),
-        flow=flow,
         grading=grading,
         sliced_semigroup=sliced_s,
         sliced_body=sliced_b,

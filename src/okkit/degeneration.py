@@ -127,15 +127,6 @@ class RelationSet:
     def variables(self) -> tuple:
         return self.datum.symbol_ring.variables
 
-    @property
-    def levels(self) -> tuple:
-        """Level n_k of each relation."""
-        tags = self.tags
-        return tuple(
-            monomial_bidegree(next(iter(g.terms)), tags).level
-            for g in self.relations
-        )
-
 
 # ---------------------------------------------------------------------------
 # weight functionals

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "embed_point",
     "toric_moment",
     "toric_moments",
-    "reduced_moment",
     "sample_intrinsic",
 ]
 
@@ -68,8 +66,6 @@ class VdBasis:
     """
 
     degree: int
-    variables: tuple
-    levels: tuple
     entries: tuple
     torus_weights: tuple
     cstar_weights: tuple
@@ -183,8 +179,6 @@ def enumerate_vd_basis(
         cstar.append(sum(a * w for a, w in zip(alpha, weights)))
     return VdBasis(
         degree=d,
-        variables=datum.symbol_ring.variables,
-        levels=levels,
         entries=tuple(entries),
         torus_weights=tuple(torus),
         cstar_weights=tuple(cstar),
@@ -318,33 +312,6 @@ def toric_moment(point, basis: VdBasis):
     """
     z = point.z if isinstance(point, ProjectivePoint) else tuple(point)
     return tuple(toric_moments(np.array([z], dtype=complex), basis)[0].tolist())
-
-
-def reduced_moment(point, basis: VdBasis, grading) -> tuple:
-    """Moment map of the subtorus cut out by a grading homomorphism.
-
-    Each basis entry has weight grading(1, lambda_a / d) for the quotient
-    torus; the map averages those exactly as toric_moment averages the
-    lambda_a.  By linearity the result equals grading applied to
-    (1, toric_moment(z)), which is the commutation identity the slicing
-    checks exercise.
-    """
-    z = point.z if isinstance(point, ProjectivePoint) else tuple(point)
-    masses = [abs(c) ** 2 for c in z]
-    total = sum(masses)
-    if total == 0:
-        raise EmbeddingError("moment map is undefined at the zero vector")
-    d = basis.degree
-    m = len(grading.matrix)
-    out = [0.0] * m
-    for mass, lam in zip(masses, basis.torus_weights):
-        if mass:
-            weight = grading.apply(
-                (Fraction(1),) + tuple(Fraction(v, d) for v in lam)
-            )
-            for i in range(m):
-                out[i] += mass * float(weight[i])
-    return tuple(v / total for v in out)
 
 
 # ---------------------------------------------------------------------------

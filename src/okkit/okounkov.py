@@ -263,10 +263,6 @@ class SagbiDatum:
     # -- derived data --------------------------------------------------------
 
     @property
-    def levels(self) -> int:
-        return max(g.level for g in self.generators)
-
-    @property
     def value_dim(self) -> int:
         if self.backend == SERIES_BACKEND:
             return 1
@@ -676,10 +672,6 @@ class GradingHomomorphism:
         if rows[0] == ():
             raise ValueError("the matrix needs at least one column")
         object.__setattr__(self, "matrix", rows)
-
-    @property
-    def codomain_dim(self) -> int:
-        return len(self.matrix)
 
     @property
     def domain_dim(self) -> int:

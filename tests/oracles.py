@@ -350,7 +350,7 @@ def chart_sliced_body(body, grading):
     from okkit._polytope import OkounkovBody
 
     n = body.ambient_dim
-    m = grading.codomain_dim
+    m = len(grading.matrix)
     A = [list(row[1:]) for row in grading.matrix]
     rhs = [-row[0] for row in grading.matrix]
     particular = _solve_exact(A, rhs)

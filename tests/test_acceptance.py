@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 from okkit.degeneration import build_family, build_projection
-from okkit.embedding import (
-    embed_point,
-    enumerate_vd_basis,
-    reduced_moment,
-    sample_intrinsic,
-    toric_moment,
-)
+from okkit.embedding import embed_point, enumerate_vd_basis, sample_intrinsic, toric_moment
 from okkit.flow import (
     ChartPoint,
     FlowConfig,
@@ -41,6 +35,7 @@ from okkit.okounkov import (
     semigroup_hilbert,
     subduct,
 )
+from okkit.okounkov import _level_table
 from okkit.okounkov import slice as semigroup_slice
 from oracles import substitute_tau, weyl_dimension_gl3
 from presentations import ALL_DATA, relation_set_for
@@ -263,29 +258,31 @@ def test_criterion_09_symplectic_transport():
 
 def test_criterion_10_slicing_and_commutation():
     """Slicing the cubic by the weight-difference grading gives the point
-    body {1} exactly, and the reduced moment factors through the full
-    moment at 50 embedded samples."""
+    body {1} exactly, and slicing commutes with the level tables: on the
+    cubic and the flag, the sliced semigroup has as many values at each
+    level k = 1..8 as the full level table has in the grading kernel."""
     started = time.perf_counter()
-    datum = ALL_DATA["elliptic"]()
-    S = datum.semigroup()
-    body = okounkov_body(S)
-    grading = GradingHomomorphism(((-1, 1),))
-    sliced_S, sliced_body = semigroup_slice(S, body, grading)
-    assert {(g.level, g.value) for g in sliced_S.generators} == {(1, (1,))}
-    assert sliced_body.vertices == ((Fraction(1),),)
-    assert sliced_body.volume == 0
-
-    rels, fam, basis = _pipeline("elliptic")
-    worst = 0.0
-    for x in _spawned_samples(datum, 50, 41, spread=1.0):
-        pt = embed_point(x, datum, fam, EPSILON, basis)
-        mu = toric_moment(pt, basis)
-        red = reduced_moment(pt, basis, grading)
-        direct = grading.apply((1,) + tuple(mu))
-        worst = max(worst, max(abs(p - float(q)) for p, q in zip(red, direct)))
-    assert worst < 1e-6
+    cases = (("elliptic", ((-1, 1),)), ("gl3-flag", ((-2, 1, 1, 1),)))
+    counts = {}
+    for name, matrix in cases:
+        S = ALL_DATA[name]().semigroup()
+        grading = GradingHomomorphism(matrix)
+        sliced_S, sliced_body = semigroup_slice(S, okounkov_body(S), grading)
+        if name == "elliptic":
+            assert {(g.level, g.value) for g in sliced_S.generators} == {(1, (1,))}
+            assert sliced_body.vertices == ((Fraction(1),),)
+            assert sliced_body.volume == 0
+        M = np.array(matrix)
+        for k in range(1, 9):
+            rows = _level_table(S, k).rows
+            in_kernel = int((rows @ M[:, 1:].T + k * M[:, 0] == 0).all(axis=1).sum())
+            assert semigroup_hilbert(sliced_S, k) == in_kernel, "%s, k=%d" % (name, k)
+            counts[name, k] = in_kernel
     assert time.perf_counter() - started < 60.0
-    _report(10, "slicing and commutation", started, "residual %.2e" % worst)
+    _report(
+        10, "slicing and commutation", started,
+        "kernel counts at k = 8: %d and %d" % (counts["elliptic", 8], counts["gl3-flag", 8]),
+    )
 
 
 def test_criterion_11_gl3_lattice_counts():

@@ -3,7 +3,6 @@
 import json
 import shutil
 
-import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -13,8 +12,6 @@ from okkit.catalog import (
     load_entry_file,
     load_example,
 )
-from okkit.embedding import reduced_moment, toric_moment, enumerate_vd_basis
-from okkit.degeneration import build_family, build_projection
 from okkit.okounkov import semigroup_hilbert
 
 from oracles import weyl_dimension_gl3
@@ -91,12 +88,6 @@ class TestLoading:
         assert [g.value for g in entry.sliced_semigroup.generators] == [(1,)]
         assert entry.sliced_body.vertices == ((Fraction(1),),)
         assert entry.sliced_body.dim == 0
-
-    def test_flow_defaults(self):
-        for name in NAMES:
-            entry = load_example(name)
-            assert entry.flow.epsilon == 0.5
-            assert entry.flow.delta == 1e-4
 
 
 class TestTampering:
@@ -189,14 +180,12 @@ class TestUserFiles:
                 "body_vertices": [[[0, 1]], [[2, 1]]],
                 "degree": 2,
             },
-            "flow": {"epsilon": 0.5, "delta": 0.001},
         }
         target = tmp_path / "conic.json"
         target.write_text(json.dumps(doc))
         entry = load_entry_file(target)
         assert entry.name == "conic"
         assert entry.degree == 2
-        assert entry.flow.delta == 0.001
 
     def test_bundled_file_verbatim_through_file_loader(self, tmp_path):
         copied = tmp_path / "elliptic.json"
@@ -204,16 +193,3 @@ class TestUserFiles:
         entry = load_entry_file(copied)
         assert entry.name == "elliptic"
 
-
-class TestReducedMoment:
-    def test_commutes_with_grading_on_random_points(self):
-        entry = load_example("elliptic-quotient-demo")
-        fam = build_family(entry.relations, build_projection(entry.relations))
-        basis = enumerate_vd_basis(entry.datum, fam)
-        rng = np.random.default_rng(79)
-        for _ in range(25):
-            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            mu = toric_moment(tuple(z), basis)
-            red = reduced_moment(tuple(z), basis, entry.grading)
-            direct = entry.grading.apply((1,) + tuple(mu))
-            assert abs(red[0] - float(direct[0])) < 1e-12

@@ -62,9 +62,16 @@ class TestRelationSet:
             assert all(not g.is_zero() for g in rels.relations)
 
     def test_levels(self):
-        assert relation_set_for("elliptic").levels == (3,)
-        assert relation_set_for("gl3-flag").levels == (2,) * 9
-        assert relation_set_for("p1").levels == ()
+        def levels(name):
+            rels = relation_set_for(name)
+            return [
+                {monomial_bidegree(e, rels.tags).level for e in g.terms}
+                for g in rels.relations
+            ]
+
+        assert levels("elliptic") == [{3}]
+        assert levels("gl3-flag") == [{2}] * 9
+        assert levels("p1") == []
 
     def test_mixed_levels_rejected(self):
         datum = p1xp1_datum()

@@ -525,7 +525,9 @@ class TestBodies:
 
     def test_level_normalization(self, any_datum):
         S = any_datum.semigroup()
-        doubled = ValueSemigroup(tuple(g.scale(2) for g in S.generators))
+        doubled = ValueSemigroup(
+            tuple(BiDegree(2 * g.level, tuple(2 * x for x in g.value)) for g in S.generators)
+        )
         assert okounkov_body(doubled) == okounkov_body(S)
 
     def test_vh_cross_consistency(self, any_datum):
