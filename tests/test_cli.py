@@ -145,14 +145,13 @@ class TestBody:
         assert result.exit_code == 0
         assert json.loads(result.output)["entry"] == "p1"
 
-    @pytest.mark.parametrize("delta", [0.9, 1e-300])
-    def test_leftover_flow_block_is_ignored(self, runner, tmp_path, delta):
+    def test_leftover_flow_block_is_ignored(self, runner, tmp_path):
         # flow settings are not part of an entry, even ones FlowConfig refuses
         import okkit.catalog as cat
 
         source = Path(cat.__file__).parent / "data" / "p1.json"
         doc = json.loads(source.read_text())
-        doc["flow"] = {"epsilon": 0.5, "delta": delta}
+        doc["flow"] = {"epsilon": 0.5, "delta": 0.9}
         path = tmp_path / "old-flow.json"
         path.write_text(json.dumps(doc))
         result = invoke(runner, "body", str(path))
@@ -285,6 +284,7 @@ def test_mutated_entry_ends_with_an_exit_code(tmp_path_factory, field, value):
 
 
 ENTRY_NAMES = [name for name, _ in list_examples()] + ["no-such-entry"]
+GRADED_ENTRIES = [name for name, _ in list_examples() if load_example(name).grading is not None]
 SAMPLES = ["1", "2", "0", "-1", "x"]
 # valid values first, so that shrinking heads for a run that gets going
 FLOW_FLAGS = {
@@ -310,6 +310,7 @@ def _ends_with_an_exit_code(args):
     assert result.exit_code in (0, 1, 2), args
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "Traceback" not in result.output
+    return result
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,18 +331,12 @@ def test_flow_flags_end_with_an_exit_code(entry, samples, flags):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(ENTRY_NAMES),
-    st.sampled_from(SAMPLES),
-    st.one_of(st.none(), st.sampled_from(FLOW_FLAGS["--seed"])),
     st.one_of(st.none(), st.just("{not json"), st.fixed_dictionaries({"matrix": MATRIX_ROWS})),
     st.booleans(),
 )
-def test_slice_flags_end_with_an_exit_code(
-    tmp_path_factory, entry, samples, seed, homomorphism, write_json
-):
+def test_slice_flags_end_with_an_exit_code(tmp_path_factory, entry, homomorphism, write_json):
     where = tmp_path_factory.mktemp("slice")
-    args = ["slice", entry, "--samples", samples]
-    if seed is not None:
-        args += ["--seed", seed]
+    args = ["slice", entry]
     if homomorphism is not None:
         hom = where / "hom.json"
         text = homomorphism if isinstance(homomorphism, str) else json.dumps(homomorphism)
@@ -349,7 +344,12 @@ def test_slice_flags_end_with_an_exit_code(
         args += ["--homomorphism", str(hom)]
     if write_json:
         args += ["--json", str(where / "out.json")]
-    _ends_with_an_exit_code(args)
+    result = _ends_with_an_exit_code(args)
+    if homomorphism is None and entry in GRADED_ENTRIES:
+        # a bundled entry sliced by its own grading: nothing above is refused
+        assert result.exit_code == 0, args
+        if write_json:
+            assert (where / "out.json").read_text() == result.output
 
 
 class TestBodySvgUnits:
