@@ -15,8 +15,8 @@ all.
 ``degeneration``
     weight functionals, initial forms, the one-parameter family;
 ``embedding``
-    monomial bases of the projective realization, point embedding, torus
-    weights, the moment map on the special fiber;
+    the level-one projective realization, point embedding, torus weights,
+    the moment map on the special fiber;
 ``flow``
     tangent frames, the gradient-Hamiltonian field, adaptive integration,
     the integrable-system evaluation and its diagnostics;

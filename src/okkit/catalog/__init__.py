@@ -265,7 +265,9 @@ def _verify_expectations(doc: dict, datum: SagbiDatum, where: str):
     _mismatch(
         problems, "body vertices", want_vertices, body.vertices, _format_vertices
     )
-    want_degree = _need(expected, "degree", int, where)
+    want_degree = _integer(
+        _need(expected, "degree", int, where), "the expected degree", where
+    )
     if Fraction(want_degree) != degree:
         problems.append(
             "degree: file says %d, derivation gives %s" % (want_degree, degree)

@@ -1,23 +1,21 @@
 """Projective realization of the family fibers.
 
-The degree-d slice of the presented algebra has a monomial basis indexed
-by weighted compositions: multi-indices alpha over the generator symbols
-with sum(alpha_v * level_v) = d.  Each index carries a torus weight (the
-sum of the generator values) and a C*-weight (the sum of the functional
-weights).  A point x of the intrinsic chart embeds at fiber parameter t
-with coordinate t^(omega_alpha) prod f_v(x)^alpha_v / h(x)^d, where h is
-the distinguished section; the result is normalized to a deterministic
-projective representative.  On (or near) the special fiber the compact
-torus acts by phases and the moment map is the lambda-weighted average of
-squared coordinate moduli, scaled by 1/d so its image sits in the body of
-the value semigroup.
+An entry is realized by its level-one generators, the sections of one
+very ample line bundle; each carries a torus weight (its value) and a
+C*-weight (its functional weight).  A point x of the intrinsic chart
+embeds at fiber parameter t with coordinate t^(omega_v) f_v(x) / h(x) at
+generator v, where h is the distinguished section; the result is
+normalized to a deterministic projective representative.  On (or near)
+the special fiber the compact torus acts by phases and the moment map is
+the lambda-weighted average of squared coordinate moduli, whose image
+sits in the body of the value semigroup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .okounkov import SagbiDatum
 
 __all__ = [
     "EmbeddingError",
-    "BasisTooLargeError",
     "BaseLocusError",
     "VdBasis",
     "ProjectivePoint",
@@ -38,16 +35,11 @@ __all__ = [
     "sample_intrinsic",
 ]
 
-BASIS_LIMIT = 10**6
 BASE_LOCUS_TOLERANCE = 1e-12
 RESIDUAL_TOLERANCE = 1e-9
 
 
 class EmbeddingError(Exception):
-    pass
-
-
-class BasisTooLargeError(EmbeddingError):
     pass
 
 
@@ -57,26 +49,20 @@ class BaseLocusError(EmbeddingError):
 
 @dataclass(frozen=True)
 class VdBasis:
-    """Monomial basis of the degree-d piece, with both weight systems.
+    """The level-one generators as projective coordinates, with both
+    weight systems: torus_weights[i] and cstar_weights[i] belong to the
+    i-th generator."""
 
-    entries are exponent multi-indices over the generator symbols, in
-    descending lexicographic order (so for d = 1 they follow the symbols
-    themselves); torus_weights[i] and cstar_weights[i] belong to
-    entries[i].
-    """
-
-    degree: int
-    entries: tuple
     torus_weights: tuple
     cstar_weights: tuple
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.torus_weights)
 
     @property
     def value_dim(self) -> int:
-        return len(self.torus_weights[0]) if self.entries else 0
+        return len(self.torus_weights[0]) if self.torus_weights else 0
 
     @cached_property
     def _moment_weights(self) -> np.ndarray:
@@ -87,101 +73,21 @@ class VdBasis:
         return weights
 
 
-def _composition_count(level_counts, d) -> int:
-    """Number of multi-indices with sum(alpha_v * level_v) = d.
+def enumerate_vd_basis(datum: SagbiDatum, fam: FamilyPresentation) -> VdBasis:
+    """The generators in order, with their values and C*-weights.
 
-    level_counts maps level i to the number n_i of symbols at that level.
-    Stars and bars per level, convolved over the split of d.
+    The realization is by level-one sections only, so a generator above
+    level one raises EmbeddingError.
     """
-    levels = sorted(level_counts)
-
-    @lru_cache(maxsize=None)
-    def count(pos, budget):
-        if pos == len(levels):
-            return 1 if budget == 0 else 0
-        i = levels[pos]
-        n_i = level_counts[i]
-        total = 0
-        for c in range(budget // i + 1):
-            total += math.comb(c + n_i - 1, n_i - 1) * count(
-                pos + 1, budget - c * i
-            )
-        return total
-
-    return count(0, d)
-
-
-def enumerate_vd_basis(
-    datum: SagbiDatum, fam: FamilyPresentation, d: int | None = None
-) -> VdBasis:
-    """All degree-d monomials in the generator symbols, with weights.
-
-    d defaults to r! for r the top level, the smallest factorial every
-    present level divides.  The enumeration is complete and duplicate-free
-    by construction and its length is re-checked against the closed-form
-    composition count.
-    """
-    generators = datum.generators
-    levels = tuple(g.level for g in generators)
-    r = max(levels)
-    if d is None:
-        d = math.factorial(r)
-    if d <= 0:
-        raise EmbeddingError("basis degree must be positive")
-    for i in sorted(set(levels)):
-        if d % i:
+    for g in datum.generators:
+        if g.level != 1:
             raise EmbeddingError(
-                "degree %d is not divisible by generator level %d" % (d, i)
+                "generator %s has level %d; only level-one generators embed"
+                % (g.symbol, g.level)
             )
-
-    counts = {}
-    for i in levels:
-        counts[i] = counts.get(i, 0) + 1
-    expected = _composition_count(counts, d)
-    if expected > BASIS_LIMIT:
-        raise BasisTooLargeError(
-            "degree-%d basis has %d entries (limit %d)"
-            % (d, expected, BASIS_LIMIT)
-        )
-
-    entries = []
-    exponents = [0] * len(generators)
-
-    def walk(pos, budget):
-        if pos == len(generators):
-            if budget == 0:
-                entries.append(tuple(exponents))
-            return
-        step = levels[pos]
-        for c in range(budget // step + 1):
-            exponents[pos] = c
-            walk(pos + 1, budget - c * step)
-        exponents[pos] = 0
-
-    walk(0, d)
-    entries.sort(reverse=True)
-    if len(entries) != expected:
-        raise EmbeddingError(
-            "enumeration produced %d entries, expected %d"
-            % (len(entries), expected)
-        )
-
-    values = tuple(g.value for g in generators)
-    weights = fam.weights
-    torus = []
-    cstar = []
-    for alpha in entries:
-        lam = tuple(
-            sum(a * v[i] for a, v in zip(alpha, values))
-            for i in range(len(values[0]))
-        )
-        torus.append(lam)
-        cstar.append(sum(a * w for a, w in zip(alpha, weights)))
     return VdBasis(
-        degree=d,
-        entries=tuple(entries),
-        torus_weights=tuple(torus),
-        cstar_weights=tuple(cstar),
+        torus_weights=tuple(g.value for g in datum.generators),
+        cstar_weights=fam.weights,
     )
 
 
@@ -241,10 +147,11 @@ def embed_point(
     t: complex,
     basis: VdBasis,
 ) -> ProjectivePoint:
-    """Embed an intrinsic chart point into the degree-d projective space.
+    """Embed an intrinsic chart point into the projective space of the
+    generators.
 
-    The coordinate at alpha is t^(omega_alpha) prod f_v(x)^alpha_v / h(x)^d.
-    The section value h(x) must stay away from zero, and the embedded point
+    The coordinate at generator v is t^(omega_v) f_v(x) / h(x).  The
+    section value h(x) must stay away from zero, and the embedded point
     must satisfy every family polynomial; both are enforced, the former as
     a re-sample hint and the latter as a hard error.  Coordinates past the
     float range raise EmbeddingError too.
@@ -265,32 +172,24 @@ def embed_point(
             " special fiber by flowing instead"
         )
 
-    rescaled = [
-        _power(t, w) * f / h for w, f in zip(fam.weights, f_values)
+    scale = _power(h, -1)
+    coords = [
+        _power(t, w) * scale * f for w, f in zip(basis.cstar_weights, f_values)
     ]
-    residual = family_residual(fam, rescaled, t)
+    residual = family_residual(fam, coords, t)
     if not residual <= RESIDUAL_TOLERANCE:
         raise EmbeddingError(
             "embedded point misses the family by relative residual %.3e"
             % residual
         )
-
-    scale = _power(h, -basis.degree)
-    coords = []
-    for alpha, omega in zip(basis.entries, basis.cstar_weights):
-        c = _power(t, omega) * scale
-        for f, a in zip(f_values, alpha):
-            if a:
-                c *= _power(f, a)
-        coords.append(c)
     return ProjectivePoint(_normalize(coords), t)
 
 
 def toric_moments(Z: np.ndarray, basis: VdBasis) -> np.ndarray:
-    """The moment map at level d on the rows of Z (its first basis.size
-    columns): sum |z_a|^2 lambda_a / (d sum |z_a|^2), masses re^2 + im^2.
+    """The moment map on the rows of Z (its first basis.size columns):
+    sum |z_a|^2 lambda_a / sum |z_a|^2, masses re^2 + im^2.
 
-    Both sums are one running sum over the basis entries in order, so
+    Both sums are one running sum over the generators in order, so
     rows never mix and a row's value does not depend on the batch;
     0.0 + makes an all-zero sum +0.0, as a loop from zero would.
     """
@@ -300,15 +199,15 @@ def toric_moments(Z: np.ndarray, basis: VdBasis) -> np.ndarray:
     total = sums[:, -1]
     if not total.all():
         raise EmbeddingError("moment map is undefined at the zero vector")
-    return sums[:, :-1] / (basis.degree * total)[:, None]
+    return sums[:, :-1] / total[:, None]
 
 
 def toric_moment(point, basis: VdBasis):
-    """Weighted average of the torus weights: the moment map at level d.
+    """Weighted average of the torus weights: the moment map, whose image
+    lies inside the body of the value semigroup.
 
-    The 1/d factor puts the image inside the body of the value
-    semigroup.  A batch of one of :func:`toric_moments`, so it returns
-    the same bits as the flow's recorded moments.
+    A batch of one of :func:`toric_moments`, so it returns the same bits
+    as the flow's recorded moments.
     """
     z = point.z if isinstance(point, ProjectivePoint) else tuple(point)
     return tuple(toric_moments(np.array([z], dtype=complex), basis)[0].tolist())
@@ -364,8 +263,11 @@ def sample_intrinsic(datum: SagbiDatum, count: int, rng, log10_spread: float = 0
     A positive log10_spread multiplies each free coordinate by a radius
     10**uniform(-s, s).  Normal draws cluster around unit modulus, which
     pins the toric moment of the embedded points near one corner of the
-    body; spreading the radii over decades exercises the whole image.
+    body; spreading the radii over decades exercises the whole image.  A
+    negative or NaN spread raises ValueError.
     """
+    if not log10_spread >= 0.0:
+        raise ValueError("log10_spread must be >= 0, not %r" % log10_spread)
     nvars = datum.ring.nvars
     section = datum.section.representative
     points = []

@@ -1,7 +1,7 @@
 """Gradient flow from a generic fiber down to the toric one.
 
 The family built in :mod:`okkit.degeneration`, embedded as in
-:mod:`okkit.embedding`, is a subvariety of P(V_d) x C_t.  Equip the
+:mod:`okkit.embedding`, is a subvariety of P(V_1) x C_t.  Equip the
 projective factor with the Fubini-Study metric in affine charts and the
 t-line with the flat metric.  The vector field
 
@@ -16,8 +16,9 @@ the moment image of the limit fiber on the generic one.
 
 Everything here works in chart coordinates: a point of P(V_1) x C is a
 chart index, the affine coordinates of the remaining symbols, and t.
-Only degree-one bases are supported; the family relations are polynomials
-in the symbols themselves, so the fiber equations need no re-expression.
+The basis is the level-one generators themselves, so the family
+relations, polynomials in the symbols, are the fiber equations as they
+stand.
 
 There is one integration path, and it is batched: a round is a fixed
 number of numpy calls over the states, with Python loops over states
@@ -376,11 +377,6 @@ class _Model:
     """
 
     def __init__(self, fam: FamilyPresentation, basis: VdBasis):
-        if basis.degree != 1:
-            raise FlowError(
-                "flow operates in the level-one chart; got basis degree %d"
-                % basis.degree
-            )
         datum = fam.relation_set.datum
         self.fam = fam
         self.basis = basis

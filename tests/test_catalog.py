@@ -106,6 +106,17 @@ class TestTampering:
         with pytest.raises(CatalogError, match="degree.*4.*3"):
             load_entry_file(path)
 
+    def test_boolean_degree_is_refused(self, tmp_path):
+        # bool is an int in Python, so true would otherwise read as 1
+        def flag(doc):
+            doc["expected"]["degree"] = True
+
+        path = self.rewrite(tmp_path, "p1", flag)
+        with pytest.raises(
+            CatalogError, match="expected degree must hold integers, not True"
+        ):
+            load_entry_file(path)
+
     def test_wrong_semigroup_generator_is_refused(self, tmp_path):
         def swap(doc):
             doc["expected"]["semigroup_generators"][2] = [1, [2]]

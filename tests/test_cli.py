@@ -443,13 +443,15 @@ class TestFlow:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.splitlines() == [
-            "cannot flow level-two: flow operates in the level-one chart;"
-            " got basis degree 2"
+            "cannot flow level-two: " + _LEVEL_TWO_REASON
         ]
 
 
+_LEVEL_TWO_REASON = "generator x2_1 has level 2; only level-one generators embed"
+
+
 def _level_two_entry(tmp_path):
-    """A valid entry whose degree-two basis the flow cannot model."""
+    """A valid entry with a generator above level one, which does not embed."""
     doc = {
         "name": "level-two",
         "description": "The affine line through 1, u^2 and the level-two u^3.",
@@ -495,12 +497,13 @@ class TestCheck:
         assert invoke(runner, "body", entry).exit_code == 0
         result = invoke(runner, "check", entry)
         assert result.exit_code == 0
-        probe = [line for line in result.output.splitlines() if "flow probe" in line]
-        assert len(probe) == 1 and "SKIP" in probe[0] and "level-one chart" in probe[0]
+        assert result.output.splitlines()[2:4] == [
+            "  moment containment       SKIP  skipped: " + _LEVEL_TWO_REASON,
+            "  flow probe               SKIP  skipped: " + _LEVEL_TWO_REASON,
+        ]
 
     def test_too_large_basis_ends_without_a_traceback(self, runner, tmp_path):
-        # a redundant level-7 generator makes the common level 5040, whose
-        # basis is over the size limit: the entry loads and slices, but
+        # a redundant level-7 generator: the entry loads and slices, but
         # nothing embeds
         import okkit.catalog as cat
 
@@ -516,7 +519,7 @@ class TestCheck:
         entry.write_text(json.dumps(doc))
         hom = tmp_path / "hom.json"
         hom.write_text(json.dumps({"matrix": [[-1, 2]]}))
-        reason = "degree-5040 basis has 1817641 entries (limit 1000000)"
+        reason = "generator x7_1 has level 7; only level-one generators embed"
         assert invoke(runner, "body", str(entry)).exit_code == 0
         flowed = invoke(runner, "flow", str(entry), "--samples", "2")
         assert flowed.exit_code == 2

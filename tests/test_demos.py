@@ -1,4 +1,5 @@
-"""The scripts under demos/ run to the end and print what they promise.
+"""The scripts under demos/ and the README's quick tour run to the end
+and print what they promise.
 
 Each runs in its own process, against the package in src, inside a
 temporary directory, since flag_polytope.py writes its SVG into the
@@ -6,6 +7,7 @@ working directory.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,17 +15,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_demo(name, cwd):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
+
+
+def run_demo(name, cwd):
+    return run_python([str(ROOT / "demos" / name)], cwd)
+
+
+def test_readme_quick_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [tour] = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    lines = run_python(["-c", tour + "print(entry.degree, outcome.ok)\n"], tmp_path)
+    assert lines == ["3 True"]
 
 
 def test_cubic_walkthrough_lands_in_the_body(tmp_path):

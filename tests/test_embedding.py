@@ -17,7 +17,6 @@ from okkit.algebra import (
 from okkit.degeneration import RelationSet, build_family, build_projection
 from okkit.embedding import (
     BaseLocusError,
-    BasisTooLargeError,
     EmbeddingError,
     _normalize,
     embed_point,
@@ -55,53 +54,19 @@ def weighted_datum():
     )
 
 
-def weighted_pipeline():
-    datum = weighted_datum()
-    g = parse_polynomial("x1_2^2 - x2_1", datum.symbol_ring)
-    rels = RelationSet(datum, (g,))
-    fam = build_family(rels, build_projection(rels))
-    basis = enumerate_vd_basis(datum, fam)
-    return datum, fam, basis
-
-
 class TestVdBasis:
     def test_elliptic_level_one_basis(self):
         _, _, basis = pipeline("elliptic")
-        assert basis.degree == 1
-        assert basis.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert basis.torus_weights == ((0,), (1,), (3,))
         assert basis.cstar_weights == (14, 12, 8)
 
-    def test_weighted_degree_two_basis(self):
-        _, _, basis = weighted_pipeline()
-        assert basis.degree == 2
-        assert basis.entries == ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1))
-        assert basis.size == 4
-
-    def test_mixed_levels_torus_weight(self):
-        _, _, basis = weighted_pipeline()
-        i = basis.entries.index((1, 1, 0))
-        assert basis.torus_weights[i] == (1,)
-
-    def test_count_matches_stars_and_bars(self):
-        datum, fam, _ = pipeline("gl3-flag")
-        basis = enumerate_vd_basis(datum, fam, d=2)
-        assert basis.size == math.comb(2 + 7, 7)
-
-    def test_indivisible_degree_rejected(self):
-        datum, fam, _ = weighted_pipeline()
-        with pytest.raises(EmbeddingError, match="divisible"):
-            enumerate_vd_basis(datum, fam, d=3)
-
-    def test_nonpositive_degree_rejected(self):
-        datum, fam, _ = pipeline("p1")
-        with pytest.raises(EmbeddingError, match="positive"):
-            enumerate_vd_basis(datum, fam, d=0)
-
-    def test_overflow_guard(self):
-        datum, fam, _ = pipeline("gl3-flag")
-        with pytest.raises(BasisTooLargeError):
-            enumerate_vd_basis(datum, fam, d=21)
+    def test_generator_above_level_one_rejected(self):
+        datum = weighted_datum()
+        g = parse_polynomial("x1_2^2 - x2_1", datum.symbol_ring)
+        rels = RelationSet(datum, (g,))
+        fam = build_family(rels, build_projection(rels))
+        with pytest.raises(EmbeddingError, match="generator x2_1 has level 2;"):
+            enumerate_vd_basis(datum, fam)
 
 
 class TestEmbedPoint:
@@ -210,14 +175,6 @@ class TestToricMoment:
         mid = toric_moment((1, 0, 1), basis)
         assert mid == (pytest.approx(1.5),)
 
-    def test_level_normalization_on_weighted_basis(self):
-        _, _, basis = weighted_pipeline()
-        # mass on x2_1 alone: torus weight (2,) at level d = 2
-        i = basis.entries.index((0, 0, 1))
-        z = [0] * basis.size
-        z[i] = 1
-        assert toric_moment(z, basis) == (pytest.approx(1.0),)
-
     def test_zero_vector_rejected(self):
         _, _, basis = pipeline("p1")
         with pytest.raises(EmbeddingError):
@@ -286,7 +243,7 @@ class TestToricMoments:
         Z = _spread_rows(np.random.default_rng(23 + decades), 30, basis.size, decades)
         for z, row in zip(Z, toric_moments(Z, basis)):
             masses = [Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in z]
-            total = basis.degree * sum(masses)
+            total = sum(masses)
             for i, value in enumerate(row):
                 exact = sum(m * lam[i] for m, lam in zip(masses, basis.torus_weights))
                 exact /= total
@@ -319,6 +276,12 @@ class TestSampling:
         rng = np.random.default_rng(2301)
         pts = np.array(sample_intrinsic(datum, 400, rng, log10_spread=30))
         assert relative_residual(modulus, pts).max() <= 1e-12
+
+    @pytest.mark.parametrize("spread", [-3.0, math.nan])
+    def test_negative_spread_rejected(self, spread):
+        # without the check these drew exactly the spread-0 points
+        with pytest.raises(ValueError, match="log10_spread"):
+            sample_intrinsic(elliptic_datum(), 5, np.random.default_rng(4), spread)
 
     def test_unconstrained_chart(self):
         datum = ALL_DATA["gl3-flag"]()
